@@ -26,7 +26,7 @@ from .directions import (Cap, Direction, FiniteSet, FullSphere, UnionOfCaps,
                          extract_frame, sample_in_region, sample_uniform)
 from .errors import CwkitError, ParseError
 from .moments import carleman_partial_sums, empirical_moments, reconstruct_mixed
-from .projections import AtomicMeasure, SampleSet, distance_trace, project
+from .projections import Empirical, distance_trace, project
 from .verdict import VerdictConfig, run_verdict, tightness_box
 
 ECHO_NAME = "config_echo.cfg"
@@ -163,9 +163,7 @@ def _cmd_sample_directions(cfg):
 
 def _cmd_gallery_sample(cfg):
     dist = _parse_target(cfg.get("dist"), int(cfg.get("dim")))
-    if isinstance(dist, AtomicMeasure):
-        dist = gallery.Atomic(dist)
-    if isinstance(dist, SampleSet):
+    if isinstance(dist, Empirical) and dist.weights is None:
         raise ValueError("gallery-sample needs an analytic dist, not a sample file")
     out = gallery.sample(dist, int(cfg.get("n")), cfg.seed)
     io.atomic_write(cfg.out_dir / "sample.csv", io.samples_csv(out))
@@ -184,7 +182,7 @@ def _cmd_trace(cfg):
     paths = _expand_inputs(cfg.get("inputs", required=True))
     sequence = [io.ingest_samples(p) for p in paths]
     target = _parse_target(cfg.get("target", required=True), sequence[0].dim)
-    if not isinstance(target, (SampleSet, AtomicMeasure)):
+    if not isinstance(target, Empirical):
         raise ValueError("trace needs a sample or atomic target, not an analytic one")
     u = _parse_direction(cfg.get("direction", required=True))
     tr = distance_trace(sequence, target, u, cfg.get("metric"))
@@ -197,18 +195,18 @@ def _cmd_carleman(cfg):
     dist_spec = cfg.get("dist")
     if dist_spec is not None:
         dist = _parse_target(dist_spec, 2)
-        if isinstance(dist, AtomicMeasure):
-            dist = gallery.Atomic(dist)
-        if isinstance(dist, SampleSet):
+        if isinstance(dist, Empirical) and dist.weights is None:
             raise ValueError("--dist must name an analytic distribution; use --input for samples")
-        e1 = Direction(np.eye(dist.dim)[0])
-        seq = dist.projected_even_moments(e1, 2 * order)
+        u = Direction(np.eye(dist.dim)[0])
         source = dist_spec
     else:
-        sample_set = io.ingest_samples(cfg.get("input", required=True))
+        dist = io.ingest_samples(cfg.get("input", required=True))
         u = _parse_direction(cfg.get("direction", required=True))
-        seq = empirical_moments(project(sample_set, u), 2 * order, kind="raw")
         source = f"{cfg.get('input')} along {cfg.get('direction')}"
+    if isinstance(dist, Empirical):
+        seq = empirical_moments(project(dist, u), 2 * order, kind="raw")
+    else:
+        seq = dist.projected_even_moments(u, 2 * order)
     report = carleman_partial_sums(seq, order)
     payload = {"source": source, "order": order, **report.to_dict()}
     io.write_json(cfg.out_dir / "carleman.json", payload)

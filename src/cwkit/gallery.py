@@ -1,9 +1,10 @@
 """Generators with ground truth.
 
-Three analytic families with exact moment oracles (Gaussian, product
-lognormal, finite atomic), plus the switching construction: a pair of
-distinct atomic measures whose 1-D projections agree exactly along a
-prescribed finite set of directions. The Gaussian has a moment generating
+Two analytic families with exact moment oracles (Gaussian, product
+lognormal), seeded draws from them and from weighted ``Empirical``
+measures, plus the switching construction: a pair of distinct atomic
+measures whose 1-D projections agree exactly along a prescribed finite set
+of directions. The Gaussian has a moment generating
 function near 0 and moment-determinate projections; the lognormal does not,
 which is what makes it the canonical Carleman failure case.
 """
@@ -19,7 +20,7 @@ from scipy.special import gammaln, logsumexp
 from .directions import Direction, _freeze
 from .errors import DegenerateKernel, OrderExceeded
 from .moments import MomentSequence, multi_indices, multinomial
-from .projections import AtomicMeasure, SampleSet
+from .projections import Empirical
 from .rng import STREAM_GALLERY, substream
 
 GAUSSIAN_MOMENT_CAP = 8  # pairing enumeration grows as (2m-1)!!
@@ -200,40 +201,8 @@ class ProductLognormal:
         return MomentSequence(values=vals, kind="raw", log_values=logs)
 
 
-@dataclass(frozen=True, eq=False)
-class Atomic:
-    """A finite atomic measure wrapped as an analytic law (exact oracles)."""
-
-    measure: AtomicMeasure
-
-    @property
-    def dim(self):
-        return self.measure.dim
-
-    def directional_moment(self, u, m):
-        return float(self.measure.weights @ (self.measure.points @ u.coords) ** m)
-
-    def projected_even_moments(self, u, max_order):
-        v = self.measure.points @ u.coords
-        vals = np.empty(max_order + 1)
-        vals[0] = 1.0
-        power = np.ones_like(v)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(1, max_order + 1):
-                power = power * v
-                vals[k] = float(self.measure.weights @ power)
-        return MomentSequence(values=vals, kind="raw")
-
-    def mixed_moment(self, alpha):
-        mono = np.ones(self.measure.n)
-        for j, a in enumerate(alpha):
-            if a:
-                mono = mono * self.measure.points[:, j] ** int(a)
-        return float(self.measure.weights @ mono)
-
-
 def sample(dist, n, seed):
-    """Draw n i.i.d. points from an analytic distribution, seeded."""
+    """Draw n i.i.d. points from an analytic law or a weighted Empirical, seeded."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = substream(seed, STREAM_GALLERY)
@@ -245,13 +214,12 @@ def sample(dist, n, seed):
         z = rng.standard_normal((n, dist.dim))
         pts = np.exp(dist.mu + dist.sigma * z)
         label = f"lognormal-n{n}-seed{seed}"
-    elif isinstance(dist, Atomic):
-        idx = rng.choice(dist.measure.n, size=n, p=dist.measure.weights)
-        pts = dist.measure.points[idx]
+    elif isinstance(dist, Empirical) and dist.weights is not None:
+        pts = dist.points[rng.choice(dist.n, size=n, p=dist.weights)]
         label = f"atomic-n{n}-seed{seed}"
     else:
-        raise TypeError(f"not an analytic distribution: {type(dist).__name__}")
-    return SampleSet(points=pts, label=label)
+        raise TypeError(f"not an analytic law or weighted measure: {type(dist).__name__}")
+    return Empirical(points=pts, label=label)
 
 
 def mixed_moment_oracle(dist, alpha):
@@ -334,7 +302,7 @@ def switching_pair(lattice_directions):
     def build(atoms):
         pts = np.array([a for a, _ in atoms], dtype=np.float64)
         w = np.array([c for _, c in atoms], dtype=np.float64)
-        return AtomicMeasure(pts, w / w.sum())
+        return Empirical(pts, w / w.sum())
 
     p, q = build(pos), build(neg)
     certified = [_orthogonal_unit(v) for v in vs]

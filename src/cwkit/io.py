@@ -13,7 +13,7 @@ import numpy as np
 
 from .directions import Direction
 from .errors import ParseError, RaggedRows
-from .projections import AtomicMeasure, SampleSet
+from .projections import Empirical
 
 
 def _fmt(x):
@@ -63,7 +63,8 @@ def _parse_csv_rows(lines, path):
 
 
 def ingest_samples(path, fmt=None):
-    """Read a SampleSet from CSV (optional single header row) or NDJSON.
+    """Read an unweighted Empirical (a sample) from CSV, with an optional
+    single header row, or from NDJSON.
 
     fmt is 'csv' or 'ndjson'; None infers from the file suffix, defaulting
     to csv. The file stem becomes the label.
@@ -97,11 +98,11 @@ def ingest_samples(path, fmt=None):
             rows.append([float(x) for x in row])
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    return SampleSet(points=np.array(rows), label=path.stem)
+    return Empirical(points=np.array(rows), label=path.stem)
 
 
 def load_atomic_csv(path):
-    """Read an AtomicMeasure from CSV rows of d coordinates plus a weight."""
+    """Read a weighted Empirical from CSV rows of d coordinates plus a weight."""
     path = Path(path)
     lines = [(i, ln) for i, ln in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              if ln.strip()]
@@ -109,7 +110,7 @@ def load_atomic_csv(path):
     if not rows or len(rows[0]) < 2:
         raise ParseError(f"{path}: need at least one coordinate column plus a weight column")
     arr = np.array(rows)
-    return AtomicMeasure(points=arr[:, :-1], weights=arr[:, -1])
+    return Empirical(points=arr[:, :-1], weights=arr[:, -1])
 
 
 def load_directions_csv(path):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .directions import _freeze, frame_constant
 from .errors import OrderExceeded, RankDeficient
-from .projections import AtomicMeasure, SampleSet
+from .projections import Empirical
 
 #: absolute floor used when validating "nonnegative" empirical even moments
 _EVEN_TOL = 1e-12
@@ -252,20 +252,18 @@ def carleman_partial_sums(even_moments, M):
 # ---------------------------------------------------------------------------
 
 def directional_moment(source, u, m):
-    """int <u, x>^m over a sample, an atomic measure, or an analytic law.
+    """int <u, x>^m over an Empirical or an analytic law.
 
-    Exact for atomic and analytic sources, the empirical average for a
-    SampleSet. Analytic laws provide their own ``directional_moment``
+    Exact for weighted Empirical measures and analytic laws, the empirical
+    average for a sample. Analytic laws provide their own ``directional_moment``
     method; one lacking a closed form at order m raises NoAnalyticOracle.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     if m == 0:
         return 1.0  # total mass, exactly
-    if isinstance(source, SampleSet):
-        return float(np.mean((source.points @ u.coords) ** m))
-    if isinstance(source, AtomicMeasure):
-        return float(source.weights @ (source.points @ u.coords) ** m)
+    if isinstance(source, Empirical):
+        return float(source.expect((source.points @ u.coords) ** m))
     return float(source.directional_moment(u, m))
 
 
@@ -300,18 +298,10 @@ class MixedMoments:
         return np.array([self.table[a] for a in multi_indices(self.dim, m)])
 
     @classmethod
-    def from_sample(cls, sample, max_order):
-        """Empirical mixed moments of a SampleSet."""
-        return cls._from_points(sample.points, np.full(sample.n, 1.0 / sample.n),
-                                sample.dim, max_order)
-
-    @classmethod
-    def from_atomic(cls, measure, max_order):
-        """Exact mixed moments of an AtomicMeasure."""
-        return cls._from_points(measure.points, measure.weights, measure.dim, max_order)
-
-    @classmethod
-    def _from_points(cls, points, weights, dim, max_order):
+    def from_sample(cls, source, max_order):
+        """Mixed moments of an Empirical: empirical for a sample, exact for
+        a weighted measure."""
+        points, weights, dim = source.points, source.mass, source.dim
         # power table: pows[i, k, j] = x_ij^k
         pows = np.ones((points.shape[0], max_order + 1, dim))
         for k in range(1, max_order + 1):
@@ -324,6 +314,8 @@ class MixedMoments:
                     mono = mono * pows[:, a, j]
             table[alpha] = float(weights @ mono)
         return cls(dim=dim, max_order=max_order, table=table)
+
+    from_atomic = from_sample  # older name for weighted sources
 
 
 def mixed_to_directional(mm, u, m):

@@ -1,5 +1,10 @@
 """Projection of d-dimensional measures to 1-D laws, and exact distances.
 
+Every d-dimensional input is an ``Empirical`` point cloud: without weights
+an i.i.d. sample (mass 1/n per row, moments known up to Monte-Carlo error),
+with weights an exact finite measure. ``SampleSet`` and ``AtomicMeasure``
+are older names for the same type.
+
 All 1-D laws are finite atomic measures. Values closer than MERGE_TOL are
 considered the same atom; that tolerance is the single equality notion for
 1-D laws package-wide. Distances are computed exactly on the merged atom
@@ -21,18 +26,40 @@ METRICS = ("ks", "w1")
 
 
 @dataclass(frozen=True, eq=False)
-class SampleSet:
-    """An n x d point cloud treated as the empirical measure (weights 1/n)."""
+class Empirical:
+    """A finite point cloud in R^d: n x d points, optionally weighted.
+
+    With ``weights=None`` it is an i.i.d. sample, the empirical measure with
+    mass 1/n per row; duplicate rows are allowed and its moments carry
+    Monte-Carlo error. With weights it is an exact finite measure: strictly
+    positive weights summing to 1 on pairwise distinct atoms.
+    """
 
     points: np.ndarray
+    weights: np.ndarray | None = None
     label: str = ""
 
     def __post_init__(self):
         p = np.asarray(self.points, dtype=np.float64)
+        rows = "n" if self.weights is None else "k"
         if p.ndim != 2 or p.shape[0] < 1:
-            raise ValueError("points must be a nonempty n x d array")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("points must be finite")
+            raise ValueError(f"points must be a nonempty {rows} x d array")
+        if self.weights is None:
+            if not np.all(np.isfinite(p)):
+                raise ValueError("points must be finite")
+        else:
+            w = np.asarray(self.weights, dtype=np.float64)
+            if w.shape != (p.shape[0],):
+                raise ValueError("need one weight per atom")
+            if not (np.all(np.isfinite(p)) and np.all(np.isfinite(w))):
+                raise ValueError("atoms must be finite")
+            if np.any(w <= 0.0):
+                raise ValueError("weights must be strictly positive")
+            if abs(w.sum() - 1.0) > MASS_TOL:
+                raise ValueError(f"weights sum to {w.sum()!r}, not 1 within {MASS_TOL}")
+            if np.unique(p, axis=0).shape[0] != p.shape[0]:
+                raise ValueError("atoms must be pairwise distinct")
+            object.__setattr__(self, "weights", _freeze(w))
         object.__setattr__(self, "points", _freeze(p))
 
     @property
@@ -43,66 +70,30 @@ class SampleSet:
     def dim(self):
         return self.points.shape[1]
 
+    @property
+    def mass(self):
+        """Mass of each point: the weights, or 1/n per row for a sample."""
+        return np.full(self.n, 1.0 / self.n) if self.weights is None else self.weights
+
+    def expect(self, values):
+        """Integral of per-point values: the sample mean, or the weighted sum.
+
+        Not ``mass @ values``: that rounds differently from the mean, and
+        sample reports must stay byte-stable.
+        """
+        return np.mean(values) if self.weights is None else self.weights @ values
+
     def digest(self):
+        """SHA-256 of the points, then of the label (sample) or weights (measure)."""
         h = hashlib.sha256()
         h.update(str(self.points.shape).encode())
         h.update(self.points.tobytes())
-        h.update(self.label.encode())
+        h.update(self.label.encode() if self.weights is None else self.weights.tobytes())
         return h.hexdigest()
 
 
-@dataclass(frozen=True, eq=False)
-class AtomicMeasure:
-    """Weighted atoms in R^d: positive weights summing to 1, distinct points."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.points, dtype=np.float64)
-        w = np.asarray(self.weights, dtype=np.float64)
-        if p.ndim != 2 or p.shape[0] < 1:
-            raise ValueError("points must be a nonempty k x d array")
-        if w.shape != (p.shape[0],):
-            raise ValueError("need one weight per atom")
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(w))):
-            raise ValueError("atoms must be finite")
-        if np.any(w <= 0.0):
-            raise ValueError("weights must be strictly positive")
-        if abs(w.sum() - 1.0) > MASS_TOL:
-            raise ValueError(f"weights sum to {w.sum()!r}, not 1 within {MASS_TOL}")
-        if np.unique(p, axis=0).shape[0] != p.shape[0]:
-            raise ValueError("atoms must be pairwise distinct")
-        object.__setattr__(self, "points", _freeze(p))
-        object.__setattr__(self, "weights", _freeze(w))
-
-    @property
-    def n(self):
-        return self.points.shape[0]
-
-    @property
-    def dim(self):
-        return self.points.shape[1]
-
-    @classmethod
-    def from_points(cls, points, weights):
-        """Build a measure from raw atoms: merges exact duplicate points,
-        drops zero net weights, and normalizes to total mass 1."""
-        p = np.asarray(points, dtype=np.float64)
-        w = np.asarray(weights, dtype=np.float64)
-        uniq, inverse = np.unique(p, axis=0, return_inverse=True)
-        acc = np.zeros(uniq.shape[0])
-        np.add.at(acc, inverse, w)
-        keep = acc > 0.0
-        total = acc[keep].sum()
-        return cls(uniq[keep], acc[keep] / total)
-
-    def digest(self):
-        h = hashlib.sha256()
-        h.update(str(self.points.shape).encode())
-        h.update(self.points.tobytes())
-        h.update(self.weights.tobytes())
-        return h.hexdigest()
+SampleSet = Empirical
+AtomicMeasure = Empirical
 
 
 def _merge_sorted(values, weights, tol=MERGE_TOL):
@@ -151,15 +142,10 @@ class Projected1D:
 
 
 def project(source, u):
-    """Push a SampleSet or AtomicMeasure forward under x -> <u, x>."""
+    """Push an Empirical forward under x -> <u, x>."""
     if source.dim != u.dim:
         raise DimensionMismatch(f"source dim {source.dim} != direction dim {u.dim}")
-    vals = source.points @ u.coords
-    if isinstance(source, AtomicMeasure):
-        weights = source.weights
-    else:
-        weights = np.full(source.n, 1.0 / source.n)
-    return Projected1D.from_raw(vals, weights)
+    return Projected1D.from_raw(source.points @ u.coords, source.mass)
 
 
 def _merged_cdfs(a, b):

@@ -30,8 +30,7 @@ from .directions import FiniteSet, extract_frame, frame_constant, sample_in_regi
 from .errors import BudgetExhausted, DimensionMismatch, InsufficientRank
 from .moments import (MixedMoments, carleman_partial_sums, empirical_moments,
                       jsonsafe, multi_indices)
-from .projections import (METRICS, AtomicMeasure, DistanceTrace, SampleSet,
-                          distance_trace, project)
+from .projections import METRICS, DistanceTrace, Empirical, distance_trace, project
 from .rng import STREAM_REFERENCE, substream
 
 H1_RULES = ("final_below", "monotone_trend")
@@ -124,9 +123,7 @@ class TightnessBox:
         """Fraction of an element's mass inside the box."""
         proj = np.abs(element.points @ self.frame.matrix.T)
         inside = np.all(proj <= self.half_widths, axis=1)
-        if isinstance(element, AtomicMeasure):
-            return float(element.weights @ inside)
-        return float(np.mean(inside))
+        return float(element.expect(inside))
 
     def to_dict(self):
         return {
@@ -138,7 +135,7 @@ class TightnessBox:
 
 def _abs_proj_quantile(element, u_row, q):
     v = np.abs(element.points @ u_row)
-    if isinstance(element, AtomicMeasure):
+    if element.weights is not None:
         order = np.argsort(v, kind="stable")
         cum = np.cumsum(element.weights[order])
         idx = int(np.searchsorted(cum, q - 1e-12, side="left"))
@@ -228,22 +225,23 @@ def h1_check(traces, tolerance, rule="final_below"):
 def h2_check(target, frame, carleman_order):
     """Carleman diagnostic of the target's projection along each frame row.
 
-    Analytic targets (and atomic measures, wrapped) use exact moment
-    oracles; sample targets use empirical moments, with a note when the
-    needed orders pass the reliability limit 2 n^{1/4}.
+    Analytic targets use exact moment oracles. Empirical targets use the
+    moments of their projections: exact for a weighted measure; for a
+    sample, with a note when the needed orders pass the reliability limit
+    2 n^{1/4}.
     """
+    note = ""
+    if isinstance(target, Empirical) and target.weights is None:
+        limit = _reliable_order_limit(target.n)
+        if 2 * carleman_order > limit:
+            note = (f"empirical moments beyond order {limit:.0f} are "
+                    f"noise-dominated at n={target.n}")
     reports = []
     for u in frame.directions:
-        note = ""
-        if isinstance(target, SampleSet):
+        if isinstance(target, Empirical):
             seq = empirical_moments(project(target, u), 2 * carleman_order, kind="raw")
-            limit = _reliable_order_limit(target.n)
-            if 2 * carleman_order > limit:
-                note = (f"empirical moments beyond order {limit:.0f} are "
-                        f"noise-dominated at n={target.n}")
         else:
-            src = gallery.Atomic(target) if isinstance(target, AtomicMeasure) else target
-            seq = src.projected_even_moments(u, 2 * carleman_order)
+            seq = target.projected_even_moments(u, 2 * carleman_order)
         rep = carleman_partial_sums(seq, carleman_order)
         if note:
             joined = f"{rep.note}; {note}" if rep.note else note
@@ -275,17 +273,15 @@ class MomentMatchRow:
 
 
 def _mixed_moments_of(source, max_order):
-    if isinstance(source, SampleSet):
+    if isinstance(source, Empirical):
         return MixedMoments.from_sample(source, max_order)
-    if isinstance(source, AtomicMeasure):
-        return MixedMoments.from_atomic(source, max_order)
     return gallery.mixed_moments_of(source, max_order)
 
 
 def _monomial_se(source, alpha):
     # Monte-Carlo standard error of the empirical mixed moment; zero for
-    # exact (atomic) sources
-    if not isinstance(source, SampleSet):
+    # exact sources (analytic laws and weighted measures)
+    if not isinstance(source, Empirical) or source.weights is not None:
         return 0.0
     mono = np.ones(source.n)
     for j, a in enumerate(alpha):
@@ -391,15 +387,13 @@ def aggregate_overall(h1_results, carleman_verdicts, moment_rows, flags):
 
 
 def _digest_of(obj):
-    if isinstance(obj, (SampleSet, AtomicMeasure)):
+    if isinstance(obj, Empirical):
         return obj.digest()
     h = hashlib.sha256()
     h.update(type(obj).__name__.encode())
     for arr in vars(obj).values():
         if isinstance(arr, np.ndarray):
             h.update(arr.tobytes())
-        elif isinstance(arr, AtomicMeasure):
-            h.update(arr.digest().encode())
     return h.hexdigest()
 
 
@@ -442,8 +436,7 @@ def run_verdict(sequence, target, config):
     except InsufficientRank as err:
         raise InsufficientRank(f"h2 frame extraction failed: {err}") from None
 
-    analytic_target = not isinstance(target, (SampleSet, AtomicMeasure))
-    if analytic_target:
+    if not isinstance(target, Empirical):
         h1_target = gallery.sample(target, config.reference_sample_size,
                                    substream(config.seed, STREAM_REFERENCE).integers(2**63))
         flags.append("analytic_target_sampled_for_h1")

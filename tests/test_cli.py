@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from cwkit import gallery
 from cwkit.cli import main, parse_region
-from cwkit.directions import Cap, FiniteSet, FullSphere, UnionOfCaps
+from cwkit.directions import Cap, Direction, FiniteSet, FullSphere, UnionOfCaps
 from cwkit.errors import ParseError, RaggedRows
-from cwkit.io import ingest_samples, load_atomic_csv, load_directions_csv
+from cwkit.io import atomic_csv, ingest_samples, load_atomic_csv, load_directions_csv, samples_csv
+from cwkit.projections import AtomicMeasure, ks_distance, project
 
 
 @pytest.fixture
@@ -242,6 +244,87 @@ class TestVerdictCommand:
         assert "seed = 9" in echo        # flag wins
         assert "metric = w1" in echo     # config survives where no flag given
         assert "directions = 20" in echo
+
+
+ATOMS = np.array([[1.0, 0.5], [-0.5, 1.5], [0.25, -1.0]])
+ATOM_WEIGHTS = np.array([0.5, 0.25, 0.25])
+
+
+@pytest.fixture
+def atomic_file(tmp_path):
+    path = tmp_path / "measure.csv"
+    path.write_text(atomic_csv(AtomicMeasure(ATOMS, ATOM_WEIGHTS)))
+    return path
+
+
+@pytest.fixture
+def atomic_draws(tmp_path, atomic_file):
+    paths = []
+    for seed, n in enumerate((200, 1000, 5000), start=1):
+        out = tmp_path / f"draw{seed}"
+        assert main(["gallery-sample", "--dist", f"atomic:{atomic_file}", "--n", str(n),
+                     "--seed", str(seed), "--out", str(out)]) == 0
+        paths.append(out / "sample.csv")
+    return paths
+
+
+class TestAtomicForms:
+    def test_gallery_sample(self, tmp_path, atomic_file):
+        out = tmp_path / "g"
+        assert main(["gallery-sample", "--dist", f"atomic:{atomic_file}", "--n", "300",
+                     "--seed", "5", "--out", str(out)]) == 0
+        expected = gallery.sample(load_atomic_csv(atomic_file), 300, 5)
+        assert (out / "sample.csv").read_text() == samples_csv(expected)
+        drawn = ingest_samples(out / "sample.csv").points
+        assert all(any(np.array_equal(row, atom) for atom in ATOMS) for row in drawn)
+
+    def test_verdict_target(self, tmp_path, atomic_file, gaussian_files):
+        out = tmp_path / "v"
+        code = main(["verdict", "--inputs", ",".join(str(p) for p in gaussian_files),
+                     "--target", f"atomic:{atomic_file}", "--directions", "20",
+                     "--seed", "11", "--out", str(out)])
+        assert code == 1
+        payload = json.loads((out / "verdict.json").read_text())
+        assert payload["overall"] == "inconsistent"
+        assert payload["h1"]["n_failed"] == 20
+        # exact target: no reference draw, no noise note on its Carleman scan
+        assert payload["flags"] == []
+        assert [c["verdict"] for c in payload["carleman"]] == ["diverging", "diverging"]
+        assert all(c["note"] == "" for c in payload["carleman"])
+        assert (payload["provenance"]["target_digest"]
+                == load_atomic_csv(atomic_file).digest())
+
+    def test_trace_target(self, tmp_path, atomic_file, atomic_draws):
+        out = tmp_path / "t"
+        assert main(["trace", "--inputs", ",".join(str(p) for p in atomic_draws),
+                     "--target", f"atomic:{atomic_file}", "--direction", "1,0",
+                     "--metric", "ks", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "trace.csv").read_text().splitlines()[1:]]
+        u = Direction(np.array([1.0, 0.0]))
+        exact = project(load_atomic_csv(atomic_file), u)
+        assert [int(r[1]) for r in rows] == [200, 1000, 5000]
+        for row, path in zip(rows, atomic_draws):
+            assert float(row[2]) == ks_distance(project(ingest_samples(path), u), exact)
+
+    def test_carleman_dist(self, tmp_path, atomic_file):
+        out = tmp_path / "c"
+        assert main(["carleman", "--dist", f"atomic:{atomic_file}", "--carleman-order", "10",
+                     "--out", str(out)]) == 0
+        payload = json.loads((out / "carleman.json").read_text())
+        assert payload["verdict"] == "diverging"
+        v = ATOMS[:, 0]
+        terms = [(ATOM_WEIGHTS @ v ** (2 * m)) ** (-1.0 / (2 * m)) for m in range(1, 11)]
+        assert payload["terms"] == pytest.approx(terms, rel=1e-12)
+
+    @pytest.mark.parametrize("command", ["gallery-sample", "carleman"])
+    def test_sample_csv_as_dist_exit_two(self, tmp_path, capsys, gaussian_files, command):
+        code = main([command, "--dist", str(gaussian_files[0]), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["error"] == "ValueError"
+        assert "analytic" in payload["message"]
 
 
 class TestErrorPaths:

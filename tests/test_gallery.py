@@ -6,10 +6,11 @@ import pytest
 
 from cwkit.directions import Direction, sample_uniform
 from cwkit.errors import OrderExceeded
-from cwkit.gallery import (Atomic, Gaussian, ProductLognormal, empirical_mgf,
-                           mixed_moment_oracle, mixed_moments_of, sample, switching_pair)
+from cwkit.gallery import (Gaussian, ProductLognormal, empirical_mgf, mixed_moment_oracle,
+                           mixed_moments_of, sample, switching_pair)
 from cwkit.moments import carleman_partial_sums, mixed_to_directional
-from cwkit.projections import AtomicMeasure, ks_distance, project
+from cwkit.projections import AtomicMeasure, Empirical, ks_distance, project
+from cwkit.rng import STREAM_GALLERY, substream
 
 
 def e1(d=2):
@@ -21,7 +22,7 @@ def e1(d=2):
 class TestSampling:
     def test_atomic_point_mass(self):
         v = np.array([[2.0, -1.0, 0.5]])
-        dist = Atomic(AtomicMeasure(v, np.array([1.0])))
+        dist = AtomicMeasure(v, np.array([1.0]))
         s = sample(dist, 50, seed=0)
         assert np.all(s.points == v)
 
@@ -46,9 +47,22 @@ class TestSampling:
         b = sample(Gaussian.standard(2), 100, seed=42)
         assert a.points.tobytes() == b.points.tobytes()
 
+    def test_weighted_draw_is_one_choice_call(self):
+        m = Empirical(np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]]),
+                      np.array([0.2, 0.3, 0.5]))
+        s = sample(m, 400, seed=17)
+        idx = substream(17, STREAM_GALLERY).choice(m.n, size=400, p=m.weights)
+        assert s.points.tobytes() == m.points[idx].tobytes()
+        assert s.label == "atomic-n400-seed17"
+        assert s.weights is None
+
+    def test_unweighted_sample_rejected(self):
+        with pytest.raises(TypeError):
+            sample(Empirical(np.zeros((5, 2))), 10, seed=0)
+
     def test_atomic_weight_frequencies(self):
         m = AtomicMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.25, 0.75]))
-        s = sample(Atomic(m), 10**5, seed=3)
+        s = sample(m, 10**5, seed=3)
         frac = np.mean(s.points[:, 0] == 1.0)
         assert frac == pytest.approx(0.75, abs=0.01)
 

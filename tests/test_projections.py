@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from cwkit.directions import Direction
 from cwkit.errors import DimensionMismatch
-from cwkit.projections import (AtomicMeasure, Projected1D, SampleSet, distance_trace,
-                               ks_distance, project, wasserstein1)
+from cwkit.projections import (MASS_TOL, AtomicMeasure, Empirical, Projected1D, SampleSet,
+                               distance_trace, ks_distance, project, wasserstein1)
 
 SQ2 = np.sqrt(2.0) / 2.0
 
@@ -20,6 +20,77 @@ def law(values, weights=None):
     if weights is None:
         weights = np.full(values.size, 1.0 / values.size)
     return Projected1D.from_raw(values, np.asarray(weights, dtype=float))
+
+
+class TestEmpirical:
+    PTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+
+    @pytest.mark.parametrize("weights, match", [
+        ([0.5, 0.5, 0.0], "strictly positive"),
+        ([0.6, 0.6, -0.2], "strictly positive"),
+        ([0.5, 0.25, 0.25 + 10 * MASS_TOL], "not 1 within"),
+        ([0.5, 0.25, 0.25 - 10 * MASS_TOL], "not 1 within"),
+        ([0.5, 0.5], "one weight per atom"),
+        ([0.25, 0.25, 0.25, 0.25], "one weight per atom"),
+        ([0.5, np.nan, 0.5], "finite"),
+        ([0.5, np.inf, 0.5], "finite"),
+    ])
+    def test_weighted_rejects_bad_weights(self, weights, match):
+        with pytest.raises(ValueError, match=match):
+            Empirical(self.PTS, np.array(weights))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_weighted_rejects_nonfinite_atoms(self, bad):
+        pts = self.PTS.copy()
+        pts[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Empirical(pts, np.full(3, 1.0 / 3.0))
+
+    def test_weighted_rejects_duplicate_atoms(self):
+        pts = np.array([[0.0, 1.0], [2.0, 3.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            Empirical(pts, np.array([0.25, 0.5, 0.25]))
+
+    def test_weighted_accepts_mass_within_tolerance(self):
+        m = Empirical(self.PTS, np.array([0.5, 0.25, 0.25 + 0.5 * MASS_TOL]))
+        assert m.n == 3 and m.dim == 2
+
+    @pytest.mark.parametrize("points", [np.zeros((0, 2)), np.zeros(3), np.zeros((2, 2, 2))])
+    def test_unweighted_rejects_bad_shape(self, points):
+        with pytest.raises(ValueError, match="nonempty"):
+            Empirical(points)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_unweighted_rejects_nonfinite(self, bad):
+        pts = self.PTS.copy()
+        pts[2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Empirical(pts)
+
+    def test_unweighted_accepts_duplicate_rows(self):
+        s = Empirical(np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]]))
+        assert s.n == 3 and s.weights is None
+        assert s.mass.tolist() == [1.0 / 3.0] * 3
+        p = project(s, Direction(np.array([1.0, 0.0])))
+        assert p.values.tolist() == [1.0, 3.0]
+        assert p.weights == pytest.approx([2.0 / 3.0, 1.0 / 3.0], abs=1e-15)
+
+    def test_old_names_are_the_same_type(self):
+        assert SampleSet is Empirical and AtomicMeasure is Empirical
+        assert AtomicMeasure(self.PTS, np.full(3, 1.0 / 3.0)).weights is not None
+        assert SampleSet(self.PTS, label="s").weights is None
+
+    def test_points_and_weights_frozen(self):
+        m = Empirical(self.PTS, np.full(3, 1.0 / 3.0))
+        with pytest.raises(ValueError):
+            m.points[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            m.weights[0] = 0.5
+
+    def test_measure_digest_ignores_label(self):
+        w = np.full(3, 1.0 / 3.0)
+        assert Empirical(self.PTS, w, label="a").digest() == Empirical(self.PTS, w).digest()
+        assert Empirical(self.PTS, label="a").digest() != Empirical(self.PTS).digest()
 
 
 class TestProject:

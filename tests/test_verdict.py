@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -285,3 +287,77 @@ class TestRunVerdict:
                 assert report.overall == "inconclusive"
             else:
                 assert report.overall == "consistent_with_convergence"
+
+
+class TestSampleVersusMeasure:
+    """One point cloud read as an i.i.d. sample and as an exact measure.
+
+    The two readings must stay apart: a sample's quantiles, moment
+    tolerances, Carleman notes and digest follow its Monte-Carlo nature,
+    while uniform weights 1/n make an exact measure of the same points.
+    """
+
+    N = 1000
+
+    @pytest.fixture
+    def pair(self):
+        pts = np.random.default_rng(2024).standard_normal((self.N, 2))
+        assert np.unique(pts, axis=0).shape[0] == self.N
+        return (SampleSet(pts, label="cloud"),
+                AtomicMeasure(pts, np.full(self.N, 1.0 / self.N)))
+
+    def test_tightness_quantiles_differ(self, pair):
+        sample_set, measure = pair
+        eps = 0.1
+        q = 1.0 - eps / 2
+        s_box = tightness_box([sample_set], ident_frame(2), eps)
+        m_box = tightness_box([measure], ident_frame(2), eps)
+        for j in range(2):
+            v = np.abs(sample_set.points[:, j])
+            assert s_box.half_widths[j] == np.quantile(v, q, method="higher")
+            order = np.argsort(v, kind="stable")
+            cum = np.cumsum(measure.weights[order])
+            idx = int(np.searchsorted(cum, q - 1e-12, side="left"))
+            assert m_box.half_widths[j] == v[order][idx]
+        assert not np.array_equal(s_box.half_widths, m_box.half_widths)
+
+    def test_moment_tolerances_differ(self, pair):
+        sample_set, measure = pair
+        target = Gaussian.standard(2)
+        s_rows = moment_match(target, sample_set, 3)
+        m_rows = moment_match(target, measure, 3)
+        for row in s_rows:
+            mono = np.prod(sample_set.points ** np.array(row.worst_alpha), axis=1)
+            se = np.std(mono) / np.sqrt(self.N)
+            assert row.tolerance == pytest.approx(max(5.0 * se, 1e-9), rel=1e-12)
+            assert row.tolerance > 1e-6
+        assert all(row.tolerance == 1e-9 for row in m_rows)
+        for s_row, m_row in zip(s_rows, m_rows):
+            assert s_row.max_abs_discrepancy == pytest.approx(m_row.max_abs_discrepancy,
+                                                              rel=1e-9, abs=1e-15)
+
+    def test_noise_note_only_for_sample(self, pair):
+        sample_set, measure = pair
+        s_reports = h2_check(sample_set, ident_frame(2), 12)
+        m_reports = h2_check(measure, ident_frame(2), 12)
+        assert all("noise-dominated at n=1000" in r.note for r in s_reports)
+        assert not any("noise-dominated" in r.note for r in m_reports)
+        for s_rep, m_rep in zip(s_reports, m_reports):
+            assert s_rep.verdict == m_rep.verdict
+            assert np.allclose(s_rep.terms, m_rep.terms, rtol=1e-12)
+
+    def test_digest_label_only_for_sample(self, pair):
+        sample_set, measure = pair
+        relabelled = SampleSet(sample_set.points, label="other")
+        assert sample_set.digest() != relabelled.digest()
+
+        def sha(*parts):
+            h = hashlib.sha256()
+            for part in parts:
+                h.update(part)
+            return h.hexdigest()
+
+        shape = str(measure.points.shape).encode()
+        assert sample_set.digest() == sha(shape, sample_set.points.tobytes(), b"cloud")
+        assert measure.digest() == sha(shape, measure.points.tobytes(),
+                                       measure.weights.tobytes())
