@@ -7,8 +7,10 @@ resolved options are echoed to OUT/config_echo.cfg; `cwkit run --config
 OUT/config_echo.cfg` reproduces the run byte for byte.
 
 Exit codes: 0 success (including inconclusive verdicts, which are flagged
-in the report), 1 for an inconsistent verdict, 2 for usage or data errors.
-Errors are emitted as one JSON object on stderr.
+in the report), 1 for an inconsistent verdict, 2 for usage or data errors
+and for internal errors. Errors are emitted as one JSON object on stderr;
+an internal error (any exception other than a CwkitError, ValueError or
+OSError) also carries its traceback there.
 """
 
 import argparse
@@ -16,6 +18,7 @@ import glob as _glob
 import json
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -383,6 +386,12 @@ def main(argv=None):
         for attr in ("row", "column", "accepted", "budget"):
             if getattr(err, attr, None) is not None:
                 payload[attr] = getattr(err, attr)
+        print(json.dumps(payload), file=sys.stderr)
+        return 2
+    except Exception as err:
+        # a bug, not bad input; exit 1 would read as an inconsistent verdict
+        payload = {"error": type(err).__name__, "message": str(err),
+                   "traceback": traceback.format_exc()}
         print(json.dumps(payload), file=sys.stderr)
         return 2
 

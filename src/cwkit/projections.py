@@ -9,6 +9,21 @@ All 1-D laws are finite atomic measures. Values closer than MERGE_TOL are
 considered the same atom; that tolerance is the single equality notion for
 1-D laws package-wide. Distances are computed exactly on the merged atom
 grid, with no binning.
+
+Each projected law is sorted once, when it is built: a sample's projection
+by one ``np.sort`` (its masses are all equal, so no permutation needs to
+follow), a weighted measure's by a stable argsort that carries its weights.
+KS and W1 then merge the two sorted laws by ``searchsorted`` without
+sorting again, and skip the grouping step when no two pooled atoms lie
+within MERGE_TOL. Every result is bit-identical to pooling both laws and
+sorting them together, so verdict reports do not change.
+
+The kernel stays one direction at a time. One GEMM over all directions was
+measured against the per-direction matrix-vector products it would replace
+(four sources of 161 000 points in d = 3, 100 directions, one BLAS thread on
+a 2-vCPU Xeon): 0.043 s against 0.034 s, or 0.141 s with the contiguous
+column copies that sorting needs. Its columns also differ from the
+matrix-vector products in the last bit, which would change verdict bytes.
 """
 
 import hashlib
@@ -99,7 +114,12 @@ AtomicMeasure = Empirical
 def _merge_sorted(values, weights, tol=MERGE_TOL):
     # group consecutive sorted values whose gap is <= tol; representative is
     # the weighted mean, so representatives stay strictly increasing
-    starts = np.flatnonzero(np.concatenate(([True], np.diff(values) > tol)))
+    apart = np.diff(values) > tol
+    if apart.all():
+        # every group holds one value: reduceat would be the identity, but
+        # v * w / w is not always v, and the representative keeps that rounding
+        return values * weights / weights, weights
+    starts = np.flatnonzero(np.concatenate(([True], apart)))
     wsum = np.add.reduceat(weights, starts)
     vsum = np.add.reduceat(values * weights, starts)
     return vsum / wsum, wsum
@@ -145,17 +165,40 @@ def project(source, u):
     """Push an Empirical forward under x -> <u, x>."""
     if source.dim != u.dim:
         raise DimensionMismatch(f"source dim {source.dim} != direction dim {u.dim}")
-    return Projected1D.from_raw(source.points @ u.coords, source.mass)
+    if source.weights is not None:
+        return Projected1D.from_raw(source.points @ u.coords, source.weights)
+    # equal masses: the sorting permutation cannot change a bit, so no argsort
+    return Projected1D(*_merge_sorted(np.sort(source.points @ u.coords), source.mass))
 
 
 def _merged_cdfs(a, b):
-    # pooled atom grid (merged within MERGE_TOL) with both cumulative masses
-    values = np.concatenate([a.values, b.values])
-    wa = np.concatenate([a.weights, np.zeros(b.n_atoms)])
-    wb = np.concatenate([np.zeros(a.n_atoms), b.weights])
-    order = np.argsort(values, kind="stable")
-    values, wa, wb = values[order], wa[order], wb[order]
-    starts = np.flatnonzero(np.concatenate(([True], np.diff(values) > MERGE_TOL)))
+    # pooled atom grid (merged within MERGE_TOL) with both cumulative masses.
+    # Both laws are strictly increasing, so an atom's pooled position is its
+    # own rank plus the number of the other law's atoms before it; an a-atom
+    # goes before an equal b-atom, the order a stable sort of a ++ b gives.
+    # Only the smaller law is searched: the other fills the free slots in order.
+    n = a.n_atoms + b.n_atoms
+    free = np.ones(n, dtype=bool)
+    if a.n_atoms <= b.n_atoms:
+        pos_a = np.arange(a.n_atoms) + np.searchsorted(b.values, a.values, "left")
+        free[pos_a] = False
+        pos_b = np.flatnonzero(free)
+    else:
+        pos_b = np.arange(b.n_atoms) + np.searchsorted(a.values, b.values, "right")
+        free[pos_b] = False
+        pos_a = np.flatnonzero(free)
+    values = np.empty(n)
+    values[pos_a] = a.values
+    values[pos_b] = b.values
+    wa = np.zeros(n)
+    wa[pos_a] = a.weights
+    wb = np.zeros(n)
+    wb[pos_b] = b.weights
+    apart = np.diff(values) > MERGE_TOL
+    if apart.all():
+        # one atom per group: reduceat and the division by 1 are identities
+        return values, np.cumsum(wa), np.cumsum(wb)
+    starts = np.flatnonzero(np.concatenate(([True], apart)))
     grid = np.add.reduceat(values, starts) / np.diff(np.append(starts, values.size))
     cum_a = np.cumsum(np.add.reduceat(wa, starts))
     cum_b = np.cumsum(np.add.reduceat(wb, starts))

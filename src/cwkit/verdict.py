@@ -23,7 +23,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import kendalltau
 
 from . import gallery
 from .directions import FiniteSet, extract_frame, frame_constant, sample_in_region
@@ -209,6 +208,10 @@ def h1_check(traces, tolerance, rule="final_below"):
         final = float(tr.distances[-1])
         tau = float("nan")
         if rule == "monotone_trend" and np.ptp(tr.distances) > 0 and np.ptp(tr.sizes) > 0:
+            # imported here, not at module level: loading scipy.stats is
+            # most of the CLI's start-up time, and only this rule needs it
+            from scipy.stats import kendalltau
+
             tau = float(kendalltau(tr.sizes, tr.distances).statistic)
         trend_ok = np.isnan(tau) or tau <= -0.5
         if final >= tolerance:

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cwkit import gallery
+import cwkit
+from cwkit import cli, gallery
 from cwkit.cli import main, parse_region
 from cwkit.directions import Cap, Direction, FiniteSet, FullSphere, UnionOfCaps
 from cwkit.errors import ParseError, RaggedRows
@@ -350,3 +355,30 @@ class TestErrorPaths:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert "input" in err["message"]
+
+    def test_internal_error_exit_two(self, tmp_path, capsys, gaussian_files, monkeypatch):
+        # exit 1 means an inconsistent verdict, so a crash must not produce it
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "run_verdict", crash)
+        out = tmp_path / "o"
+        code = main(["verdict", "--inputs", str(gaussian_files[0]), "--target", "gaussian",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["error"] == "RuntimeError"
+        assert payload["message"] == "boom"
+        assert "raise RuntimeError" in payload["traceback"]
+        assert not (out / "verdict.json").exists()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = str(Path(cwkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, cwkit.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from cwkit.directions import Direction
 from cwkit.errors import DimensionMismatch
-from cwkit.projections import (MASS_TOL, AtomicMeasure, Empirical, Projected1D, SampleSet,
-                               distance_trace, ks_distance, project, wasserstein1)
+from cwkit.projections import (MASS_TOL, MERGE_TOL, AtomicMeasure, Empirical, Projected1D,
+                               SampleSet, distance_trace, ks_distance, project, wasserstein1)
 
 SQ2 = np.sqrt(2.0) / 2.0
 
@@ -212,6 +212,85 @@ def test_zero_iff_equal_after_merge(a, b):
         assert a.n_atoms == b.n_atoms
         assert np.allclose(a.values, b.values, atol=3e-12)
         assert np.allclose(a.weights, b.weights, atol=1e-12)
+
+
+# Reference kernel: pool both laws, sort them together with a stable argsort,
+# then group with reduceat. The production kernel sorts each projected law
+# once and merges the two sorted laws by searchsorted; it must reproduce this
+# arithmetic bit for bit, because verdict reports are compared byte for byte.
+
+def ref_from_raw(values, weights):
+    order = np.argsort(values, kind="stable")
+    values, weights = values[order], weights[order]
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(values) > MERGE_TOL)))
+    wsum = np.add.reduceat(weights, starts)
+    return np.add.reduceat(values * weights, starts) / wsum, wsum
+
+
+def ref_merged_cdfs(a, b):
+    values = np.concatenate([a.values, b.values])
+    wa = np.concatenate([a.weights, np.zeros(b.n_atoms)])
+    wb = np.concatenate([np.zeros(a.n_atoms), b.weights])
+    order = np.argsort(values, kind="stable")
+    values, wa, wb = values[order], wa[order], wb[order]
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(values) > MERGE_TOL)))
+    grid = np.add.reduceat(values, starts) / np.diff(np.append(starts, values.size))
+    cum_a = np.cumsum(np.add.reduceat(wa, starts))
+    cum_b = np.cumsum(np.add.reduceat(wb, starts))
+    return grid, cum_a, cum_b
+
+
+def ref_ks(a, b):
+    _, cum_a, cum_b = ref_merged_cdfs(a, b)
+    return float(min(1.0, np.max(np.abs(cum_a - cum_b))))
+
+
+def ref_w1(a, b):
+    grid, cum_a, cum_b = ref_merged_cdfs(a, b)
+    if grid.size == 1:
+        return 0.0
+    return float(np.sum(np.abs(cum_a[:-1] - cum_b[:-1]) * np.diff(grid)))
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+# first coordinates: a coarse lattice (signed zero included) plus offsets
+# below, near and above MERGE_TOL, so that rows tie exactly, fall within the
+# tolerance of each other and chain across the two laws (a-b-a: a's atoms
+# 1.2e-12 apart stay separate, a b-atom between them joins all three)
+BASES = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)
+OFFSETS = (0.0, 0.4e-12, 0.8e-12, 1.2e-12, 2.5e-12)
+
+
+@st.composite
+def clouds(draw):
+    n = draw(st.integers(1, 8))
+    base = np.array(draw(st.lists(st.sampled_from(BASES), min_size=n, max_size=n)))
+    off = np.array(draw(st.lists(st.sampled_from(OFFSETS), min_size=n, max_size=n)))
+    x = np.where(off == 0.0, base, base + off)
+    if draw(st.booleans()):
+        # sample: few distinct second coordinates, so duplicate rows occur
+        y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), float)
+        return SampleSet(np.column_stack([x, y]))
+    raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    # distinct second coordinates keep the atoms pairwise distinct
+    return AtomicMeasure(np.column_stack([x, np.arange(n, dtype=float)]), raw / raw.sum())
+
+
+@settings(max_examples=300, deadline=None)
+@given(clouds(), clouds(), st.sampled_from([(1.0, 0.0), (-1.0, 0.0), (0.6, 0.8)]))
+def test_kernel_bit_equal_to_reference(m_a, m_b, coords):
+    u = Direction(np.array(coords))
+    a, b = project(m_a, u), project(m_b, u)
+    for m, p in ((m_a, a), (m_b, b)):
+        ref_v, ref_w = ref_from_raw(m.points @ u.coords, m.mass)
+        assert bits(p.values) == bits(ref_v)
+        assert bits(p.weights) == bits(ref_w)
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert bits(ks_distance(x, y)) == bits(ref_ks(x, y))
+        assert bits(wasserstein1(x, y)) == bits(ref_w1(x, y))
 
 
 class TestDistanceTrace:
