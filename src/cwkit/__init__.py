@@ -14,13 +14,13 @@ from .directions import (Cap, Direction, FiniteSet, Frame, FullSphere, UnionOfCa
 from .errors import (BudgetExhausted, CwkitError, DegenerateKernel, DimensionMismatch,
                      InsufficientRank, NoAnalyticOracle, OrderExceeded, ParseError,
                      RaggedRows, RankDeficient)
-from .gallery import (Gaussian, ProductLognormal, empirical_mgf, mixed_moment_oracle,
-                      mixed_moments_of, sample, switching_pair)
+from .gallery import (Gaussian, ProductLognormal, empirical_mgf, mixed_moments_of, sample,
+                      switching_pair)
 from .moments import (CarlemanReport, MixedMoments, MomentSequence,
                       absolute_moment_bound_check, carleman_partial_sums,
                       directional_moment, empirical_moments, homogeneous_dim,
-                      mixed_to_directional, multi_indices, multi_indices_upto,
-                      multinomial, reconstruct_mixed, rm_residual)
+                      mixed_to_directional, moment_sequence, multi_indices,
+                      multi_indices_upto, multinomial, reconstruct_mixed, rm_residual)
 from .projections import (AtomicMeasure, DistanceTrace, Empirical, Projected1D, SampleSet,
                           distance_trace, ks_distance, project, wasserstein1)
 from .verdict import (TightnessBox, VerdictConfig, VerdictReport, aggregate_overall,

@@ -28,7 +28,7 @@ from . import gallery, io
 from .directions import (Cap, Direction, FiniteSet, FullSphere, UnionOfCaps,
                          extract_frame, sample_in_region, sample_uniform)
 from .errors import CwkitError, ParseError
-from .moments import carleman_partial_sums, empirical_moments, reconstruct_mixed
+from .moments import carleman_partial_sums, moment_sequence, reconstruct_mixed
 from .projections import Empirical, distance_trace, project
 from .verdict import VerdictConfig, run_verdict, tightness_box
 
@@ -206,11 +206,7 @@ def _cmd_carleman(cfg):
         dist = io.ingest_samples(cfg.get("input", required=True))
         u = _parse_direction(cfg.get("direction", required=True))
         source = f"{cfg.get('input')} along {cfg.get('direction')}"
-    if isinstance(dist, Empirical):
-        seq = empirical_moments(project(dist, u), 2 * order, kind="raw")
-    else:
-        seq = dist.projected_even_moments(u, 2 * order)
-    report = carleman_partial_sums(seq, order)
+    report = carleman_partial_sums(moment_sequence(dist, u, 2 * order), order)
     payload = {"source": source, "order": order, **report.to_dict()}
     io.write_json(cfg.out_dir / "carleman.json", payload)
     return 0

@@ -19,7 +19,7 @@ from scipy.special import gammaln, logsumexp
 
 from .directions import Direction, _freeze
 from .errors import DegenerateKernel, OrderExceeded
-from .moments import MomentSequence, multi_indices, multinomial
+from .moments import MixedMoments, MomentSequence, multi_indices, multi_indices_upto, multinomial
 from .projections import Empirical
 from .rng import STREAM_GALLERY, substream
 
@@ -116,6 +116,14 @@ class Gaussian:
         return float(total)
 
 
+def _from_signed_log(sign, log_abs):
+    # sign * exp(log_abs), +-inf past the exp overflow threshold; a zero
+    # moment arrives as (0.0, -inf) and comes out as 0.0
+    if log_abs > 709.0:
+        return math.copysign(math.inf, sign)
+    return sign * math.exp(log_abs)
+
+
 @dataclass(frozen=True, eq=False)
 class ProductLognormal:
     """Independent coordinates X_i = exp(mu_i + sigma_i Z_i), sigma_i > 0."""
@@ -143,8 +151,7 @@ class ProductLognormal:
 
     def mixed_moment(self, alpha):
         """Closed form: prod_i exp(alpha_i mu_i + alpha_i^2 sigma_i^2 / 2)."""
-        alpha = np.asarray(alpha, dtype=np.float64)
-        return float(np.exp(np.sum(alpha * self.mu + 0.5 * alpha**2 * self.sigma**2)))
+        return float(np.exp(self._log_mixed_moment(alpha)))
 
     def _log_mixed_moment(self, alpha):
         alpha = np.asarray(alpha, dtype=np.float64)
@@ -158,12 +165,7 @@ class ProductLognormal:
         a Carleman scan needs. May return inf if the exact value itself
         exceeds float range.
         """
-        sign, log_abs = self._signed_log_directional_moment(u, m)
-        if log_abs == -math.inf:
-            return 0.0
-        if log_abs > 709.0:  # exp overflow threshold
-            return math.inf if sign > 0 else -math.inf
-        return sign * math.exp(log_abs)
+        return _from_signed_log(*self._signed_log_directional_moment(u, m))
 
     def _signed_log_directional_moment(self, u, m):
         # exact signed sum via mpmath; dps sized to the largest term
@@ -193,8 +195,7 @@ class ProductLognormal:
         vals[0], logs[0] = 1.0, 0.0
         for k in range(1, max_order + 1):
             sign, log_abs = self._signed_log_directional_moment(u, k)
-            vals[k] = 0.0 if log_abs == -math.inf else (
-                sign * math.exp(log_abs) if log_abs <= 709.0 else sign * math.inf)
+            vals[k] = _from_signed_log(sign, log_abs)
             if k % 2 == 0:
                 # even moments of a projection are strictly positive
                 logs[k] = log_abs
@@ -222,15 +223,8 @@ def sample(dist, n, seed):
     return Empirical(points=pts, label=label)
 
 
-def mixed_moment_oracle(dist, alpha):
-    """Exact mixed moment E[x^alpha] of an analytic distribution."""
-    return dist.mixed_moment(alpha)
-
-
 def mixed_moments_of(dist, max_order):
     """Complete exact MixedMoments table of an analytic distribution."""
-    from .moments import MixedMoments, multi_indices_upto
-
     table = {a: dist.mixed_moment(a) for a in multi_indices_upto(dist.dim, max_order)}
     return MixedMoments(dim=dist.dim, max_order=max_order, table=table)
 

@@ -27,9 +27,9 @@ import numpy as np
 from . import gallery
 from .directions import FiniteSet, extract_frame, frame_constant, sample_in_region
 from .errors import BudgetExhausted, DimensionMismatch, InsufficientRank
-from .moments import (MixedMoments, carleman_partial_sums, empirical_moments,
-                      jsonsafe, multi_indices)
-from .projections import METRICS, DistanceTrace, Empirical, distance_trace, project
+from .moments import (MixedMoments, carleman_partial_sums, jsonsafe, moment_sequence,
+                      multi_indices)
+from .projections import METRICS, DistanceTrace, Empirical, distance_trace
 from .rng import STREAM_REFERENCE, substream
 
 H1_RULES = ("final_below", "monotone_trend")
@@ -120,8 +120,7 @@ class TightnessBox:
 
     def coverage(self, element):
         """Fraction of an element's mass inside the box."""
-        proj = np.abs(element.points @ self.frame.matrix.T)
-        inside = np.all(proj <= self.half_widths, axis=1)
+        inside = np.all(_abs_frame_coords(element, self.frame) <= self.half_widths, axis=1)
         return float(element.expect(inside))
 
     def to_dict(self):
@@ -132,8 +131,13 @@ class TightnessBox:
         }
 
 
-def _abs_proj_quantile(element, u_row, q):
-    v = np.abs(element.points @ u_row)
+def _abs_frame_coords(element, frame):
+    # |<u_j, x>| one frame row at a time, for the quantiles and the coverage
+    # alike: a matrix product rounds differently and can push tied rows out
+    return np.abs(np.column_stack([element.points @ u_row for u_row in frame.matrix]))
+
+
+def _abs_quantile(element, v, q):
     if element.weights is not None:
         order = np.argsort(v, kind="stable")
         cum = np.cumsum(element.weights[order])
@@ -156,8 +160,9 @@ def tightness_box(sequence, frame, epsilon):
         raise ValueError("epsilon must lie in (0, 1)")
     d = frame.dim
     q = 1.0 - epsilon / d
+    coords = [_abs_frame_coords(elem, frame) for elem in sequence]
     half = np.array([
-        max(_abs_proj_quantile(elem, frame.matrix[j], q) for elem in sequence)
+        max(_abs_quantile(elem, c[:, j], q) for elem, c in zip(sequence, coords))
         for j in range(d)
     ])
     box = TightnessBox(frame=frame, half_widths=half, epsilon=epsilon,
@@ -165,8 +170,7 @@ def tightness_box(sequence, frame, epsilon):
     cov = tuple(box.coverage(elem) for elem in sequence)
     if min(cov) < 1.0 - epsilon - 1e-9:
         raise AssertionError("coverage fell below 1 - epsilon on the building data")
-    return TightnessBox(frame=frame, half_widths=half, epsilon=epsilon,
-                        achieved_coverage=cov)
+    return dataclasses.replace(box, achieved_coverage=cov)
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +245,8 @@ def h2_check(target, frame, carleman_order):
                     f"noise-dominated at n={target.n}")
     reports = []
     for u in frame.directions:
-        if isinstance(target, Empirical):
-            seq = empirical_moments(project(target, u), 2 * carleman_order, kind="raw")
-        else:
-            seq = target.projected_even_moments(u, 2 * carleman_order)
-        rep = carleman_partial_sums(seq, carleman_order)
+        rep = carleman_partial_sums(moment_sequence(target, u, 2 * carleman_order),
+                                    carleman_order)
         if note:
             joined = f"{rep.note}; {note}" if rep.note else note
             rep = dataclasses.replace(rep, note=joined)
@@ -281,18 +282,6 @@ def _mixed_moments_of(source, max_order):
     return gallery.mixed_moments_of(source, max_order)
 
 
-def _monomial_se(source, alpha):
-    # Monte-Carlo standard error of the empirical mixed moment; zero for
-    # exact sources (analytic laws and weighted measures)
-    if not isinstance(source, Empirical) or source.weights is not None:
-        return 0.0
-    mono = np.ones(source.n)
-    for j, a in enumerate(alpha):
-        if a:
-            mono = mono * source.points[:, j] ** int(a)
-    return float(np.std(mono) / np.sqrt(source.n))
-
-
 def moment_match(target, q_source, max_order, per_order_tolerances=None,
                  se_multiplier=5.0):
     """Compare mixed moments of the target and a candidate, order by order.
@@ -316,7 +305,7 @@ def moment_match(target, q_source, max_order, per_order_tolerances=None,
         if per_order_tolerances is not None:
             tols = np.full(len(alphas), float(per_order_tolerances[m - 1]))
         else:
-            tols = np.array([max(se_multiplier * _monomial_se(q_source, a), 1e-9)
+            tols = np.array([max(se_multiplier * q_mm.se.get(a, 0.0), 1e-9)
                              for a in alphas])
         ratios = disc / tols
         worst = int(np.argmax(ratios))

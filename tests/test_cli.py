@@ -10,10 +10,11 @@ import pytest
 import cwkit
 from cwkit import cli, gallery
 from cwkit.cli import main, parse_region
-from cwkit.directions import Cap, Direction, FiniteSet, FullSphere, UnionOfCaps
+from cwkit.directions import Cap, Direction, FiniteSet, Frame, FullSphere, UnionOfCaps
 from cwkit.errors import ParseError, RaggedRows
 from cwkit.io import atomic_csv, ingest_samples, load_atomic_csv, load_directions_csv, samples_csv
 from cwkit.projections import AtomicMeasure, ks_distance, project
+from cwkit.verdict import h2_check
 
 
 @pytest.fixture
@@ -134,6 +135,17 @@ class TestSubcommands:
         payload = json.loads((out / "carleman.json").read_text())
         assert payload["verdict"] == "converging"
         assert payload["partial_sums"][-1] == pytest.approx(0.581976706869, abs=1e-5)
+
+    def test_carleman_input_matches_h2_check(self, tmp_path, gaussian_files):
+        out = tmp_path / "c"
+        assert main(["carleman", "--input", str(gaussian_files[2]), "--direction", "0.6,0.8",
+                     "--carleman-order", "8", "--out", str(out)]) == 0
+        payload = json.loads((out / "carleman.json").read_text())
+        u = Direction.from_vector([0.6, 0.8])
+        frame = Frame.from_directions([u, Direction(np.array([1.0, 0.0]))])
+        # order 16 stays under 2 n^(1/4) at n = 5000: h2_check adds no note
+        report = h2_check(ingest_samples(gaussian_files[2]), frame, 8)[0].to_dict()
+        assert {key: payload[key] for key in report} == report
 
     def test_carleman_gaussian(self, tmp_path):
         out = tmp_path / "c"
@@ -298,6 +310,17 @@ class TestAtomicForms:
         assert all(c["note"] == "" for c in payload["carleman"])
         assert (payload["provenance"]["target_digest"]
                 == load_atomic_csv(atomic_file).digest())
+
+    def test_verdict_on_atomic_draws(self, tmp_path, atomic_file, atomic_draws):
+        # the draws tie at every tightness quantile
+        out = tmp_path / "v"
+        code = main(["verdict", "--inputs", ",".join(str(p) for p in atomic_draws),
+                     "--target", f"atomic:{atomic_file}", "--directions", "20",
+                     "--seed", "11", "--out", str(out)])
+        payload = json.loads((out / "verdict.json").read_text())
+        assert code == 0
+        assert payload["overall"] == "consistent_with_convergence"
+        assert min(payload["tightness"]["achieved_coverage"]) >= 0.9 - 1e-9
 
     def test_trace_target(self, tmp_path, atomic_file, atomic_draws):
         out = tmp_path / "t"

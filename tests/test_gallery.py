@@ -6,8 +6,8 @@ import pytest
 
 from cwkit.directions import Direction, sample_uniform
 from cwkit.errors import OrderExceeded
-from cwkit.gallery import (Gaussian, ProductLognormal, empirical_mgf, mixed_moment_oracle,
-                           mixed_moments_of, sample, switching_pair)
+from cwkit.gallery import (Gaussian, ProductLognormal, empirical_mgf, mixed_moments_of, sample,
+                           switching_pair)
 from cwkit.moments import carleman_partial_sums, mixed_to_directional
 from cwkit.projections import AtomicMeasure, Empirical, ks_distance, project
 from cwkit.rng import STREAM_GALLERY, substream
@@ -70,14 +70,14 @@ class TestSampling:
 class TestGaussianOracle:
     def test_isserlis_base_cases(self):
         g = Gaussian.standard(2)
-        assert mixed_moment_oracle(g, (2, 0)) == pytest.approx(1.0, abs=1e-14)
-        assert mixed_moment_oracle(g, (1, 1)) == pytest.approx(0.0, abs=1e-14)
-        assert mixed_moment_oracle(g, (4, 0)) == pytest.approx(3.0, abs=1e-12)
+        assert g.mixed_moment((2, 0)) == pytest.approx(1.0, abs=1e-14)
+        assert g.mixed_moment((1, 1)) == pytest.approx(0.0, abs=1e-14)
+        assert g.mixed_moment((4, 0)) == pytest.approx(3.0, abs=1e-12)
 
     def test_pair_count_double_factorial(self):
         g = Gaussian.standard(2)
         for m in (1, 2, 3, 4):
-            assert mixed_moment_oracle(g, (2 * m, 0)) == pytest.approx(
+            assert g.mixed_moment((2 * m, 0)) == pytest.approx(
                 float(mpmath.fac2(2 * m - 1)), rel=1e-12)
 
     def test_against_monte_carlo(self):
@@ -87,11 +87,11 @@ class TestGaussianOracle:
         for alpha in [(1, 0), (1, 1), (2, 0), (2, 2), (3, 1), (4, 0)]:
             mono = s.points[:, 0] ** alpha[0] * s.points[:, 1] ** alpha[1]
             se = mono.std() / math.sqrt(mono.size)
-            assert mixed_moment_oracle(g, alpha) == pytest.approx(mono.mean(), abs=5 * se)
+            assert g.mixed_moment(alpha) == pytest.approx(mono.mean(), abs=5 * se)
 
     def test_order_cap(self):
         with pytest.raises(OrderExceeded):
-            mixed_moment_oracle(Gaussian.standard(2), (9, 0))
+            Gaussian.standard(2).mixed_moment((9, 0))
 
     def test_directional_moment_quadrature_oracle(self):
         # projection of N(mean, cov) along u is N(<u,mean>, u'cov u); check the
@@ -119,8 +119,8 @@ class TestGaussianOracle:
 class TestLognormalOracle:
     def test_single_coordinate_closed_form(self):
         ln = ProductLognormal.standard(3)
-        assert mixed_moment_oracle(ln, (2, 0, 0)) == pytest.approx(math.e**2, rel=1e-12)
-        assert mixed_moment_oracle(ln, (1, 1, 0)) == pytest.approx(math.e, rel=1e-12)
+        assert ln.mixed_moment((2, 0, 0)) == pytest.approx(math.e**2, rel=1e-12)
+        assert ln.mixed_moment((1, 1, 0)) == pytest.approx(math.e, rel=1e-12)
 
     def test_directional_moment_vs_float_expansion(self):
         # independent float evaluation at orders where nothing overflows

@@ -14,6 +14,7 @@ from cwkit.moments import (MixedMoments, MomentSequence,
                            directional_moment, empirical_moments, homogeneous_dim,
                            mixed_to_directional, multi_indices, multi_indices_upto,
                            multinomial, reconstruct_mixed, rm_residual)
+from cwkit.gallery import Gaussian, mixed_moments_of
 from cwkit.projections import AtomicMeasure, Projected1D, SampleSet
 from cwkit.directions import Cap, sample_in_region
 
@@ -208,6 +209,31 @@ class TestMixedToDirectional:
         mm = MixedMoments(dim=2, max_order=1, table={(0, 0): 1.0, (1, 0): 0.0, (0, 1): 0.0})
         with pytest.raises(OrderExceeded):
             mixed_to_directional(mm, Direction(np.array([1.0, 0.0])), 2)
+
+
+class TestStandardErrors:
+    def test_sample_se_matches_power_monomials(self):
+        # the table multiplies powers up one by one, the reference uses **:
+        # from exponent 3 on the two round differently in the last bits
+        pts = np.random.default_rng(8).standard_normal((2000, 4))
+        mm = MixedMoments.from_sample(SampleSet(pts), 6)
+        assert set(mm.se) == set(multi_indices_upto(4, 6))
+        for alpha in multi_indices_upto(4, 6):
+            mono = np.ones(pts.shape[0])
+            for j, a in enumerate(alpha):
+                if a:
+                    mono = mono * pts[:, j] ** a
+            expected = np.std(mono) / np.sqrt(pts.shape[0])
+            assert abs(mm.se[alpha] - expected) <= 1e-12 * expected
+
+    def test_exact_sources_have_none(self):
+        rng = np.random.default_rng(3)
+        assert MixedMoments.from_sample(random_atomic(rng, 3, 5), 4).se == {}
+        assert mixed_moments_of(Gaussian.standard(2), 4).se == {}
+        table = {(0, 0): 1.0, (1, 0): 0.0, (0, 1): 0.0}
+        assert MixedMoments(dim=2, max_order=1, table=table).se == {}
+        with pytest.raises(TypeError):
+            MixedMoments(dim=2, max_order=1, table=table, se={})
 
 
 class TestReconstruct:

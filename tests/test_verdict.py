@@ -56,6 +56,21 @@ class TestTightnessBox:
         holdout = sample(Gaussian.standard(2), 10**4, seed=22)
         assert box.coverage(holdout) >= 0.8  # 1 - 2 eps
 
+    def test_tied_rows_keep_building_guarantee(self):
+        # draws from a 3-atom measure put hundreds of tied rows at each
+        # quantile: the box and its coverage must see the same projected bits
+        meas = AtomicMeasure(np.array([[1.0, 0.5, -0.3], [-0.5, 1.5, 0.7], [0.25, -1.0, 2.0]]),
+                             np.array([0.5, 0.25, 0.25]))
+        seq = [sample(meas, n, seed=i) for i, n in enumerate((1000, 2000, 3000), start=1)]
+        q = 1.0 - 0.1 / 3
+        for seed in range(20):
+            frame = extract_frame(sample_in_region(FullSphere(3), 20, seed))
+            box = tightness_box(seq, frame, 0.1)
+            assert min(box.achieved_coverage) >= 0.9 - 1e-9
+            for j, u_row in enumerate(frame.matrix):
+                assert box.half_widths[j] == max(
+                    np.quantile(np.abs(e.points @ u_row), q, method="higher") for e in seq)
+
     def test_atomic_weighted_quantile(self):
         m = AtomicMeasure(np.array([[0.0, 0.0], [10.0, 0.0]]), np.array([0.96, 0.04]))
         box = tightness_box([m], ident_frame(2), 0.1)
