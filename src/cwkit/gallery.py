@@ -13,13 +13,11 @@ import math
 from dataclasses import dataclass
 from itertools import combinations, product
 
-import mpmath
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .directions import Direction, _freeze
 from .errors import DegenerateKernel, OrderExceeded
-from .moments import MixedMoments, MomentSequence, multi_indices, multi_indices_upto, multinomial
+from .moments import MixedMoments, MomentSequence, multi_indices_upto
 from .projections import Empirical
 from .rng import STREAM_GALLERY, substream
 
@@ -28,6 +26,8 @@ GAUSSIAN_MOMENT_CAP = 8  # pairing enumeration grows as (2m-1)!!
 
 def _log_double_factorial_odd(j):
     # log (j-1)!! for even j >= 0, via (j-1)!! = j! / (2^{j/2} (j/2)!)
+    from scipy.special import gammaln  # imported here: scipy.special is slow to load
+
     if j == 0:
         return 0.0
     h = j // 2
@@ -75,6 +75,8 @@ class Gaussian:
     def projected_even_moments(self, u, max_order):
         """MomentSequence of the projection up to max_order, with exact logs
         at even orders (all terms of the even-order expansion are >= 0)."""
+        from scipy.special import logsumexp
+
         a = float(u.coords @ self.mean)
         s = math.sqrt(float(u.coords @ self.cov @ u.coords))
         vals = np.empty(max_order + 1)
@@ -117,16 +119,21 @@ class Gaussian:
 
 
 def _from_signed_log(sign, log_abs):
-    # sign * exp(log_abs), +-inf past the exp overflow threshold; a zero
+    # sign * exp(log_abs), +-inf where that overflows float64; a zero
     # moment arrives as (0.0, -inf) and comes out as 0.0
-    if log_abs > 709.0:
+    try:
+        return sign * math.exp(log_abs)
+    except OverflowError:
         return math.copysign(math.inf, sign)
-    return sign * math.exp(log_abs)
 
 
 @dataclass(frozen=True, eq=False)
 class ProductLognormal:
-    """Independent coordinates X_i = exp(mu_i + sigma_i Z_i), sigma_i > 0."""
+    """Independent coordinates X_i = exp(mu_i + sigma_i Z_i), sigma_i > 0.
+
+    The directional oracle gives every order along a direction from one
+    truncated generating-function product, in arbitrary precision.
+    """
 
     mu: np.ndarray
     sigma: np.ndarray
@@ -158,43 +165,48 @@ class ProductLognormal:
         return float(np.sum(alpha * self.mu + 0.5 * alpha**2 * self.sigma**2))
 
     def directional_moment(self, u, m):
-        """E[<u, X>^m] by the multinomial theorem over coordinate moments.
+        """E[<u, X>^m] from the generating-function product of all orders <= m.
 
         Computed in arbitrary precision: the coordinate moments grow like
         exp(alpha^2 sigma^2 / 2) and overflow float64 long before the orders
         a Carleman scan needs. May return inf if the exact value itself
         exceeds float range.
         """
-        return _from_signed_log(*self._signed_log_directional_moment(u, m))
+        return _from_signed_log(*self._signed_log_moments(u, m)[m])
 
-    def _signed_log_directional_moment(self, u, m):
-        # exact signed sum via mpmath; dps sized to the largest term
-        if m == 0:
-            return 1.0, 0.0
-        alphas = multi_indices(self.dim, m)
-        peak = max(self._log_mixed_moment(a) for a in alphas)
-        digits = 30 + int((peak + m * math.log(self.dim + 1) + m) / math.log(10.0)) + m
+    def _signed_log_moments(self, u, max_order):
+        # (sign, log|E<u,X>^m|) for m = 0..max_order, with E<u,X>^m =
+        # m! [t^m] prod_j sum_a (u_j t)^a E[X_j^a] / a!. fdot sums the exact
+        # products and rounds once, so exact cancellations come out as 0.
+        # dps is sized to the largest order-max_order mixed moment; its log
+        # is convex in alpha, so it peaks at a vertex alpha = max_order e_j.
+        import mpmath  # imported here: only this oracle needs it
+
+        k = max_order
+        peak = max(k * mu + 0.5 * k * k * sigma * sigma
+                   for mu, sigma in zip(self.mu.tolist(), self.sigma.tolist()))
+        digits = 30 + int((peak + k * math.log(self.dim + 1) + k) / math.log(10.0)) + k
         with mpmath.workdps(max(30, digits)):
-            total = mpmath.mpf(0)
-            for a in alphas:
-                coeff = multinomial(m, a)
-                term = mpmath.mpf(coeff) * mpmath.exp(mpmath.mpf(self._log_mixed_moment(a)))
-                for uj, aj in zip(u.coords, a):
-                    if aj:
-                        term *= mpmath.mpf(uj) ** aj
-                total += term
-            if total == 0:
-                return 0.0, -math.inf
-            sign = 1.0 if total > 0 else -1.0
-            return sign, float(mpmath.log(abs(total)))
+            series = [mpmath.mpf(1)] + [mpmath.mpf(0)] * k
+            for uj, mu, sigma in zip(u.coords.tolist(), self.mu.tolist(), self.sigma.tolist()):
+                uj, mu, var = mpmath.mpf(uj), mpmath.mpf(mu), mpmath.mpf(sigma) ** 2
+                coord = [uj**a * mpmath.exp(a * mu + a * a * var / 2) / mpmath.factorial(a)
+                         for a in range(k + 1)]
+                series = [mpmath.fdot(series[:m + 1], coord[m::-1]) for m in range(k + 1)]
+            out = []
+            for m, coef in enumerate(series):
+                if coef == 0:
+                    out.append((0.0, -math.inf))
+                else:
+                    out.append((1.0 if coef > 0 else -1.0,
+                                float(mpmath.log(abs(coef) * mpmath.factorial(m)))))
+        return out
 
     def projected_even_moments(self, u, max_order):
         """MomentSequence of the projection with exact log even moments."""
         vals = np.empty(max_order + 1)
         logs = np.full(max_order + 1, np.nan)
-        vals[0], logs[0] = 1.0, 0.0
-        for k in range(1, max_order + 1):
-            sign, log_abs = self._signed_log_directional_moment(u, k)
+        for k, (sign, log_abs) in enumerate(self._signed_log_moments(u, max_order)):
             vals[k] = _from_signed_log(sign, log_abs)
             if k % 2 == 0:
                 # even moments of a projection are strictly positive

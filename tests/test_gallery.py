@@ -6,9 +6,10 @@ import pytest
 
 from cwkit.directions import Direction, sample_uniform
 from cwkit.errors import OrderExceeded
-from cwkit.gallery import (Gaussian, ProductLognormal, empirical_mgf, mixed_moments_of, sample,
-                           switching_pair)
-from cwkit.moments import carleman_partial_sums, mixed_to_directional
+from cwkit.gallery import (Gaussian, ProductLognormal, _from_signed_log, empirical_mgf,
+                           mixed_moments_of, sample, switching_pair)
+from cwkit.moments import (MomentSequence, carleman_partial_sums, mixed_to_directional,
+                           multi_indices, multinomial)
 from cwkit.projections import AtomicMeasure, Empirical, ks_distance, project
 from cwkit.rng import STREAM_GALLERY, substream
 
@@ -159,6 +160,107 @@ class TestLognormalOracle:
         for m in (2, 4, 6):
             assert ln.directional_moment(u, m) == pytest.approx(
                 mixed_to_directional(mm, u, m), rel=1e-8)
+
+
+def ref_signed_log(ln, u, m):
+    # the former oracle: the multinomial sum over coordinate moments, one
+    # order at a time, with each log mixed moment rounded to float first
+    if m == 0:
+        return 1.0, 0.0
+    alphas = multi_indices(ln.dim, m)
+    peak = max(ln._log_mixed_moment(a) for a in alphas)
+    digits = 30 + int((peak + m * math.log(ln.dim + 1) + m) / math.log(10.0)) + m
+    with mpmath.workdps(max(30, digits)):
+        total = mpmath.mpf(0)
+        for a in alphas:
+            term = mpmath.mpf(multinomial(m, a)) * mpmath.exp(mpmath.mpf(ln._log_mixed_moment(a)))
+            for uj, aj in zip(u.coords, a):
+                if aj:
+                    term *= mpmath.mpf(uj) ** aj
+            total += term
+        if total == 0:
+            return 0.0, -math.inf
+        return (1.0 if total > 0 else -1.0), float(mpmath.log(abs(total)))
+
+
+def exact_signed_log(ln, u, m, dps=600):
+    # the multinomial sum with every coordinate moment in dps digits from
+    # the float parameters, rounded to float only at the end
+    with mpmath.workdps(dps):
+        total = mpmath.mpf(0)
+        for a in multi_indices(ln.dim, m):
+            term = mpmath.mpf(multinomial(m, a))
+            for uj, mu, sigma, aj in zip(u.coords, ln.mu, ln.sigma, a):
+                term *= (mpmath.mpf(uj) ** aj
+                         * mpmath.exp(aj * mpmath.mpf(mu) + aj * aj * mpmath.mpf(sigma) ** 2 / 2))
+            total += term
+        return (1.0 if total > 0 else -1.0), float(mpmath.log(abs(total)))
+
+
+def oracle_cases():
+    # the reference enumerates C(m+d-1, d-1) terms per order, so d = 4 stops
+    # at order 24 and takes one random and one axis direction
+    rng = np.random.default_rng(20)
+    for d, order, n_random, axes in ((2, 32, 2, (0, 1)), (3, 32, 2, (0, 1, 2)), (4, 24, 1, (3,))):
+        dirs = [Direction.from_vector(rng.standard_normal(d)) for _ in range(n_random)]
+        for u in dirs + [Direction(np.eye(d)[i]) for i in axes]:
+            yield d, u, order
+    yield 2, e1(), 60
+
+
+class TestLognormalGeneratingFunction:
+    @pytest.mark.parametrize("d,u,order", list(oracle_cases()))
+    def test_standard_law_bit_equal_to_reference(self, d, u, order):
+        ln = ProductLognormal.standard(d)
+        ref = [ref_signed_log(ln, u, m) for m in range(order + 1)]
+        assert ln._signed_log_moments(u, order) == ref
+        seq = ln.projected_even_moments(u, order)
+        for m, (sign, log_abs) in enumerate(ref):
+            assert seq.values[m] == _from_signed_log(sign, log_abs)
+            if m % 2 == 0:
+                assert seq.log_values[m] == log_abs
+
+    def test_nonstandard_law_correctly_rounded(self):
+        ln = ProductLognormal(np.array([0.1, -0.2, 0.3]), np.array([0.5, 0.3, 0.7]))
+        u = Direction.from_vector([1.0, -2.0, 0.5])
+        exact = [exact_signed_log(ln, u, m) for m in range(33)]
+        assert ln._signed_log_moments(u, 32) == exact
+        seq = ln.projected_even_moments(u, 32)
+        for m, (sign, log_abs) in enumerate(exact):
+            assert seq.values[m] == _from_signed_log(sign, log_abs)
+            if m % 2 == 0:
+                assert seq.log_values[m] == log_abs
+
+    def test_directional_moment_is_entry_of_sequence(self):
+        ln = ProductLognormal(np.array([0.2, 0.0, -0.1]), np.array([0.4, 1.0, 0.8]))
+        u = Direction.from_vector([0.3, -1.0, 0.7])
+        seq = ln.projected_even_moments(u, 24)
+        for m in range(25):
+            assert ln.directional_moment(u, m) == seq.values[m]
+
+    def test_odd_moments_along_antidiagonal_exactly_zero(self):
+        ln = ProductLognormal.standard(2)
+        u = Direction.from_vector([1.0, -1.0])
+        seq = ln.projected_even_moments(u, 31)
+        for m in range(1, 32, 2):
+            assert seq.values[m] == 0.0
+            assert ln.directional_moment(u, m) == 0.0
+        assert np.all(seq.values[0::2] > 0.0)
+
+    def test_from_signed_log_overflows_only_past_float_range(self):
+        assert _from_signed_log(1.0, 709.5) == math.exp(709.5)
+        assert math.isfinite(_from_signed_log(-1.0, 709.5))
+        assert _from_signed_log(1.0, 709.79) == math.inf
+        assert _from_signed_log(-1.0, 709.79) == -math.inf
+        assert _from_signed_log(0.0, -math.inf) == 0.0
+
+    def test_first_nonfinite_order_near_float_limit(self):
+        # along e1, E[X] = e^{709.5} is finite in float64; E[X^2] = e^{1420} is not
+        ln = ProductLognormal(np.array([709.0, 0.0]), np.array([1.0, 1.0]))
+        seq = ln.projected_even_moments(e1(), 2)
+        assert seq.values[1] == math.exp(709.5)
+        assert seq.values[2] == math.inf
+        assert MomentSequence(values=seq.values, kind="raw").first_nonfinite_order() == 2
 
 
 class TestSwitchingPair:
