@@ -36,7 +36,7 @@ print("(the tail has not yet gone Cauchy, and the slope alone is not trusted)")
 
 # --- empirical moments drift at high order ----------------------------------
 s = sample(Gaussian.standard(2), 2_000, seed=5)
-emp = empirical_moments(project(s, e1), 40, kind="raw")
+emp = empirical_moments(project(s, e1), 40)
 exact = Gaussian.standard(2).projected_even_moments(e1, 40)
 print("\nempirical vs exact even moments of a 2000-point Gaussian sample:")
 for k in (4, 10, 16, 20):

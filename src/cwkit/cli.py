@@ -29,8 +29,8 @@ from .directions import (Cap, Direction, FiniteSet, FullSphere, UnionOfCaps,
                          extract_frame, sample_in_region, sample_uniform)
 from .errors import CwkitError, ParseError
 from .moments import carleman_partial_sums, moment_sequence, reconstruct_mixed
-from .projections import Empirical, distance_trace, project
-from .verdict import VerdictConfig, run_verdict, tightness_box
+from .projections import METRICS, Empirical, distance_trace, project
+from .verdict import H1_RULES, VerdictConfig, run_verdict, tightness_box
 
 ECHO_NAME = "config_echo.cfg"
 
@@ -300,17 +300,7 @@ _COMMANDS = {
     "counterexample": _cmd_counterexample,
 }
 
-_FLAGS = {
-    "dim": dict(type=str), "directions": dict(type=str), "region": dict(type=str),
-    "seed": dict(type=str), "dist": dict(type=str), "n": dict(type=str),
-    "input": dict(type=str), "format": dict(type=str, choices=["csv", "ndjson"]),
-    "direction": dict(type=str), "inputs": dict(type=str), "target": dict(type=str),
-    "metric": dict(type=str, choices=["ks", "w1"]), "carleman_order": dict(type=str),
-    "order": dict(type=str), "epsilon": dict(type=str), "frame_tau": dict(type=str),
-    "h1_rule": dict(type=str, choices=["final_below", "monotone_trend"]),
-    "h1_tolerance": dict(type=str), "moment_order": dict(type=str),
-    "reference_n": dict(type=str), "kernels": dict(type=str),
-}
+_CHOICES = {"format": io.FORMATS, "metric": METRICS, "h1_rule": H1_RULES}
 
 
 def build_parser():
@@ -325,7 +315,7 @@ def build_parser():
             flags = ["--" + key.replace("_", "-")]
             if name == "carleman" and key == "carleman_order":
                 flags.append("--order")  # shorthand
-            p.add_argument(*flags, dest=key, default=None, **_FLAGS[key])
+            p.add_argument(*flags, dest=key, default=None, choices=_CHOICES.get(key))
     runner = sub.add_parser("run", help="replay a config echo")
     runner.add_argument("--config", type=str, required=True)
     runner.add_argument("--out", type=str, default=None)

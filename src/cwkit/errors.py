@@ -34,10 +34,6 @@ class OrderExceeded(CwkitError):
     """A moment of higher order than the stored/available table was requested."""
 
 
-class NoAnalyticOracle(CwkitError):
-    """The analytic source has no closed form for the requested moment."""
-
-
 class DegenerateKernel(CwkitError):
     """Switching construction produced an empty positive or negative part."""
 

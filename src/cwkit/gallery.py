@@ -4,9 +4,12 @@ Two analytic families with exact moment oracles (Gaussian, product
 lognormal), seeded draws from them and from weighted ``Empirical``
 measures, plus the switching construction: a pair of distinct atomic
 measures whose 1-D projections agree exactly along a prescribed finite set
-of directions. The Gaussian has a moment generating
-function near 0 and moment-determinate projections; the lognormal does not,
-which is what makes it the canonical Carleman failure case.
+of directions. Each analytic law builds its whole mixed-moment table in one
+call, ``mixed_moment_table(max_order)``, of any order: the Gaussian by the
+Isserlis recursion, the lognormal in closed form. The Gaussian has a moment
+generating function near 0 and moment-determinate projections; the
+lognormal does not, which is what makes it the canonical Carleman failure
+case.
 """
 
 import math
@@ -16,12 +19,10 @@ from itertools import combinations, product
 import numpy as np
 
 from .directions import Direction, _freeze
-from .errors import DegenerateKernel, OrderExceeded
+from .errors import DegenerateKernel
 from .moments import MixedMoments, MomentSequence, multi_indices_upto
 from .projections import Empirical
 from .rng import STREAM_GALLERY, substream
-
-GAUSSIAN_MOMENT_CAP = 8  # pairing enumeration grows as (2m-1)!!
 
 
 def _log_double_factorial_odd(j):
@@ -36,7 +37,12 @@ def _log_double_factorial_odd(j):
 
 @dataclass(frozen=True, eq=False)
 class Gaussian:
-    """N(mean, cov) with symmetric positive definite covariance."""
+    """N(mean, cov) with symmetric positive definite covariance.
+
+    Mixed moments of every order come from the Isserlis recursion over the
+    graded index list; 1-D projected moments from the closed form of
+    N(<u,mean>, u'cov u).
+    """
 
     mean: np.ndarray
     cov: np.ndarray
@@ -95,27 +101,28 @@ class Gaussian:
                     parts.append(math.log(math.comb(k, j)) + _log_double_factorial_odd(j)
                                  + j * log_s + mean_part)
                 logs[k] = float(logsumexp(parts))
-        return MomentSequence(values=vals, kind="raw", log_values=logs)
+        return MomentSequence(values=vals, log_values=logs)
 
-    def mixed_moment(self, alpha):
-        """E[prod x_i^{alpha_i}] by summing over partial pairings (Isserlis
-        extended to nonzero mean). Capped at |alpha| = 8."""
-        alpha = tuple(int(a) for a in alpha)
-        order = sum(alpha)
-        if order > GAUSSIAN_MOMENT_CAP:
-            raise OrderExceeded(
-                f"Gaussian mixed moments capped at order {GAUSSIAN_MOMENT_CAP}, got {order}")
-        idx = [i for i, a in enumerate(alpha) for _ in range(a)]
-        return self._pairing_sum(tuple(idx))
-
-    def _pairing_sum(self, idx):
-        if not idx:
-            return 1.0
-        i, rest = idx[0], idx[1:]
-        total = self.mean[i] * self._pairing_sum(rest)
-        for pos, j in enumerate(rest):
-            total += self.cov[i, j] * self._pairing_sum(rest[:pos] + rest[pos + 1:])
-        return float(total)
+    def mixed_moment_table(self, max_order):
+        """{alpha: E[x^alpha]} for every |alpha| <= max_order, by the Isserlis
+        recursion mu(alpha) = m_i mu(beta) + sum_j cov_ij beta_j mu(beta - e_j),
+        with i the first nonzero index of alpha and beta = alpha - e_i. In
+        graded order every entry on the right is already in the table."""
+        mean, cov = self.mean.tolist(), self.cov.tolist()
+        alphas = multi_indices_upto(self.dim, max_order)
+        table = {alphas[0]: 1.0}
+        for alpha in alphas[1:]:
+            beta = list(alpha)
+            i = next(k for k, a in enumerate(alpha) if a)
+            beta[i] -= 1
+            total = mean[i] * table[tuple(beta)]
+            for j, b in enumerate(beta):
+                if b:
+                    beta[j] -= 1
+                    total += cov[i][j] * b * table[tuple(beta)]
+                    beta[j] += 1
+            table[alpha] = total
+        return table
 
 
 def _from_signed_log(sign, log_abs):
@@ -156,23 +163,15 @@ class ProductLognormal:
     def standard(cls, d):
         return cls(np.zeros(d), np.ones(d))
 
-    def mixed_moment(self, alpha):
-        """Closed form: prod_i exp(alpha_i mu_i + alpha_i^2 sigma_i^2 / 2)."""
-        return float(np.exp(self._log_mixed_moment(alpha)))
+    def mixed_moment_table(self, max_order):
+        """{alpha: E[x^alpha]} for every |alpha| <= max_order, in closed form
+        prod_i exp(alpha_i mu_i + alpha_i^2 sigma_i^2 / 2)."""
+        return {a: float(np.exp(self._log_mixed_moment(a)))
+                for a in multi_indices_upto(self.dim, max_order)}
 
     def _log_mixed_moment(self, alpha):
         alpha = np.asarray(alpha, dtype=np.float64)
         return float(np.sum(alpha * self.mu + 0.5 * alpha**2 * self.sigma**2))
-
-    def directional_moment(self, u, m):
-        """E[<u, X>^m] from the generating-function product of all orders <= m.
-
-        Computed in arbitrary precision: the coordinate moments grow like
-        exp(alpha^2 sigma^2 / 2) and overflow float64 long before the orders
-        a Carleman scan needs. May return inf if the exact value itself
-        exceeds float range.
-        """
-        return _from_signed_log(*self._signed_log_moments(u, m)[m])
 
     def _signed_log_moments(self, u, max_order):
         # (sign, log|E<u,X>^m|) for m = 0..max_order, with E<u,X>^m =
@@ -211,7 +210,7 @@ class ProductLognormal:
             if k % 2 == 0:
                 # even moments of a projection are strictly positive
                 logs[k] = log_abs
-        return MomentSequence(values=vals, kind="raw", log_values=logs)
+        return MomentSequence(values=vals, log_values=logs)
 
 
 def sample(dist, n, seed):
@@ -237,8 +236,7 @@ def sample(dist, n, seed):
 
 def mixed_moments_of(dist, max_order):
     """Complete exact MixedMoments table of an analytic distribution."""
-    table = {a: dist.mixed_moment(a) for a in multi_indices_upto(dist.dim, max_order)}
-    return MixedMoments(dim=dist.dim, max_order=max_order, table=table)
+    return MixedMoments(dist.dim, max_order, dist.mixed_moment_table(max_order))
 
 
 def _orthogonal_unit(v):

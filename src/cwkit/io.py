@@ -11,9 +11,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .directions import Direction
 from .errors import ParseError, RaggedRows
 from .projections import Empirical
+
+
+#: input formats ingest_samples reads
+FORMATS = ("csv", "ndjson")
 
 
 def _fmt(x):
@@ -72,7 +75,7 @@ def ingest_samples(path, fmt=None):
     path = Path(path)
     if fmt is None:
         fmt = "ndjson" if path.suffix.lower() in (".ndjson", ".jsonl") else "csv"
-    if fmt not in ("csv", "ndjson"):
+    if fmt not in FORMATS:
         raise ValueError("fmt must be 'csv' or 'ndjson'")
     raw = path.read_text(encoding="utf-8")
     lines = [(i, ln) for i, ln in enumerate(raw.splitlines(), start=1) if ln.strip()]
@@ -111,14 +114,6 @@ def load_atomic_csv(path):
         raise ParseError(f"{path}: need at least one coordinate column plus a weight column")
     arr = np.array(rows)
     return Empirical(points=arr[:, :-1], weights=arr[:, -1])
-
-
-def load_directions_csv(path):
-    path = Path(path)
-    lines = [(i, ln) for i, ln in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-             if ln.strip()]
-    rows = _parse_csv_rows(lines, path)
-    return [Direction(np.array(r)) for r in rows]
 
 
 # ---------------------------------------------------------------------------

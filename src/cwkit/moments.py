@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .directions import _freeze, frame_constant
+from .directions import _freeze
 from .errors import OrderExceeded, RankDeficient
 from .projections import Empirical, project
 
@@ -31,8 +31,6 @@ _EVEN_TOL = 1e-12
 
 CARLEMAN_SLOPE_TOL = 0.05
 CARLEMAN_CAUCHY_TOL = 1e-9
-
-KINDS = ("raw", "absolute")
 
 
 def jsonsafe(x):
@@ -94,34 +92,26 @@ def homogeneous_dim(d, m):
 
 @dataclass(frozen=True, eq=False)
 class MomentSequence:
-    """Raw or absolute moments m_0..m_K of a 1-D law.
+    """Raw moments m_0..m_K of a 1-D law.
 
     ``log_values`` optionally carries exact logarithms of the moments; it is
     the source of truth when moments overflow float64 (analytic oracles for
     heavy-tailed laws produce such sequences). Entries of ``values`` may be
-    inf in that case. Odd-order log entries may be nan for raw sequences.
+    inf in that case. Odd-order log entries may be nan.
     """
 
     values: np.ndarray
-    kind: str
     log_values: np.ndarray | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 1 or v.size < 1:
             raise ValueError("values must be a nonempty 1-D array")
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}")
         if abs(v[0] - 1.0) > 1e-9:
             raise ValueError("m_0 must equal 1")
-        finite = np.isfinite(v)
-        if self.kind == "absolute":
-            if np.any(v[finite] < -_EVEN_TOL):
-                raise ValueError("absolute moments must be nonnegative")
-        else:
-            ev = v[::2]
-            if np.any(ev[np.isfinite(ev)] < -_EVEN_TOL):
-                raise ValueError("even raw moments must be nonnegative")
+        ev = v[::2]
+        if np.any(ev[np.isfinite(ev)] < -_EVEN_TOL):
+            raise ValueError("even raw moments must be nonnegative")
         object.__setattr__(self, "values", _freeze(v))
         if self.log_values is not None:
             lv = np.asarray(self.log_values, dtype=np.float64)
@@ -142,25 +132,22 @@ class MomentSequence:
         return int(idx[0]) if idx.size else None
 
 
-def empirical_moments(proj, max_order, kind="raw"):
-    """Weighted moments m_k = sum_i w_i v_i^k (|v_i|^k for kind 'absolute').
+def empirical_moments(proj, max_order):
+    """Weighted raw moments m_k = sum_i w_i v_i^k.
 
     Never raises on overflow: entries that overflow float64 simply come out
     non-finite and are visible via first_nonfinite_order().
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}")
-    base = np.abs(proj.values) if kind == "absolute" else proj.values
     vals = np.empty(max_order + 1)
     vals[0] = 1.0
-    power = np.ones_like(base)
+    power = np.ones_like(proj.values)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, max_order + 1):
-            power = power * base
+            power = power * proj.values
             vals[k] = float(power @ proj.weights)
-    return MomentSequence(values=vals, kind=kind)
+    return MomentSequence(values=vals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,27 +238,11 @@ def carleman_partial_sums(even_moments, M):
 # directional and mixed moments
 # ---------------------------------------------------------------------------
 
-def directional_moment(source, u, m):
-    """int <u, x>^m over an Empirical or an analytic law.
-
-    Exact for weighted Empirical measures and analytic laws, the empirical
-    average for a sample. Analytic laws provide their own ``directional_moment``
-    method; one lacking a closed form at order m raises NoAnalyticOracle.
-    """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if m == 0:
-        return 1.0  # total mass, exactly
-    if isinstance(source, Empirical):
-        return float(source.expect((source.points @ u.coords) ** m))
-    return float(source.directional_moment(u, m))
-
-
 def moment_sequence(source, u, max_order):
     """MomentSequence of <u, x> up to max_order: the moments of an Empirical's
     projected law, or an analytic law's own ``projected_even_moments``."""
     if isinstance(source, Empirical):
-        return empirical_moments(project(source, u), max_order, kind="raw")
+        return empirical_moments(project(source, u), max_order)
     return source.projected_even_moments(u, max_order)
 
 
@@ -403,20 +374,3 @@ def rm_residual(p_mm, q_mm, u, m):
     """Directional-moment gap int <u,x>^m dQ - int <u,x>^m dP at order m."""
     return mixed_to_directional(q_mm, u, m) - mixed_to_directional(p_mm, u, m)
 
-
-def absolute_moment_bound_check(sample, frame, m):
-    """Evaluate both sides of the frame moment bound on a sample.
-
-    lhs = average ||x||^m, rhs = C^m d^{m-1} sum_j average |<u_j, x>|^m with
-    C the frame constant. The bound lhs <= rhs holds pointwise, hence for
-    the averages.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    x = sample.points
-    d = frame.dim
-    C = frame_constant(frame)
-    lhs = float(np.mean(np.linalg.norm(x, axis=1) ** m))
-    proj = np.abs(x @ frame.matrix.T) ** m
-    rhs = float(C**m * d ** (m - 1) * np.sum(np.mean(proj, axis=0)))
-    return lhs, rhs

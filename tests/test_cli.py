@@ -12,9 +12,13 @@ from cwkit import cli, gallery
 from cwkit.cli import main, parse_region
 from cwkit.directions import Cap, Direction, FiniteSet, Frame, FullSphere, UnionOfCaps
 from cwkit.errors import ParseError, RaggedRows
-from cwkit.io import atomic_csv, ingest_samples, load_atomic_csv, load_directions_csv, samples_csv
+from cwkit.io import atomic_csv, ingest_samples, load_atomic_csv, samples_csv
 from cwkit.projections import AtomicMeasure, ks_distance, project
 from cwkit.verdict import h2_check
+
+
+def read_directions(path):
+    return [Direction(row) for row in np.loadtxt(path, delimiter=",", ndmin=2)]
 
 
 @pytest.fixture
@@ -100,7 +104,7 @@ class TestSubcommands:
         code = main(["sample-directions", "--dim", "3", "--directions", "20",
                      "--seed", "4", "--out", str(out)])
         assert code == 0
-        dirs = load_directions_csv(out / "directions.csv")
+        dirs = read_directions(out / "directions.csv")
         assert len(dirs) == 20
         assert all(abs(np.linalg.norm(u.coords) - 1) <= 1e-12 for u in dirs)
         # 17 significant digits requested in the output format
@@ -114,7 +118,7 @@ class TestSubcommands:
                      "--region", "cap:1,0:1.5707963267948966", "--seed", "1",
                      "--out", str(out)])
         assert code == 0
-        dirs = load_directions_csv(out / "directions.csv")
+        dirs = read_directions(out / "directions.csv")
         assert all(u.coords[0] >= 0 for u in dirs)
 
     def test_gallery_sample_and_project(self, tmp_path):
@@ -160,7 +164,7 @@ class TestSubcommands:
         assert main(["counterexample", "--kernels", "1,0;0,1", "--out", str(out)]) == 0
         p = load_atomic_csv(out / "counterexample_p.csv")
         q = load_atomic_csv(out / "counterexample_q.csv")
-        dirs = load_directions_csv(out / "certified_directions.csv")
+        dirs = read_directions(out / "certified_directions.csv")
         assert p.n == q.n == 2
         assert len(dirs) == 2
 
@@ -240,6 +244,21 @@ class TestVerdictCommand:
                      "--out", str(replay)]) == 0
         for name in ("verdict.json", "traces.csv"):
             assert (out / name).read_bytes() == (replay / name).read_bytes()
+
+    def test_gaussian_moment_order_past_eight(self, tmp_path):
+        # the Gaussian moment table has no order cap
+        paths = []
+        for seed, n in ((1, 300), (2, 2000)):
+            out = tmp_path / f"g{seed}"
+            assert main(["gallery-sample", "--dist", "gaussian", "--dim", "2", "--n", str(n),
+                         "--seed", str(seed), "--out", str(out)]) == 0
+            paths.append(str(out / "sample.csv"))
+        out = tmp_path / "v9"
+        code = main(["verdict", "--inputs", ",".join(paths), "--target", "gaussian",
+                     "--directions", "10", "--moment-order", "9", "--out", str(out)])
+        assert code in (0, 1)
+        rows = json.loads((out / "verdict.json").read_text())["moment_match"]
+        assert [r["order"] for r in rows] == list(range(1, 10))
 
     def test_seed_from_environment(self, tmp_path, gaussian_files, monkeypatch):
         monkeypatch.setenv("CWKIT_SEED", "11")

@@ -1,15 +1,16 @@
 import math
+import time
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
 from cwkit.directions import Direction, sample_uniform
-from cwkit.errors import OrderExceeded
 from cwkit.gallery import (Gaussian, ProductLognormal, _from_signed_log, empirical_mgf,
                            mixed_moments_of, sample, switching_pair)
 from cwkit.moments import (MomentSequence, carleman_partial_sums, mixed_to_directional,
-                           multi_indices, multinomial)
+                           multi_indices, multi_indices_upto, multinomial)
 from cwkit.projections import AtomicMeasure, Empirical, ks_distance, project
 from cwkit.rng import STREAM_GALLERY, substream
 
@@ -68,31 +69,84 @@ class TestSampling:
         assert frac == pytest.approx(0.75, abs=0.01)
 
 
+def pairing_sum(mean, cov, idx):
+    # E[prod_k x_{idx_k}] as a sum over partial pairings (Isserlis with a
+    # mean): the first index either stands alone (a mean factor) or pairs
+    # with one of the rest (a covariance factor)
+    if not idx:
+        return Fraction(1)
+    i, rest = idx[0], idx[1:]
+    total = mean[i] * pairing_sum(mean, cov, rest)
+    for pos, j in enumerate(rest):
+        total += cov[i][j] * pairing_sum(mean, cov, rest[:pos] + rest[pos + 1:])
+    return total
+
+
+def random_gaussian(seed, d):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d))
+    cov = a @ a.T + 0.5 * np.eye(d)
+    return Gaussian(rng.standard_normal(d), (cov + cov.T) / 2)  # exactly symmetric
+
+
 class TestGaussianOracle:
     def test_isserlis_base_cases(self):
-        g = Gaussian.standard(2)
-        assert g.mixed_moment((2, 0)) == pytest.approx(1.0, abs=1e-14)
-        assert g.mixed_moment((1, 1)) == pytest.approx(0.0, abs=1e-14)
-        assert g.mixed_moment((4, 0)) == pytest.approx(3.0, abs=1e-12)
+        t = Gaussian.standard(2).mixed_moment_table(4)
+        assert t[(2, 0)] == pytest.approx(1.0, abs=1e-14)
+        assert t[(1, 1)] == pytest.approx(0.0, abs=1e-14)
+        assert t[(4, 0)] == pytest.approx(3.0, abs=1e-12)
 
     def test_pair_count_double_factorial(self):
-        g = Gaussian.standard(2)
+        t = Gaussian.standard(2).mixed_moment_table(8)
         for m in (1, 2, 3, 4):
-            assert g.mixed_moment((2 * m, 0)) == pytest.approx(
-                float(mpmath.fac2(2 * m - 1)), rel=1e-12)
+            assert t[(2 * m, 0)] == pytest.approx(float(mpmath.fac2(2 * m - 1)), rel=1e-12)
 
     def test_against_monte_carlo(self):
         cov = np.array([[1.0, 0.3], [0.3, 0.5]])
         g = Gaussian(np.array([0.2, -0.1]), cov)
+        t = g.mixed_moment_table(4)
         s = sample(g, 10**6, seed=9)
         for alpha in [(1, 0), (1, 1), (2, 0), (2, 2), (3, 1), (4, 0)]:
             mono = s.points[:, 0] ** alpha[0] * s.points[:, 1] ** alpha[1]
             se = mono.std() / math.sqrt(mono.size)
-            assert g.mixed_moment(alpha) == pytest.approx(mono.mean(), abs=5 * se)
+            assert t[alpha] == pytest.approx(mono.mean(), abs=5 * se)
 
-    def test_order_cap(self):
-        with pytest.raises(OrderExceeded):
-            Gaussian.standard(2).mixed_moment((9, 0))
+    def test_standard_table_bit_equal_to_double_factorials(self):
+        # E[x^alpha] = prod (alpha_i - 1)!! for the standard law, 0 when some
+        # alpha_i is odd; past the old pairing sum's order cap of 8
+        start = time.process_time()
+        table = Gaussian.standard(8).mixed_moment_table(12)
+        print(f"d = 8, order 12: {len(table)} entries in {time.process_time() - start:.3f} s CPU")
+        alphas = multi_indices_upto(8, 12)
+        assert list(table) == alphas
+        expected = [0.0 if any(a % 2 for a in alpha)
+                    else float(math.prod(math.prod(range(a - 1, 0, -2)) for a in alpha))
+                    for alpha in alphas]
+        assert np.array(list(table.values())).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_law_matches_pairing_sum(self, seed):
+        # every |alpha| <= 8 within 1e-14 of the moment of |mean|, |cov|
+        g = random_gaussian(seed, 3)
+        mean = [Fraction(x) for x in g.mean.tolist()]
+        cov = [[Fraction(x) for x in row] for row in g.cov.tolist()]
+        abs_mean = [abs(x) for x in mean]
+        abs_cov = [[abs(x) for x in row] for row in cov]
+        table = g.mixed_moment_table(8)
+        for alpha in multi_indices_upto(3, 8):
+            idx = tuple(i for i, a in enumerate(alpha) for _ in range(a))
+            exact = pairing_sum(mean, cov, idx)
+            scale = pairing_sum(abs_mean, abs_cov, idx)
+            assert abs(Fraction(table[alpha]) - exact) <= Fraction(1e-14) * scale
+
+    def test_table_and_closed_form_directional_moments_agree(self):
+        # two independent oracles, compared past the old order cap of 8
+        g = random_gaussian(7, 3)
+        mm = mixed_moments_of(g, 10)
+        for u in sample_uniform(3, 4, seed=5):
+            for m in range(11):
+                assert mixed_to_directional(mm, u, m) == pytest.approx(
+                    g.directional_moment(u, m), rel=1e-12)
 
     def test_directional_moment_quadrature_oracle(self):
         # projection of N(mean, cov) along u is N(<u,mean>, u'cov u); check the
@@ -119,22 +173,22 @@ class TestGaussianOracle:
 
 class TestLognormalOracle:
     def test_single_coordinate_closed_form(self):
-        ln = ProductLognormal.standard(3)
-        assert ln.mixed_moment((2, 0, 0)) == pytest.approx(math.e**2, rel=1e-12)
-        assert ln.mixed_moment((1, 1, 0)) == pytest.approx(math.e, rel=1e-12)
+        t = ProductLognormal.standard(3).mixed_moment_table(2)
+        assert t[(2, 0, 0)] == pytest.approx(math.e**2, rel=1e-12)
+        assert t[(1, 1, 0)] == pytest.approx(math.e, rel=1e-12)
 
     def test_directional_moment_vs_float_expansion(self):
         # independent float evaluation at orders where nothing overflows
         ln = ProductLognormal(np.array([0.1, -0.2]), np.array([0.5, 0.3]))
         u = Direction.from_vector([1.0, 2.0])
+        table = ln.mixed_moment_table(4)
         for m in (1, 2, 3, 4):
             brute = 0.0
-            from cwkit.moments import multi_indices, multinomial
             for alpha in multi_indices(2, m):
                 brute += (multinomial(m, alpha)
                           * np.prod(u.coords ** np.array(alpha))
-                          * ln.mixed_moment(alpha))
-            assert ln.directional_moment(u, m) == pytest.approx(brute, rel=1e-12)
+                          * table[alpha])
+            assert ln.projected_even_moments(u, m).values[m] == pytest.approx(brute, rel=1e-12)
 
     def test_even_moment_logs_survive_overflow(self):
         seq = ProductLognormal.standard(2).projected_even_moments(e1(), 60)
@@ -156,9 +210,9 @@ class TestLognormalOracle:
         u = Direction.from_vector([1.0, -1.0])
         mm = mixed_moments_of(ln, 6)
         for m in (1, 3, 5):
-            assert ln.directional_moment(u, m) == pytest.approx(0.0, abs=1e-20)
+            assert ln.projected_even_moments(u, m).values[m] == pytest.approx(0.0, abs=1e-20)
         for m in (2, 4, 6):
-            assert ln.directional_moment(u, m) == pytest.approx(
+            assert ln.projected_even_moments(u, m).values[m] == pytest.approx(
                 mixed_to_directional(mm, u, m), rel=1e-8)
 
 
@@ -236,7 +290,7 @@ class TestLognormalGeneratingFunction:
         u = Direction.from_vector([0.3, -1.0, 0.7])
         seq = ln.projected_even_moments(u, 24)
         for m in range(25):
-            assert ln.directional_moment(u, m) == seq.values[m]
+            assert ln.projected_even_moments(u, m).values[m] == seq.values[m]
 
     def test_odd_moments_along_antidiagonal_exactly_zero(self):
         ln = ProductLognormal.standard(2)
@@ -244,7 +298,7 @@ class TestLognormalGeneratingFunction:
         seq = ln.projected_even_moments(u, 31)
         for m in range(1, 32, 2):
             assert seq.values[m] == 0.0
-            assert ln.directional_moment(u, m) == 0.0
+            assert ln.projected_even_moments(u, m).values[m] == 0.0
         assert np.all(seq.values[0::2] > 0.0)
 
     def test_from_signed_log_overflows_only_past_float_range(self):
@@ -260,7 +314,7 @@ class TestLognormalGeneratingFunction:
         seq = ln.projected_even_moments(e1(), 2)
         assert seq.values[1] == math.exp(709.5)
         assert seq.values[2] == math.inf
-        assert MomentSequence(values=seq.values, kind="raw").first_nonfinite_order() == 2
+        assert MomentSequence(values=seq.values).first_nonfinite_order() == 2
 
 
 class TestSwitchingPair:

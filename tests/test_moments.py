@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from cwkit.directions import Direction, Frame, extract_frame, frame_constant, sample_uniform
 from cwkit.errors import OrderExceeded, RankDeficient
-from cwkit.moments import (MixedMoments, MomentSequence,
-                           absolute_moment_bound_check, carleman_partial_sums,
-                           directional_moment, empirical_moments, homogeneous_dim,
-                           mixed_to_directional, multi_indices, multi_indices_upto,
-                           multinomial, reconstruct_mixed, rm_residual)
+from cwkit.moments import (MixedMoments, MomentSequence, carleman_partial_sums,
+                           empirical_moments, homogeneous_dim, mixed_to_directional,
+                           moment_sequence, multi_indices, multi_indices_upto, multinomial,
+                           reconstruct_mixed, rm_residual)
 from cwkit.gallery import Gaussian, mixed_moments_of
 from cwkit.projections import AtomicMeasure, Projected1D, SampleSet
 from cwkit.directions import Cap, sample_in_region
@@ -66,10 +65,8 @@ class TestEmpiricalMoments:
         assert ms.values.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_rademacher(self):
-        ms = empirical_moments(law([-1.0, 1.0], [0.5, 0.5]), 7, kind="raw")
+        ms = empirical_moments(law([-1.0, 1.0], [0.5, 0.5]), 7)
         assert ms.values.tolist() == [1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
-        abs_ms = empirical_moments(law([-1.0, 1.0], [0.5, 0.5]), 7, kind="absolute")
-        assert abs_ms.values.tolist() == [1.0] * 8
 
     def test_gaussian_fourth_moment(self):
         # m_4 = 3 for N(0,1); MC s.e. is sqrt((m_8 - m_4^2)/n) ~ 0.0098 at n=1e6
@@ -97,7 +94,7 @@ def gaussian_even_moments(M):
             logs[k] = float(mpmath.log(mpmath.fac2(k - 1)))
         else:
             vals[k], logs[k] = 0.0, np.nan
-    return MomentSequence(values=vals, kind="raw", log_values=logs)
+    return MomentSequence(values=vals, log_values=logs)
 
 
 def lognormal_even_moments(M):
@@ -106,7 +103,7 @@ def lognormal_even_moments(M):
     logs = ks**2 / 2.0
     with np.errstate(over="ignore"):
         vals = np.exp(logs)
-    return MomentSequence(values=vals, kind="raw", log_values=logs)
+    return MomentSequence(values=vals, log_values=logs)
 
 
 class TestCarleman:
@@ -138,7 +135,7 @@ class TestCarleman:
     def test_nonfinite_inconclusive(self):
         vals = np.ones(11)
         vals[10] = np.inf
-        rep = carleman_partial_sums(MomentSequence(vals, kind="raw"), 5)
+        rep = carleman_partial_sums(MomentSequence(vals), 5)
         assert rep.verdict == "inconclusive"
         assert "non-finite" in rep.note
 
@@ -160,22 +157,20 @@ class TestDirectionalMoment:
         rng = np.random.default_rng(0)
         m = random_atomic(rng, 3, 4)
         u = Direction.from_vector(rng.standard_normal(3))
-        assert directional_moment(m, u, 0) == 1.0
+        assert moment_sequence(m, u, 1).values[0] == 1.0
 
     def test_point_mass_mean(self):
         m = AtomicMeasure(np.array([[1.0, 2.0]]), np.array([1.0]))
-        assert directional_moment(m, Direction(np.array([0.0, 1.0])), 1) == 2.0
+        assert moment_sequence(m, Direction(np.array([0.0, 1.0])), 1).values[1] == 2.0
 
     def test_standard_gaussian_second_moment(self):
-        from cwkit.gallery import Gaussian
-
         g = Gaussian.standard(2)
         for u in sample_uniform(2, 5, seed=3):
-            assert directional_moment(g, u, 2) == pytest.approx(1.0, abs=1e-12)
+            assert moment_sequence(g, u, 2).values[2] == pytest.approx(1.0, abs=1e-12)
 
     def test_sample_set_average(self):
         s = SampleSet(np.array([[1.0, 0.0], [3.0, 0.0]]))
-        assert directional_moment(s, Direction(np.array([1.0, 0.0])), 2) == 5.0
+        assert moment_sequence(s, Direction(np.array([1.0, 0.0])), 2).values[2] == 5.0
 
 
 class TestMixedToDirectional:
@@ -201,7 +196,7 @@ class TestMixedToDirectional:
         meas = random_atomic(rng, 3, 5)
         mm = MixedMoments.from_atomic(meas, 6)
         for u in sample_uniform(3, 3, seed=m):
-            direct = directional_moment(meas, u, m)
+            direct = meas.expect((meas.points @ u.coords) ** m)
             via_mm = mixed_to_directional(mm, u, m)
             assert via_mm == pytest.approx(direct, abs=1e-12)
 
@@ -308,36 +303,37 @@ class TestRmResidual:
             assert rm_residual(p_mm, q_mm, u, 1) == pytest.approx(float(shift @ u.coords), abs=1e-12)
 
 
+def frame_bound_sides(x, frame, m):
+    """Pointwise ||x||^m and C^m d^(m-1) sum_j |<u_j, x>|^m, C the frame constant."""
+    d = frame.dim
+    lhs = np.linalg.norm(x, axis=1) ** m
+    proj = np.abs(x @ frame.matrix.T) ** m
+    rhs = frame_constant(frame)**m * d ** (m - 1) * np.sum(proj, axis=1)
+    return lhs, rhs
+
+
 class TestAbsoluteMomentBound:
     def test_orthonormal_first_order(self):
         rng = np.random.default_rng(1)
-        s = SampleSet(rng.standard_normal((500, 3)))
         frame = Frame.from_directions([Direction(np.eye(3)[i]) for i in range(3)])
-        lhs, rhs = absolute_moment_bound_check(s, frame, 1)
-        assert lhs <= rhs
+        lhs, rhs = frame_bound_sides(rng.standard_normal((500, 3)), frame, 1)
+        assert np.all(lhs <= rhs)
 
     def test_single_point_on_frame_direction(self):
         frame = Frame.from_directions([Direction(np.eye(2)[i]) for i in range(2)])
-        s = SampleSet(np.array([[1.0, 0.0]]))
-        lhs, rhs = absolute_moment_bound_check(s, frame, 2)
-        assert lhs == 1.0
-        assert lhs <= rhs
+        lhs, rhs = frame_bound_sides(np.array([[1.0, 0.0]]), frame, 2)
+        assert lhs[0] == 1.0
+        assert lhs[0] <= rhs[0]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_pointwise_inequality_random_frames(self, seed):
         d = 2 + seed % 3
         frame = extract_frame(sample_uniform(d, 20 * d, seed=seed))
-        C = frame_constant(frame)
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((10**4, d))
         for m in range(1, 9):
-            lhs = np.linalg.norm(x, axis=1) ** m
-            rhs = C**m * d ** (m - 1) * np.sum(np.abs(x @ frame.matrix.T) ** m, axis=1)
+            lhs, rhs = frame_bound_sides(x, frame, m)
             assert np.all(lhs <= rhs * (1 + 1e-12))
-        s = SampleSet(x)
-        for m in range(1, 9):
-            lhs_avg, rhs_avg = absolute_moment_bound_check(s, frame, m)
-            assert lhs_avg <= rhs_avg * (1 + 1e-12)
 
 
 @settings(max_examples=25, deadline=None)
