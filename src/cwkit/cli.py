@@ -26,7 +26,7 @@ import numpy as np
 
 from . import gallery, io
 from .directions import (Cap, Direction, FiniteSet, FullSphere, UnionOfCaps,
-                         extract_frame, sample_in_region, sample_uniform)
+                         extract_frame, sample_in_region)
 from .errors import CwkitError, ParseError
 from .moments import carleman_partial_sums, moment_sequence, reconstruct_mixed
 from .projections import METRICS, Empirical, distance_trace, project
@@ -105,25 +105,21 @@ def parse_region(spec, dim_hint=None):
             raise ValueError("region 'full' needs a dimension (full:D) or data to infer it")
         return FullSphere(d)
     if kind == "cap":
-        axis_s, _, angle_s = rest.rpartition(":")
-        axis = Direction.from_vector([float(x) for x in axis_s.split(",")])
-        return Cap(axis=axis, half_angle=float(angle_s))
+        return _parse_cap(rest)
     if kind == "union":
-        caps = []
-        for part in rest.split(";"):
-            axis_s, _, angle_s = part.rpartition(":")
-            axis = Direction.from_vector([float(x) for x in axis_s.split(",")])
-            caps.append(Cap(axis=axis, half_angle=float(angle_s)))
-        return UnionOfCaps(tuple(caps))
+        return UnionOfCaps(tuple(_parse_cap(part) for part in rest.split(";")))
     if kind == "finite":
-        dirs = tuple(Direction.from_vector([float(x) for x in part.split(",")])
-                     for part in rest.split(";"))
-        return FiniteSet(dirs)
+        return FiniteSet(tuple(_parse_direction(part) for part in rest.split(";")))
     raise ValueError(f"unknown region spec {spec!r}")
 
 
 def _parse_direction(spec):
     return Direction.from_vector([float(x) for x in spec.split(",")])
+
+
+def _parse_cap(spec):
+    axis_s, _, angle_s = spec.rpartition(":")
+    return Cap(axis=_parse_direction(axis_s), half_angle=float(angle_s))
 
 
 def _expand_inputs(spec):
@@ -155,11 +151,7 @@ def _parse_target(spec, dim):
 def _cmd_sample_directions(cfg):
     d = int(cfg.get("dim"))
     region = parse_region(cfg.get("region"), dim_hint=d)
-    count = int(cfg.get("directions"))
-    if isinstance(region, FullSphere):
-        dirs = sample_uniform(region.dim, count, cfg.seed)
-    else:
-        dirs = sample_in_region(region, count, cfg.seed)
+    dirs = sample_in_region(region, int(cfg.get("directions")), cfg.seed)
     io.atomic_write(cfg.out_dir / "directions.csv", io.directions_csv(dirs))
     return 0
 

@@ -5,9 +5,13 @@ sphere from which directions are drawn; caps and unions of caps have
 positive surface measure, finite sets have measure zero and exist only to
 demonstrate what goes wrong without positive measure. A Frame is a set of
 d directions whose stacked rows form an invertible matrix.
+
+There is one direction sampler, ``sample_in_region``; uniform sampling on
+the whole sphere is the region ``FullSphere(d)``. A Frame is given only its
+directions and derives its matrix and conditioning from them.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -181,40 +185,35 @@ class FiniteSet:
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """d unit directions stacked as the rows of an invertible d x d matrix."""
+    """d unit directions in R^d stacked as the rows of an invertible matrix.
+
+    ``matrix`` (row j is direction j, bit for bit) and its smallest singular
+    value ``min_singular_value`` are derived from the directions once, at
+    construction; they are not arguments. Raises ValueError unless there are
+    exactly d directions in R^d, and InsufficientRank when they are
+    numerically dependent (smallest singular value <= d * eps * largest).
+    """
 
     directions: tuple
-    matrix: np.ndarray
-    min_singular_value: float
+    matrix: np.ndarray = field(init=False)
+    min_singular_value: float = field(init=False)
 
     def __post_init__(self):
-        m = _freeze(self.matrix)
+        directions = tuple(self.directions)
+        m = _freeze(np.vstack([u.coords for u in directions]))
+        if m.shape[0] != m.shape[1]:
+            raise ValueError(f"a frame needs d directions in R^d, got {m.shape[0]} "
+                             f"in R^{m.shape[1]}")
+        s = np.linalg.svd(m, compute_uv=False)
+        if s[-1] <= s[0] * m.shape[0] * np.finfo(np.float64).eps:
+            raise InsufficientRank("directions are linearly dependent")
+        object.__setattr__(self, "directions", directions)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "directions", tuple(self.directions))
-        d = len(self.directions)
-        if m.shape != (d, d):
-            raise ValueError("matrix must be d x d with one row per direction")
-        for j, u in enumerate(self.directions):
-            if m[j].tobytes() != u.coords.tobytes():
-                raise ValueError(f"row {j} does not match its direction bit-for-bit")
-        smin = float(np.linalg.svd(m, compute_uv=False)[-1])
-        if self.min_singular_value <= 0.0:
-            raise ValueError("min_singular_value must be positive")
-        if abs(self.min_singular_value - smin) > 1e-10:
-            raise ValueError("stored min_singular_value disagrees with the matrix")
+        object.__setattr__(self, "min_singular_value", float(s[-1]))
 
     @property
     def dim(self):
         return len(self.directions)
-
-    @classmethod
-    def from_directions(cls, directions):
-        directions = tuple(directions)
-        m = np.vstack([u.coords for u in directions])
-        smin = float(np.linalg.svd(m, compute_uv=False)[-1])
-        if smin <= 0.0:
-            raise InsufficientRank("directions are linearly dependent")
-        return cls(directions=directions, matrix=m, min_singular_value=smin)
 
 
 # ---------------------------------------------------------------------------
@@ -233,23 +232,20 @@ def _draw_unit_rows(rng, n, d):
 
 
 def sample_uniform(d, count, seed):
-    """Draw `count` directions uniformly on S^{d-1}, deterministically in seed."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    rng = substream(seed, STREAM_SPHERE)
-    rows = _draw_unit_rows(rng, count, d)
-    return [Direction(r) for r in rows]
+    """Draw `count` directions uniformly on S^{d-1}, deterministically in seed:
+    ``sample_in_region(FullSphere(d), count, seed)``."""
+    return sample_in_region(FullSphere(d), count, seed)
 
 
 def sample_in_region(region, count, seed, max_draw_budget=None):
     """Rejection-sample `count` directions from a positive-measure region.
 
-    Uses the same underlying stream as sample_uniform, so a region covering
-    the whole sphere reproduces sample_uniform bit for bit. Raises
-    BudgetExhausted when fewer than `count` draws are accepted within
-    `max_draw_budget` proposals (default 10_000 * count).
+    The package's only direction sampler. Proposals are normalized standard
+    normals from the seed's sphere stream, drawn in chunks of max(count,
+    1024); on FullSphere every proposal is accepted, so the result is the
+    first `count` uniform draws. Raises BudgetExhausted when fewer than
+    `count` draws are accepted within `max_draw_budget` proposals (default
+    10_000 * count).
     """
     if not region.has_positive_measure:
         raise ValueError("region has surface measure zero; cannot rejection-sample")
@@ -300,15 +296,13 @@ def extract_frame(candidates, tau=DEFAULT_FRAME_TAU):
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     d = candidates[0].dim
-    rows = []
     accepted = []
     for cand in candidates:
-        trial = np.vstack(rows + [cand.coords])
+        trial = np.vstack([u.coords for u in accepted] + [cand.coords])
         if float(np.linalg.svd(trial, compute_uv=False)[-1]) >= tau:
-            rows.append(cand.coords)
             accepted.append(cand)
             if len(accepted) == d:
-                return Frame.from_directions(accepted)
+                return Frame(accepted)
     raise InsufficientRank(
         f"only {len(accepted)} of {d} directions accepted at tau={tau}; "
         "candidates look confined near a proper subspace"

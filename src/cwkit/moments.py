@@ -123,20 +123,13 @@ class MomentSequence:
     def max_order(self):
         return self.values.size - 1
 
-    def first_nonfinite_order(self):
-        """Lowest order whose moment is not finite, or None."""
-        bad = ~np.isfinite(self.values)
-        if self.log_values is not None:
-            bad &= ~np.isfinite(self.log_values)  # a finite log rescues an inf value
-        idx = np.flatnonzero(bad)
-        return int(idx[0]) if idx.size else None
-
 
 def empirical_moments(proj, max_order):
-    """Weighted raw moments m_k = sum_i w_i v_i^k.
+    """Weighted raw moments m_k = sum_i w_i v_i^k, each a pairwise sum as in
+    ``Empirical.expect``.
 
     Never raises on overflow: entries that overflow float64 simply come out
-    non-finite and are visible via first_nonfinite_order().
+    non-finite, and carleman_partial_sums reports the first such even order.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
@@ -146,7 +139,7 @@ def empirical_moments(proj, max_order):
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, max_order + 1):
             power = power * proj.values
-            vals[k] = float(power @ proj.weights)
+            vals[k] = float(np.sum(power * proj.weights))
     return MomentSequence(values=vals)
 
 
@@ -279,7 +272,7 @@ class MixedMoments:
         a weighted measure. A sample's standard errors std(x^alpha) / sqrt(n)
         come from the same monomials, built one alpha at a time: all at once
         they would take about 240 MB at d = 8, order 6, n = 10 000."""
-        points, weights, dim, n = source.points, source.mass, source.dim, source.n
+        points, dim, n = source.points, source.dim, source.n
         # power table: pows[i, k, j] = x_ij^k
         pows = np.ones((n, max_order + 1, dim))
         for k in range(1, max_order + 1):
@@ -290,7 +283,7 @@ class MixedMoments:
             for j, a in enumerate(alpha):
                 if a:
                     mono = mono * pows[:, a, j]
-            table[alpha] = float(weights @ mono)
+            table[alpha] = float(source.expect(mono))
             if source.weights is None:
                 se[alpha] = float(np.std(mono) / np.sqrt(n))
         mm = cls(dim=dim, max_order=max_order, table=table)
@@ -324,9 +317,6 @@ class ReconstructionResult:
     coefficients: np.ndarray  # aligned with exponents
     condition_number: float
     residual_norm: float
-
-    def as_dict(self):
-        return dict(zip(self.exponents, self.coefficients.tolist()))
 
 
 def reconstruct_mixed(observations, d, m):

@@ -93,10 +93,12 @@ class Empirical:
     def expect(self, values):
         """Integral of per-point values: the sample mean, or the weighted sum.
 
-        Not ``mass @ values``: that rounds differently from the mean, and
-        sample reports must stay byte-stable.
+        Every integral over a point cloud goes through here. Both cases use
+        numpy's pairwise summation, never a BLAS dot product: OpenBLAS splits
+        a long dot across threads and rounds it differently at each thread
+        count, so reports would depend on the machine's thread setting.
         """
-        return np.mean(values) if self.weights is None else self.weights @ values
+        return np.mean(values) if self.weights is None else np.sum(self.weights * values)
 
     def digest(self):
         """SHA-256 of the points, then of the label (sample) or weights (measure)."""
@@ -226,29 +228,30 @@ _METRIC_FNS = {"ks": ks_distance, "w1": wasserstein1}
 
 @dataclass(frozen=True, eq=False)
 class DistanceTrace:
-    """Distances of projected sequence elements to a projected target."""
+    """Distances of projected sequence elements to a projected target, one
+    entry per element; ``indices`` numbers the elements 1..len(sequence)."""
 
     direction: object
     metric: str
-    indices: np.ndarray
     sizes: np.ndarray
     distances: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        sz = np.asarray(self.sizes, dtype=np.int64)
+        sz = np.array(self.sizes, dtype=np.int64)  # a copy: _freeze would make it float
+        sz.flags.writeable = False
         dist = np.asarray(self.distances, dtype=np.float64)
-        if not (idx.shape == sz.shape == dist.shape) or idx.ndim != 1 or idx.size < 1:
-            raise ValueError("indices, sizes and distances must be matching 1-D arrays")
-        if np.any(np.diff(idx) <= 0):
-            raise ValueError("indices must be strictly increasing")
+        if sz.shape != dist.shape or sz.ndim != 1 or sz.size < 1:
+            raise ValueError("sizes and distances must be matching 1-D arrays")
         if np.any(dist < 0.0):
             raise ValueError("distances must be nonnegative")
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
-        object.__setattr__(self, "indices", _freeze(idx).astype(np.int64))
-        object.__setattr__(self, "sizes", _freeze(sz).astype(np.int64))
+        object.__setattr__(self, "sizes", sz)
         object.__setattr__(self, "distances", _freeze(dist))
+
+    @property
+    def indices(self):
+        return np.arange(1, self.distances.size + 1)
 
     @property
     def entries(self):
@@ -269,7 +272,6 @@ def distance_trace(sequence, target, u, metric="ks"):
     return DistanceTrace(
         direction=u,
         metric=metric,
-        indices=np.arange(1, len(sequence) + 1),
         sizes=np.asarray(sizes),
         distances=np.asarray(dists),
     )

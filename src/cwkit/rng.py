@@ -10,7 +10,7 @@ so results never depend on evaluation order or parallel scheduling.
 import numpy as np
 
 # Stream tags. Fixed forever; changing one changes every downstream result.
-STREAM_SPHERE = 1       # shared by sample_uniform and sample_in_region
+STREAM_SPHERE = 1       # sample_in_region (sample_uniform is its FullSphere case)
 STREAM_MEASURE = 2      # region_measure_estimate
 STREAM_GALLERY = 3      # gallery.sample
 STREAM_REFERENCE = 4    # verdict reference draws for analytic targets

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gallery
-from .directions import FiniteSet, extract_frame, frame_constant, sample_in_region
+from .directions import (DEFAULT_FRAME_TAU, FiniteSet, extract_frame, frame_constant,
+                         sample_in_region)
 from .errors import BudgetExhausted, DimensionMismatch, InsufficientRank
 from .moments import (MixedMoments, carleman_partial_sums, jsonsafe, moment_sequence,
                       multi_indices)
@@ -60,7 +61,7 @@ class VerdictConfig:
     moment_order: int = 4
     epsilon: float = 0.1
     seed: int = 0
-    frame_tau: float = 1e-6
+    frame_tau: float = DEFAULT_FRAME_TAU
     moment_tolerances: tuple | None = None  # per order 1..moment_order
     moment_se_multiplier: float = 5.0
     reference_sample_size: int = 50_000
@@ -86,23 +87,13 @@ class VerdictConfig:
             self.moment_tolerances = tols
 
     def echo(self):
-        """Flat, JSON-ready dict of every resolved parameter."""
-        return {
-            "region": self.region.describe(),
-            "n_directions": self.n_directions,
-            "metric": self.metric,
-            "h1_tolerance": self.h1_tolerance,
-            "h1_rule": self.h1_rule,
-            "carleman_order": self.carleman_order,
-            "moment_order": self.moment_order,
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-            "frame_tau": self.frame_tau,
-            "moment_tolerances": list(self.moment_tolerances) if self.moment_tolerances else None,
-            "moment_se_multiplier": self.moment_se_multiplier,
-            "reference_sample_size": self.reference_sample_size,
-            "max_draw_budget": self.max_draw_budget,
-        }
+        """Flat, JSON-ready dict of every field in declaration order, with the
+        region as its spec string."""
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        out["region"] = self.region.describe()
+        if self.moment_tolerances is not None:
+            out["moment_tolerances"] = list(self.moment_tolerances)
+        return out
 
 
 # ---------------------------------------------------------------------------

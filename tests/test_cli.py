@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -10,11 +12,12 @@ import pytest
 import cwkit
 from cwkit import cli, gallery
 from cwkit.cli import main, parse_region
-from cwkit.directions import Cap, Direction, FiniteSet, Frame, FullSphere, UnionOfCaps
+from cwkit.directions import (DEFAULT_FRAME_TAU, Cap, Direction, FiniteSet, Frame,
+                              FullSphere, UnionOfCaps, extract_frame)
 from cwkit.errors import ParseError, RaggedRows
 from cwkit.io import atomic_csv, ingest_samples, load_atomic_csv, samples_csv
 from cwkit.projections import AtomicMeasure, ks_distance, project
-from cwkit.verdict import h2_check
+from cwkit.verdict import VerdictConfig, h2_check
 
 
 def read_directions(path):
@@ -97,6 +100,35 @@ class TestParseRegion:
         with pytest.raises(ValueError):
             parse_region("banana:1")
 
+    @pytest.mark.parametrize("spec", ["cap:1,x:0.5", "cap:0,0:0.5", "cap:1,0",
+                                      "union:1,0:0.5;0,y:0.5", "union:1,0:0.5;0,0:0.5",
+                                      "finite:1,0;a,b", "finite:1,0;0,0"])
+    def test_malformed_axis_or_vector(self, spec, tmp_path, capsys):
+        with pytest.raises(ValueError):
+            parse_region(spec)
+        code = main(["sample-directions", "--region", spec, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("command", ["verdict", "tightness"])
+def test_cli_defaults_parse_to_library_defaults(command):
+    # the CLI keeps its defaults as strings; each must parse to the default
+    # of the library parameter it feeds, so the two tables cannot drift apart
+    library = {f.name: f.default for f in dataclasses.fields(VerdictConfig)
+               if f.default is not dataclasses.MISSING}
+    assert library["frame_tau"] == DEFAULT_FRAME_TAU
+    assert inspect.signature(extract_frame).parameters["tau"].default == DEFAULT_FRAME_TAU
+    renamed = {"directions": "n_directions", "reference_n": "reference_sample_size"}
+    checked = set()
+    for key, text in cli.DEFAULTS[command].items():
+        if text is None or key == "region":  # the library has no default region
+            continue
+        want = library[renamed.get(key, key)]
+        assert type(want)(text) == want, key
+        checked.add(key)
+    assert {"directions", "epsilon", "frame_tau"} <= checked
+
 
 class TestSubcommands:
     def test_sample_directions(self, tmp_path, capsys):
@@ -146,7 +178,7 @@ class TestSubcommands:
                      "--carleman-order", "8", "--out", str(out)]) == 0
         payload = json.loads((out / "carleman.json").read_text())
         u = Direction.from_vector([0.6, 0.8])
-        frame = Frame.from_directions([u, Direction(np.array([1.0, 0.0]))])
+        frame = Frame([u, Direction(np.array([1.0, 0.0]))])
         # order 16 stays under 2 n^(1/4) at n = 5000: h2_check adds no note
         report = h2_check(ingest_samples(gaussian_files[2]), frame, 8)[0].to_dict()
         assert {key: payload[key] for key in report} == report

@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cwkit.directions import (Cap, Direction, FiniteSet, Frame, FullSphere, UnionOfCaps,
-                              extract_frame, frame_constant, region_measure_estimate,
-                              sample_in_region, sample_uniform)
+                              _draw_unit_rows, extract_frame, frame_constant,
+                              region_measure_estimate, sample_in_region, sample_uniform)
 from cwkit.errors import BudgetExhausted, InsufficientRank
+from cwkit.rng import STREAM_SPHERE, substream
 
 
 def e(i, d):
@@ -56,6 +59,17 @@ class TestSampleUniform:
         assert all(x.coords.tobytes() == y.coords.tobytes() for x, y in zip(a, b))
         c = sample_uniform(4, 50, seed=10)
         assert any(x.coords.tobytes() != y.coords.tobytes() for x, y in zip(a, c))
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    @pytest.mark.parametrize("count", [1, 5, 1023, 1024, 1025, 3000])
+    def test_same_bits_as_one_block_draw(self, d, count):
+        # reference: one block of `count` rows from the sphere stream.
+        # sample_in_region draws chunks of max(count, 1024) and keeps the
+        # first `count`, which must be the same bits.
+        for seed in (0, 9, 2**40 + 7):
+            want = _draw_unit_rows(substream(seed, STREAM_SPHERE), count, d)
+            got = np.array([u.coords for u in sample_uniform(d, count, seed)])
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSampleInRegion:
@@ -139,16 +153,40 @@ class TestExtractFrame:
         assert abs(frame.min_singular_value - smin) <= 1e-10
 
 
+class TestFrame:
+    def test_dependent_directions_raise(self):
+        with pytest.raises(InsufficientRank):
+            Frame([e(0, 2), e(0, 2)])
+        with pytest.raises(InsufficientRank):
+            Frame([e(0, 3), e(1, 3), e(0, 3)])
+        # a combination of two directions: the smallest singular value comes
+        # out near 1e-17, not 0, and must still count as rank 2
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            a, b = rng.standard_normal(3), rng.standard_normal(3)
+            with pytest.raises(InsufficientRank):
+                Frame([Direction.from_vector(v) for v in (a, b, 0.3 * a - 1.7 * b)])
+
+    def test_needs_d_directions_in_r_d(self):
+        with pytest.raises(ValueError):
+            Frame([e(0, 3), e(1, 3)])
+
+    def test_derived_values_are_not_arguments(self):
+        assert [f.name for f in dataclasses.fields(Frame) if f.init] == ["directions"]
+        with pytest.raises(TypeError):
+            Frame([e(0, 2), e(1, 2)], matrix=np.eye(2), min_singular_value=1.0)
+
+
 class TestFrameConstant:
     def test_orthonormal_gives_one(self):
-        frame = Frame.from_directions([e(i, 3) for i in range(3)])
+        frame = Frame([e(i, 3) for i in range(3)])
         assert frame_constant(frame) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_dim_45_degrees(self):
         # rows (1,0) and (cos45, sin45): eigenvalues of T T' are 1 +- sqrt(2)/2,
         # so C = (1 - sqrt(2)/2)^{-1/2} = 1.847759...
         u2 = Direction(np.array([np.sqrt(2) / 2, np.sqrt(2) / 2]))
-        frame = Frame.from_directions([e(0, 2), u2])
+        frame = Frame([e(0, 2), u2])
         assert frame_constant(frame) == pytest.approx(1.8477590650, abs=1e-3)
 
     @pytest.mark.parametrize("d,seed", [(2, 0), (3, 1), (5, 2)])

@@ -77,7 +77,7 @@ class TestEmpiricalMoments:
 
     def test_overflow_reported_not_raised(self):
         ms = empirical_moments(law([1e200, -1e200], [0.5, 0.5]), 4)
-        assert ms.first_nonfinite_order() == 2
+        assert np.flatnonzero(~np.isfinite(ms.values))[0] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +315,12 @@ def frame_bound_sides(x, frame, m):
 class TestAbsoluteMomentBound:
     def test_orthonormal_first_order(self):
         rng = np.random.default_rng(1)
-        frame = Frame.from_directions([Direction(np.eye(3)[i]) for i in range(3)])
+        frame = Frame([Direction(np.eye(3)[i]) for i in range(3)])
         lhs, rhs = frame_bound_sides(rng.standard_normal((500, 3)), frame, 1)
         assert np.all(lhs <= rhs)
 
     def test_single_point_on_frame_direction(self):
-        frame = Frame.from_directions([Direction(np.eye(2)[i]) for i in range(2)])
+        frame = Frame([Direction(np.eye(2)[i]) for i in range(2)])
         lhs, rhs = frame_bound_sides(np.array([[1.0, 0.0]]), frame, 2)
         assert lhs[0] == 1.0
         assert lhs[0] <= rhs[0]

@@ -300,6 +300,8 @@ class TestDistanceTrace:
         assert tr.distances.tolist() == [0.0, 0.0, 0.0]
         assert tr.indices.tolist() == [1, 2, 3]
         assert tr.sizes.tolist() == [2, 2, 2]
+        assert tr.sizes.dtype == np.int64
+        assert not (tr.sizes.flags.writeable or tr.distances.flags.writeable)
 
     def test_gaussian_ks_decreases_below_dkw(self):
         # DKW: one-sample KS against the truth is < sqrt(ln(2/delta)/(2n))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -15,7 +16,7 @@ from cwkit.verdict import (VerdictConfig, aggregate_overall, h1_check, h2_check,
 
 
 def ident_frame(d):
-    return Frame.from_directions([Direction(np.eye(d)[i]) for i in range(d)])
+    return Frame([Direction(np.eye(d)[i]) for i in range(d)])
 
 
 def trace_of(distances, sizes=None):
@@ -23,7 +24,7 @@ def trace_of(distances, sizes=None):
     n = distances.size
     sizes = np.asarray(sizes) if sizes is not None else np.full(n, 100)
     return DistanceTrace(direction=Direction(np.array([1.0, 0.0])), metric="ks",
-                         indices=np.arange(1, n + 1), sizes=sizes, distances=distances)
+                         sizes=sizes, distances=distances)
 
 
 class TestTightnessBox:
@@ -202,6 +203,19 @@ class TestAggregation:
             assert out == "inconclusive"
         else:
             assert out == "consistent_with_convergence"
+
+
+def test_config_echo_lists_every_field_once():
+    cfg = VerdictConfig(region=Cap(Direction(np.array([1.0, 0.0])), 0.5), moment_order=2,
+                        moment_tolerances=[0.1, 0.2])
+    assert cfg.echo() == {
+        "region": "cap:1,0:0.5", "n_directions": 50, "metric": "ks", "h1_tolerance": None,
+        "h1_rule": "final_below", "carleman_order": 12, "moment_order": 2, "epsilon": 0.1,
+        "seed": 0, "frame_tau": 1e-6, "moment_tolerances": [0.1, 0.2],
+        "moment_se_multiplier": 5.0, "reference_sample_size": 50_000, "max_draw_budget": None,
+    }
+    assert list(cfg.echo()) == [f.name for f in dataclasses.fields(VerdictConfig)]
+    assert VerdictConfig(region=FullSphere(2)).echo()["moment_tolerances"] is None
 
 
 def gaussian_sequence(d=2, base_seed=100):
