@@ -6,10 +6,11 @@ measures, plus the switching construction: a pair of distinct atomic
 measures whose 1-D projections agree exactly along a prescribed finite set
 of directions. Each analytic law builds its whole mixed-moment table in one
 call, ``mixed_moment_table(max_order)``, of any order: the Gaussian by the
-Isserlis recursion, the lognormal in closed form. The Gaussian has a moment
-generating function near 0 and moment-determinate projections; the
-lognormal does not, which is what makes it the canonical Carleman failure
-case.
+Isserlis recursion, the lognormal in closed form; the moments of a 1-D
+projection come as (sign, log|m_k|) pairs, turned into a ``MomentSequence``
+by one builder. The Gaussian has a moment generating function near 0 and
+moment-determinate projections; the lognormal does not, which is what
+makes it the canonical Carleman failure case.
 """
 
 import math
@@ -25,14 +26,26 @@ from .projections import Empirical
 from .rng import STREAM_GALLERY, substream
 
 
-def _log_double_factorial_odd(j):
-    # log (j-1)!! for even j >= 0, via (j-1)!! = j! / (2^{j/2} (j/2)!)
-    from scipy.special import gammaln  # imported here: scipy.special is slow to load
+def _from_signed_log(sign, log_abs):
+    # sign * exp(log_abs), +-inf where that overflows float64; a zero
+    # moment arrives as (0.0, -inf) and comes out as 0.0
+    try:
+        return sign * math.exp(log_abs)
+    except OverflowError:
+        return math.copysign(math.inf, sign)
 
-    if j == 0:
-        return 0.0
-    h = j // 2
-    return gammaln(j + 1) - h * math.log(2.0) - gammaln(h + 1)
+
+def _projected_sequence(signed_logs):
+    """MomentSequence from (sign, log|m_k|) for k = 0..K: values through
+    _from_signed_log, exact logs at even orders."""
+    vals = np.empty(len(signed_logs))
+    logs = np.full(len(signed_logs), np.nan)
+    for k, (sign, log_abs) in enumerate(signed_logs):
+        vals[k] = _from_signed_log(sign, log_abs)
+        if k % 2 == 0:
+            # even moments of a projection are strictly positive
+            logs[k] = log_abs
+    return MomentSequence(values=vals, log_values=logs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,8 +53,8 @@ class Gaussian:
     """N(mean, cov) with symmetric positive definite covariance.
 
     Mixed moments of every order come from the Isserlis recursion over the
-    graded index list; 1-D projected moments from the closed form of
-    N(<u,mean>, u'cov u).
+    graded index list, those of the projection N(<u,mean>, u'cov u) from its
+    1-D case. cov is stored as (cov + cov') / 2: one law for every oracle.
     """
 
     mean: np.ndarray
@@ -58,7 +71,7 @@ class Gaussian:
         if float(np.linalg.eigvalsh(cov)[0]) <= 1e-10:
             raise ValueError("cov must be positive definite (min eigenvalue > 1e-10)")
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "cov", _freeze((cov + cov.T) / 2))
 
     @property
     def dim(self):
@@ -68,40 +81,25 @@ class Gaussian:
     def standard(cls, d):
         return cls(np.zeros(d), np.eye(d))
 
-    def directional_moment(self, u, m):
-        """Exact raw moment of the 1-D projection N(<u,mean>, u'cov u)."""
+    def _signed_log_moments(self, u, max_order):
+        # (sign, log|m_k|) for k = 0..max_order of the projection
+        # N(a, s2), a = <u,mean>, s2 = u'cov u, by the 1-D Isserlis recursion
+        # m_k = a m_{k-1} + (k-1) s2 m_{k-2}. Both terms have the sign of
+        # a^k, so |m_k| is a sum of two nonnegative terms: nothing cancels.
         a = float(u.coords @ self.mean)
-        s = math.sqrt(float(u.coords @ self.cov @ u.coords))
-        total = 0.0
-        for j in range(0, m + 1, 2):
-            total += (math.comb(m, j) * math.exp(_log_double_factorial_odd(j))
-                      * s**j * a ** (m - j))
-        return total
+        log_s2 = math.log(float(u.coords @ self.cov @ u.coords))
+        log_a = math.log(abs(a)) if a != 0.0 else -math.inf
+        logs = [0.0, log_a]
+        for k in range(2, max_order + 1):
+            logs.append(float(np.logaddexp(log_a + logs[k - 1],
+                                           math.log(k - 1) + log_s2 + logs[k - 2])))
+        sign = math.copysign(1.0, a)
+        return [(sign**k if a != 0.0 or k % 2 == 0 else 0.0, log_abs)
+                for k, log_abs in enumerate(logs[:max_order + 1])]
 
     def projected_even_moments(self, u, max_order):
-        """MomentSequence of the projection up to max_order, with exact logs
-        at even orders (all terms of the even-order expansion are >= 0)."""
-        from scipy.special import logsumexp
-
-        a = float(u.coords @ self.mean)
-        s = math.sqrt(float(u.coords @ self.cov @ u.coords))
-        vals = np.empty(max_order + 1)
-        logs = np.full(max_order + 1, np.nan)
-        vals[0], logs[0] = 1.0, 0.0
-        log_s = math.log(s)
-        log_a = math.log(abs(a)) if a != 0.0 else -np.inf
-        for k in range(1, max_order + 1):
-            vals[k] = self.directional_moment(u, k)
-            if k % 2 == 0:
-                parts = []
-                for j in range(0, k + 1, 2):
-                    if a == 0.0 and j < k:
-                        continue
-                    mean_part = (k - j) * log_a if j < k else 0.0
-                    parts.append(math.log(math.comb(k, j)) + _log_double_factorial_odd(j)
-                                 + j * log_s + mean_part)
-                logs[k] = float(logsumexp(parts))
-        return MomentSequence(values=vals, log_values=logs)
+        """MomentSequence of the projection with exact log even moments."""
+        return _projected_sequence(self._signed_log_moments(u, max_order))
 
     def mixed_moment_table(self, max_order):
         """{alpha: E[x^alpha]} for every |alpha| <= max_order, by the Isserlis
@@ -123,15 +121,6 @@ class Gaussian:
                     beta[j] += 1
             table[alpha] = total
         return table
-
-
-def _from_signed_log(sign, log_abs):
-    # sign * exp(log_abs), +-inf where that overflows float64; a zero
-    # moment arrives as (0.0, -inf) and comes out as 0.0
-    try:
-        return sign * math.exp(log_abs)
-    except OverflowError:
-        return math.copysign(math.inf, sign)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,14 +192,7 @@ class ProductLognormal:
 
     def projected_even_moments(self, u, max_order):
         """MomentSequence of the projection with exact log even moments."""
-        vals = np.empty(max_order + 1)
-        logs = np.full(max_order + 1, np.nan)
-        for k, (sign, log_abs) in enumerate(self._signed_log_moments(u, max_order)):
-            vals[k] = _from_signed_log(sign, log_abs)
-            if k % 2 == 0:
-                # even moments of a projection are strictly positive
-                logs[k] = log_abs
-        return MomentSequence(values=vals, log_values=logs)
+        return _projected_sequence(self._signed_log_moments(u, max_order))
 
 
 def sample(dist, n, seed):

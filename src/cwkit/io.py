@@ -38,6 +38,14 @@ def write_json(path, obj):
 # ingestion
 # ---------------------------------------------------------------------------
 
+def _is_number(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _parse_csv_rows(lines, path):
     rows = []
     width = None
@@ -46,10 +54,8 @@ def _parse_csv_rows(lines, path):
         cells = [c.strip() for c in line.split(",")]
         if first:
             first = False
-            try:
-                [float(c) for c in cells]
-            except ValueError:
-                continue  # optional single header row
+            if not any(_is_number(c) for c in cells):
+                continue  # optional single header row: no cell is a number
         if width is not None and len(cells) != width:
             raise RaggedRows(f"{path}:{lineno}: expected {width} columns, got {len(cells)}",
                              row=lineno)
@@ -92,7 +98,8 @@ def ingest_samples(path, fmt=None):
             except json.JSONDecodeError as err:
                 raise ParseError(f"{path}:{lineno}: invalid JSON: {err.msg}",
                                  row=lineno) from None
-            if not isinstance(row, list) or not all(isinstance(x, (int, float)) for x in row):
+            # type, not isinstance: a JSON true is a bool, an int subclass
+            if not isinstance(row, list) or not all(type(x) in (int, float) for x in row):
                 raise ParseError(f"{path}:{lineno}: expected an array of numbers", row=lineno)
             if width is not None and len(row) != width:
                 raise RaggedRows(f"{path}:{lineno}: expected {width} entries, got {len(row)}",

@@ -187,12 +187,22 @@ class H1Result:
         }
 
 
+def _kendall_tau_b(x, y):
+    # sum_{i<j} sign(dx) sign(dy) / sqrt(#dx != 0) / sqrt(#dy != 0), clipped
+    # to [-1, 1]; the full sign matrices hold each pair twice
+    sx = np.sign(np.subtract.outer(x, x))
+    sy = np.sign(np.subtract.outer(y, y))
+    tau = (np.sum(sx * sy) / 2 / np.sqrt(np.count_nonzero(sx) // 2)
+           / np.sqrt(np.count_nonzero(sy) // 2))
+    return float(np.clip(tau, -1.0, 1.0))
+
+
 def h1_check(traces, tolerance, rule="final_below"):
     """Apply the per-direction convergence rule to each distance trace.
 
     final_below: last distance < tolerance. monotone_trend: additionally,
-    Kendall's tau of (sample size, distance) <= -0.5; a constant trace has
-    no trend and the final_below part alone decides.
+    Kendall's tau-b of (sample size, distance) <= -0.5; a constant trace
+    has no trend and the final_below part alone decides.
     """
     if not traces:
         raise ValueError("traces must be nonempty")
@@ -203,11 +213,7 @@ def h1_check(traces, tolerance, rule="final_below"):
         final = float(tr.distances[-1])
         tau = float("nan")
         if rule == "monotone_trend" and np.ptp(tr.distances) > 0 and np.ptp(tr.sizes) > 0:
-            # imported here, not at module level: loading scipy.stats is
-            # most of the CLI's start-up time, and only this rule needs it
-            from scipy.stats import kendalltau
-
-            tau = float(kendalltau(tr.sizes, tr.distances).statistic)
+            tau = _kendall_tau_b(tr.sizes, tr.distances)
         trend_ok = np.isnan(tau) or tau <= -0.5
         if final >= tolerance:
             passed, reason = False, "final_distance_exceeds"

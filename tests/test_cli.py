@@ -77,6 +77,40 @@ class TestIngest:
             ingest_samples(f, fmt="ndjson")
         assert err.value.row == 2
 
+    def test_ndjson_boolean_rejected(self, tmp_path):
+        f = tmp_path / "pts.ndjson"
+        f.write_text('[1.0, 2.0]\n[true, 2.0]\n')
+        with pytest.raises(ParseError) as err:
+            ingest_samples(f)
+        assert err.value.row == 2
+        assert ":2:" in str(err.value)
+
+    @pytest.mark.parametrize("header", ["x,y", "x1,x2,weight"])
+    def test_csv_all_text_first_row_is_header(self, header, tmp_path):
+        f = tmp_path / "pts.csv"
+        width = header.count(",") + 1
+        f.write_text(header + "\n" + ",".join(["1.0"] * width) + "\n")
+        loader = load_atomic_csv if width == 3 else ingest_samples
+        assert loader(f).n == 1
+
+    def test_csv_first_row_typo_raises(self, tmp_path, capsys):
+        # one numeric cell makes the first row data, so its typo is an error,
+        # not a header to skip
+        f = tmp_path / "typo.csv"
+        f.write_text("1.0,2x\n3.0,4.0\n5.0,6.0\n")
+        with pytest.raises(ParseError) as err:
+            ingest_samples(f)
+        assert (err.value.row, err.value.column) == (1, 2)
+        atomic = tmp_path / "typo_atomic.csv"
+        atomic.write_text("1.0,2x,0.5\n3.0,4.0,0.5\n")
+        with pytest.raises(ParseError) as err:
+            load_atomic_csv(atomic)
+        assert (err.value.row, err.value.column) == (1, 2)
+        code = main(["verdict", "--inputs", str(f), "--target", "gaussian",
+                     "--out", str(tmp_path / "v")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
 
 class TestParseRegion:
     def test_full(self):
@@ -457,3 +491,35 @@ def test_import_leaves_scipy_stats_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: with it unimportable, an analytic
+    # Gaussian verdict under the trend rule and the Gaussian Carleman
+    # subcommand still run
+    src = str(Path(cwkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = f"""
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+from cwkit import FullSphere, Gaussian, VerdictConfig, run_verdict, sample
+from cwkit.cli import main
+g = Gaussian(np.array([0.5, -1.0]), np.array([[2.0, 0.3], [0.3, 1.0]]))
+seq = [sample(g, n, seed=i) for i, n in enumerate((100, 1000, 5000))]
+config = VerdictConfig(region=FullSphere(2), n_directions=8, h1_rule="monotone_trend",
+                       reference_sample_size=5000, seed=3)
+report = run_verdict(seq, g, config)
+assert any(np.isfinite(r.kendall_tau) for r in report.h1_results)
+print(report.overall)
+print(main(["carleman", "--dist", "gaussian", "--carleman-order", "30",
+            "--out", {str(tmp_path / "carl")!r}]))
+"""
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    overall, carleman_code = done.stdout.split()
+    assert overall in ("consistent_with_convergence", "inconsistent", "inconclusive")
+    assert carleman_code == "0"
+    payload = json.loads((tmp_path / "carl" / "carleman.json").read_text())
+    assert payload["verdict"] == "diverging"

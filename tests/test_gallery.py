@@ -146,7 +146,7 @@ class TestGaussianOracle:
         for u in sample_uniform(3, 4, seed=5):
             for m in range(11):
                 assert mixed_to_directional(mm, u, m) == pytest.approx(
-                    g.directional_moment(u, m), rel=1e-12)
+                    g.projected_even_moments(u, m).values[m], rel=1e-12)
 
     def test_directional_moment_quadrature_oracle(self):
         # projection of N(mean, cov) along u is N(<u,mean>, u'cov u); check the
@@ -159,7 +159,7 @@ class TestGaussianOracle:
         for m in (1, 2, 3, 5, 8):
             oracle = float(mpmath.quad(
                 lambda t: t**m * mpmath.npdf(t, a, s), [-mpmath.inf, mpmath.inf]))
-            assert g.directional_moment(u, m) == pytest.approx(oracle, rel=1e-10)
+            assert g.projected_even_moments(u, m).values[m] == pytest.approx(oracle, rel=1e-10)
 
     def test_projected_even_moment_logs_exact(self):
         g = Gaussian(np.array([0.5, 0.0]), np.eye(2))
@@ -169,6 +169,47 @@ class TestGaussianOracle:
     def test_carleman_diverging(self):
         seq = Gaussian.standard(2).projected_even_moments(e1(), 60)
         assert carleman_partial_sums(seq, 30).verdict == "diverging"
+
+    @pytest.mark.parametrize("shift", [1.3, -0.8, 0.0])
+    def test_signed_logs_match_exact_recursion(self, shift):
+        # m_k = a m_{k-1} + (k-1) s2 m_{k-2} in 80 digits from the same float
+        # a and s2; every log to a few ulps, every sign exact
+        rng = np.random.default_rng(11)
+        a_mat = rng.standard_normal((3, 3))
+        u = Direction.from_vector([1.0, -2.0, 0.5])
+        mean = shift * u.coords  # <u, mean> = shift
+        g = Gaussian(mean, a_mat @ a_mat.T + 0.5 * np.eye(3))
+        a = float(u.coords @ g.mean)
+        assert (a > 0, a < 0, a == 0) == (shift > 0, shift < 0, shift == 0)
+        s2 = float(u.coords @ g.cov @ u.coords)
+        signed = g._signed_log_moments(u, 60)
+        seq = g.projected_even_moments(u, 60)
+        with mpmath.workdps(80):
+            exact = [mpmath.mpf(1), mpmath.mpf(a)]
+            for k in range(2, 61):
+                exact.append(a * exact[k - 1] + (k - 1) * mpmath.mpf(s2) * exact[k - 2])
+            for k, (sign, log_abs) in enumerate(signed):
+                if a == 0.0 and k % 2:
+                    assert (sign, log_abs) == (0.0, -math.inf)
+                    assert seq.values[k] == 0.0
+                    continue
+                assert sign == ((-1.0) ** k if a < 0 else 1.0)
+                want = float(mpmath.log(abs(exact[k])))
+                assert abs(log_abs - want) <= 4 * np.finfo(float).eps * max(1.0, abs(want))
+                if k % 2 == 0:
+                    assert seq.log_values[k] == log_abs
+                assert seq.values[k] == _from_signed_log(sign, log_abs)
+
+    def test_asymmetric_cov_stored_symmetric(self):
+        # allclose lets a tiny asymmetry through; every oracle and the
+        # sampler must then see the one symmetrised law
+        g = Gaussian(np.zeros(2), np.array([[1.0, 0.3], [0.300001, 1.0]]))
+        assert g.cov.tobytes() == g.cov.T.tobytes()
+        assert g.mixed_moment_table(2)[(1, 1)] == g.cov[0, 1]
+        chol = np.linalg.cholesky(g.cov)
+        assert (chol @ chol.T)[0, 1] == pytest.approx(g.cov[0, 1], rel=1e-15)
+        sym = np.array([[2.0, 0.6], [0.6, 1.0]])
+        assert Gaussian(np.zeros(2), sym).cov.tobytes() == sym.tobytes()
 
 
 class TestLognormalOracle:

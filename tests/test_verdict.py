@@ -11,8 +11,8 @@ from cwkit.directions import (Cap, Direction, FiniteSet, Frame, FullSphere,
 from cwkit.errors import DimensionMismatch, InsufficientRank
 from cwkit.gallery import Gaussian, ProductLognormal, sample, switching_pair
 from cwkit.projections import AtomicMeasure, DistanceTrace, SampleSet, ks_distance, project
-from cwkit.verdict import (VerdictConfig, aggregate_overall, h1_check, h2_check,
-                           moment_match, run_verdict, tightness_box)
+from cwkit.verdict import (VerdictConfig, _kendall_tau_b, aggregate_overall, h1_check,
+                           h2_check, moment_match, run_verdict, tightness_box)
 
 
 def ident_frame(d):
@@ -107,6 +107,25 @@ class TestH1Check:
         (res,) = h1_check([tr], tolerance=0.05, rule="monotone_trend")
         assert not res.passed
         assert res.reason == "trend_not_decreasing"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kendall_tau_b_bit_equal_to_scipy(seed):
+    # pins the pair count to the reference implementation on short traces
+    # with ties in both coordinates, as h1_check calls it
+    kendalltau = pytest.importorskip("scipy.stats").kendalltau
+    rng = np.random.default_rng(seed)
+    checked = 0
+    for _ in range(500):
+        n = int(rng.integers(2, 13))
+        sizes = np.sort(rng.integers(1, 6, n)) * 100
+        distances = rng.integers(0, int(rng.integers(1, 7)), n) / 7.0
+        if np.ptp(sizes) == 0 or np.ptp(distances) == 0:
+            continue
+        want = float(kendalltau(sizes, distances).statistic)
+        assert np.float64(_kendall_tau_b(sizes, distances)).tobytes() == np.float64(want).tobytes()
+        checked += 1
+    assert checked > 300
 
 
 class TestH2Check:
@@ -249,6 +268,19 @@ class TestRunVerdict:
         assert "zero_measure_region" in report.flags
         assert all(r.final_distance == 0.0 for r in report.h1_results)
         assert any(not r.passed for r in report.moment_table)
+
+    def test_huge_scale_target_does_not_overflow(self):
+        # variance 1e20: order-32 moments pass float64, their logs do not
+        g = Gaussian(np.zeros(3), 1e20 * np.eye(3))
+        seq = [sample(g, n, seed=i) for i, n in enumerate((200, 2000))]
+        config = VerdictConfig(region=FullSphere(3), n_directions=5, carleman_order=16,
+                               reference_sample_size=2000, seed=1)
+        report = run_verdict(seq, g, config)
+        assert [r.verdict for r in report.carleman_reports] == ["diverging"] * 3
+        for u in report.frame.directions:
+            seq32 = g.projected_even_moments(u, 32)
+            assert seq32.values[32] == np.inf
+            assert np.all(np.isfinite(seq32.log_values[0::2]))
 
     def test_deterministic_bytes(self):
         g, seq = gaussian_sequence()
