@@ -93,6 +93,43 @@ class TestIngest:
         loader = load_atomic_csv if width == 3 else ingest_samples
         assert loader(f).n == 1
 
+    @pytest.mark.parametrize("name, loader, text, expected", [
+        ("padded.csv", ingest_samples, "\n x , y \n\n 1.0 , 2.0 \n\n3.0,\t4.0\n",
+         [[1.0, 2.0], [3.0, 4.0]]),
+        ("empty.csv", ingest_samples, "", (ParseError, None, None)),
+        ("header_only.csv", ingest_samples, "x,y\n\n", (ParseError, None, None)),
+        ("empty_cell.csv", ingest_samples, "1.0,2.0\n3.0,\n", (ParseError, 2, 2)),
+        ("bad_cell.csv", ingest_samples, "1.0,2.0\n\nx3,4.0\n", (ParseError, 3, 1)),
+        ("ragged.csv", ingest_samples, "1.0,2.0\n3.0\n", (RaggedRows, 2, None)),
+        ("ragged_bad.csv", ingest_samples, "1.0,2.0\n3.0,x,5.0\n", (RaggedRows, 2, None)),
+        ("padded.ndjson", ingest_samples, "\n [1, 2.5] \n\n[3, 4]\n", [[1.0, 2.5], [3.0, 4.0]]),
+        ("empty.ndjson", ingest_samples, "\n\n", (ParseError, None, None)),
+        ("invalid.ndjson", ingest_samples, "[1, 2]\n[1, \n", (ParseError, 2, None)),
+        ("ragged.ndjson", ingest_samples, "[1, 2]\n\n[1, 2, 3]\n", (RaggedRows, 3, None)),
+        ("bool.ndjson", ingest_samples, "[1.0, 2.0]\n[true, 2.0]\n", (ParseError, 2, None)),
+        ("atomic.csv", load_atomic_csv, "x1,x2,weight\n0,0,0.25\n 1 , 2 ,0.75\n",
+         [[0.0, 0.0, 0.25], [1.0, 2.0, 0.75]]),
+        ("one_column.csv", load_atomic_csv, "w\n1.0\n", (ParseError, None, None)),
+        ("unknown_fmt.csv", lambda f: ingest_samples(f, fmt="tsv"), "1.0,2.0\n",
+         (ValueError, None, None)),
+    ])
+    def test_reader_table(self, name, loader, text, expected, tmp_path):
+        # exception type, row and column are the contract; wording may change
+        f = tmp_path / name
+        f.write_text(text)
+        if isinstance(expected, tuple):
+            exc, row, column = expected
+            with pytest.raises(exc) as err:
+                loader(f)
+            assert type(err.value) is exc
+            assert (getattr(err.value, "row", None), getattr(err.value, "column", None)) \
+                == (row, column)
+        else:
+            got = loader(f)
+            rows = got.points if got.weights is None else np.column_stack([got.points,
+                                                                           got.weights])
+            assert rows.tolist() == expected
+
     def test_csv_first_row_typo_raises(self, tmp_path, capsys):
         # one numeric cell makes the first row data, so its typo is an error,
         # not a header to skip

@@ -419,6 +419,23 @@ class TestSwitchingPair:
         with pytest.raises(ValueError):
             switching_pair([[0, 0]])
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_kernels_give_two_probability_measures(self, seed):
+        # net holds the coefficients of prod_j (1 - x^{v_j}): a nonzero
+        # Laurent polynomial whose coefficients sum to 0, so both signs occur
+        rng = np.random.default_rng(seed)
+        d, k = int(rng.integers(2, 5)), int(rng.integers(1, 7))
+        vs = []
+        while len(vs) < k:
+            v = rng.integers(-3, 4, size=d)
+            if np.any(v) and not any(np.linalg.matrix_rank(np.array([v, w])) < 2 for w in vs):
+                vs.append(v.tolist())
+        p, q, certified = switching_pair(vs)
+        assert len(certified) == len(vs)
+        for m in (p, q):
+            assert m.n >= 1
+            assert float(m.weights.sum()) == pytest.approx(1.0, abs=1e-12)
+
     def test_three_dim_certified(self):
         p, q, certified = switching_pair([[1, 0, 0], [0, 1, 1]])
         for u in certified:
