@@ -8,20 +8,20 @@ approach a target.
 
 import numpy as np
 
-from cwkit import (AtomicMeasure, Direction, Gaussian, SampleSet, distance_trace,
-                   ks_distance, project, sample, wasserstein1)
+from cwkit import (Direction, Empirical, Gaussian, distance_trace, ks_distance, project,
+                   sample, wasserstein1)
 
 u = Direction(np.array([np.sqrt(0.5), np.sqrt(0.5)]))
 
 # --- projections of exact atomic measures are exact ------------------------
-measure = AtomicMeasure(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.5, 0.5]))
+measure = Empirical(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.5, 0.5]))
 p = project(measure, u)
 print("both atoms of (1,0)/(0,1) project to the same value along the diagonal:")
 print("  atoms:", list(zip(p.values.tolist(), p.weights.tolist())))
 
 # --- KS and W1 on small laws ------------------------------------------------
-d0 = AtomicMeasure(np.array([[0.0, 0.0]]), np.array([1.0]))
-d1 = AtomicMeasure(np.array([[1.0, 0.0]]), np.array([1.0]))
+d0 = Empirical(np.array([[0.0, 0.0]]), np.array([1.0]))
+d1 = Empirical(np.array([[1.0, 0.0]]), np.array([1.0]))
 ex = Direction(np.array([1.0, 0.0]))
 print("\npoint masses at 0 and 1 along e1:")
 print("  ks =", ks_distance(project(d0, ex), project(d1, ex)))
@@ -43,7 +43,7 @@ w1_trace = distance_trace(sequence, reference, u, metric="w1")
 print("\nsame sequence under W1:", [round(d, 4) for d in w1_trace.distances.tolist()])
 
 # --- a sequence that converges to the wrong target stalls -------------------
-shifted = SampleSet(reference.points + np.array([0.5, 0.0]), label="shifted")
+shifted = Empirical(reference.points + np.array([0.5, 0.0]), label="shifted")
 stall = distance_trace(sequence, shifted, ex, metric="ks")
 print("\nKS against a target shifted by 0.5 along e1:",
       [round(d, 4) for d in stall.distances.tolist()])

@@ -8,7 +8,7 @@ indistinguishable; almost any other direction separates them immediately.
 
 import numpy as np
 
-from cwkit import (FiniteSet, SampleSet, VerdictConfig, ks_distance, moment_match,
+from cwkit import (Empirical, FiniteSet, VerdictConfig, ks_distance, moment_match,
                    project, run_verdict, sample_uniform, switching_pair)
 
 p, q, certified = switching_pair([[1, 0], [0, 1]])
@@ -40,7 +40,7 @@ print(f"\nKS along 200 uniform directions: min {min(gaps):.3f}, "
 # run the diagnostic with the finite certified set as the direction region:
 # every per-direction check passes with distance exactly 0, yet the region
 # has surface measure zero, so the run is flagged and returns inconclusive
-q_as_sample = SampleSet(q.points, label="q-atoms")
+q_as_sample = Empirical(q.points, label="q-atoms")
 config = VerdictConfig(region=FiniteSet(tuple(certified)), seed=0,
                        moment_order=2, carleman_order=6)
 report = run_verdict([q_as_sample, q_as_sample, q_as_sample], p, config)

@@ -11,11 +11,9 @@ tightness box, and reconstruct mixed moments from directional moments.
 from .directions import (Cap, Direction, FiniteSet, Frame, FullSphere, UnionOfCaps,
                          extract_frame, frame_constant, region_measure_estimate,
                          sample_in_region, sample_uniform)
-from .errors import (BudgetExhausted, CwkitError, DegenerateKernel, DimensionMismatch,
-                     InsufficientRank, OrderExceeded, ParseError, RaggedRows,
-                     RankDeficient)
-from .gallery import (Gaussian, ProductLognormal, empirical_mgf, mixed_moments_of, sample,
-                      switching_pair)
+from .errors import (BudgetExhausted, CwkitError, DimensionMismatch, InsufficientRank,
+                     OrderExceeded, ParseError, RaggedRows, RankDeficient)
+from .gallery import Gaussian, ProductLognormal, mixed_moments_of, sample, switching_pair
 from .moments import (CarlemanReport, MixedMoments, MomentSequence, carleman_partial_sums,
                       empirical_moments, homogeneous_dim, mixed_to_directional,
                       moment_sequence, multi_indices, multi_indices_upto, multinomial,

@@ -34,10 +34,6 @@ class OrderExceeded(CwkitError):
     """A moment of higher order than the stored/available table was requested."""
 
 
-class DegenerateKernel(CwkitError):
-    """Switching construction produced an empty positive or negative part."""
-
-
 class ParseError(CwkitError):
     """Malformed cell in an input file."""
 

@@ -20,7 +20,6 @@ from itertools import combinations, product
 import numpy as np
 
 from .directions import Direction, _freeze
-from .errors import DegenerateKernel
 from .moments import MixedMoments, MomentSequence, multi_indices_upto
 from .projections import Empirical
 from .rng import STREAM_GALLERY, substream
@@ -217,7 +216,10 @@ def sample(dist, n, seed):
 
 
 def mixed_moments_of(dist, max_order):
-    """Complete exact MixedMoments table of an analytic distribution."""
+    """Complete MixedMoments table of an analytic law (exact) or an Empirical
+    (see MixedMoments.from_sample)."""
+    if isinstance(dist, Empirical):
+        return MixedMoments.from_sample(dist, max_order)
     return MixedMoments(dist.dim, max_order, dist.mixed_moment_table(max_order))
 
 
@@ -280,10 +282,10 @@ def switching_pair(lattice_directions):
         key = tuple(atom.tolist())
         net[key] = net.get(key, 0) + (1 if sum(picks) % 2 == 0 else -1)
 
+    # net holds the coefficients of prod_j (1 - x^{v_j}), a nonzero Laurent
+    # polynomial whose coefficients sum to prod_j (1 - 1) = 0: both signs occur
     pos = [(a, c) for a, c in net.items() if c > 0]
     neg = [(a, -c) for a, c in net.items() if c < 0]
-    if not pos or not neg:
-        raise DegenerateKernel("kernel expansion collapsed to a single sign")
 
     def build(atoms):
         pts = np.array([a for a, _ in atoms], dtype=np.float64)
@@ -294,26 +296,3 @@ def switching_pair(lattice_directions):
     certified = [_orthogonal_unit(v) for v in vs]
     return p, q, certified
 
-
-def empirical_mgf(sample_set, u, t_grid):
-    """Empirical moment generating function of the projection at each t.
-
-    Returns (t, value, unstable) triples; unstable means the largest 1% of
-    the points carries more than half of the sum, the signature of an MGF
-    that does not exist at that t.
-    """
-    proj = sample_set.points @ u.coords
-    n = proj.size
-    k = max(1, math.ceil(0.01 * n))
-    out = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in t_grid:
-            terms = np.exp(float(t) * proj)
-            total = float(terms.sum())
-            top = float(np.sort(terms)[-k:].sum())
-            if not math.isfinite(total):
-                unstable = True
-            else:
-                unstable = top > 0.5 * total
-            out.append((float(t), total / n, unstable))
-    return out

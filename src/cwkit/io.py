@@ -46,28 +46,40 @@ def _is_number(cell):
     return True
 
 
-def _parse_csv_rows(lines, path):
+def _read_rows(path, fmt):
+    """One list of floats per nonblank line of a CSV or NDJSON file.
+
+    A CSV file may open with one header row, a row in which no cell is a
+    number. Every row must have the width of the first.
+    """
+    lines = [(i, ln) for i, ln in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if ln.strip()]
+    if fmt == "csv" and lines and not any(map(_is_number, lines[0][1].split(","))):
+        del lines[0]
     rows = []
-    width = None
-    first = True
     for lineno, line in lines:
-        cells = [c.strip() for c in line.split(",")]
-        if first:
-            first = False
-            if not any(_is_number(c) for c in cells):
-                continue  # optional single header row: no cell is a number
-        if width is not None and len(cells) != width:
-            raise RaggedRows(f"{path}:{lineno}: expected {width} columns, got {len(cells)}",
-                             row=lineno)
-        parsed = []
-        for col, cell in enumerate(cells, start=1):
+        if fmt == "csv":
+            cells = line.split(",")
+        else:
             try:
-                parsed.append(float(cell))
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: column {col}: not a number: {cell!r}",
-                                 row=lineno, column=col) from None
-        width = len(parsed)
-        rows.append(parsed)
+                cells = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise ParseError(f"{path}:{lineno}: invalid JSON: {err.msg}",
+                                 row=lineno) from None
+            # type, not isinstance: a JSON true is a bool, an int subclass
+            if not isinstance(cells, list) or not all(type(x) in (int, float) for x in cells):
+                raise ParseError(f"{path}:{lineno}: expected an array of numbers", row=lineno)
+        if rows and len(cells) != len(rows[0]):
+            raise RaggedRows(f"{path}:{lineno}: expected {len(rows[0])} cells, got {len(cells)}",
+                             row=lineno)
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError:
+            col = next(j for j, c in enumerate(cells, 1) if not _is_number(c))
+            raise ParseError(f"{path}:{lineno}: column {col}: not a number: "
+                             f"{cells[col - 1].strip()!r}", row=lineno, column=col) from None
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
     return rows
 
 
@@ -83,41 +95,16 @@ def ingest_samples(path, fmt=None):
         fmt = "ndjson" if path.suffix.lower() in (".ndjson", ".jsonl") else "csv"
     if fmt not in FORMATS:
         raise ValueError("fmt must be 'csv' or 'ndjson'")
-    raw = path.read_text(encoding="utf-8")
-    lines = [(i, ln) for i, ln in enumerate(raw.splitlines(), start=1) if ln.strip()]
-    if not lines:
-        raise ParseError(f"{path}: no data rows")
-    if fmt == "csv":
-        rows = _parse_csv_rows(lines, path)
-    else:
-        rows = []
-        width = None
-        for lineno, line in lines:
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise ParseError(f"{path}:{lineno}: invalid JSON: {err.msg}",
-                                 row=lineno) from None
-            # type, not isinstance: a JSON true is a bool, an int subclass
-            if not isinstance(row, list) or not all(type(x) in (int, float) for x in row):
-                raise ParseError(f"{path}:{lineno}: expected an array of numbers", row=lineno)
-            if width is not None and len(row) != width:
-                raise RaggedRows(f"{path}:{lineno}: expected {width} entries, got {len(row)}",
-                                 row=lineno)
-            width = len(row)
-            rows.append([float(x) for x in row])
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
+    rows = _read_rows(path, fmt)
+    # build the array while rows is alive: freeing the row lists first left
+    # the CLI's allocator state such that its W1 kernel took ~45x the page faults
     return Empirical(points=np.array(rows), label=path.stem)
 
 
 def load_atomic_csv(path):
     """Read a weighted Empirical from CSV rows of d coordinates plus a weight."""
-    path = Path(path)
-    lines = [(i, ln) for i, ln in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-             if ln.strip()]
-    rows = _parse_csv_rows(lines, path)
-    if not rows or len(rows[0]) < 2:
+    rows = _read_rows(Path(path), "csv")
+    if len(rows[0]) < 2:
         raise ParseError(f"{path}: need at least one coordinate column plus a weight column")
     arr = np.array(rows)
     return Empirical(points=arr[:, :-1], weights=arr[:, -1])

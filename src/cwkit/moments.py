@@ -303,8 +303,6 @@ def _design_rows(U, m):
 
 def mixed_to_directional(mm, u, m):
     """Forward map: sum_{|alpha|=m} C(m; alpha) u^alpha mu_alpha."""
-    if m > mm.max_order:
-        raise OrderExceeded(f"order {m} exceeds max_order={mm.max_order}")
     _, rows = _design_rows(u.coords[None, :], m)
     return float(rows[0] @ mm.order_values(m))
 

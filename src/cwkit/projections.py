@@ -113,10 +113,10 @@ SampleSet = Empirical
 AtomicMeasure = Empirical
 
 
-def _merge_sorted(values, weights, tol=MERGE_TOL):
-    # group consecutive sorted values whose gap is <= tol; representative is
-    # the weighted mean, so representatives stay strictly increasing
-    apart = np.diff(values) > tol
+def _merge_sorted(values, weights):
+    # group consecutive sorted values whose gap is <= MERGE_TOL; representative
+    # is the weighted mean, so representatives stay strictly increasing
+    apart = np.diff(values) > MERGE_TOL
     if apart.all():
         # every group holds one value: reduceat would be the identity, but
         # v * w / w is not always v, and the representative keeps that rounding

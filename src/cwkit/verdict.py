@@ -28,8 +28,7 @@ from . import gallery
 from .directions import (DEFAULT_FRAME_TAU, FiniteSet, extract_frame, frame_constant,
                          sample_in_region)
 from .errors import BudgetExhausted, DimensionMismatch, InsufficientRank
-from .moments import (MixedMoments, carleman_partial_sums, jsonsafe, moment_sequence,
-                      multi_indices)
+from .moments import carleman_partial_sums, jsonsafe, moment_sequence, multi_indices
 from .projections import METRICS, DistanceTrace, Empirical, distance_trace
 from .rng import STREAM_REFERENCE, substream
 
@@ -80,10 +79,17 @@ class VerdictConfig:
             raise ValueError("carleman_order must be >= 5")
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
+        # a NaN, zero or negative tolerance would decide every check by itself
+        for name in ("h1_tolerance", "moment_se_multiplier"):
+            x = getattr(self, name)
+            if x is not None and not (np.isfinite(x) and x > 0.0):
+                raise ValueError(f"{name} must be finite and > 0")
         if self.moment_tolerances is not None:
             tols = tuple(float(t) for t in self.moment_tolerances)
             if len(tols) != self.moment_order:
                 raise ValueError("need one moment tolerance per order 1..moment_order")
+            if not all(np.isfinite(t) and t > 0.0 for t in tols):
+                raise ValueError("moment tolerances must be finite and > 0")
             self.moment_tolerances = tols
 
     def echo(self):
@@ -273,12 +279,6 @@ class MomentMatchRow:
         }
 
 
-def _mixed_moments_of(source, max_order):
-    if isinstance(source, Empirical):
-        return MixedMoments.from_sample(source, max_order)
-    return gallery.mixed_moments_of(source, max_order)
-
-
 def moment_match(target, q_source, max_order, per_order_tolerances=None,
                  se_multiplier=5.0):
     """Compare mixed moments of the target and a candidate, order by order.
@@ -291,8 +291,8 @@ def moment_match(target, q_source, max_order, per_order_tolerances=None,
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    p_mm = _mixed_moments_of(target, max_order)
-    q_mm = _mixed_moments_of(q_source, max_order)
+    p_mm = gallery.mixed_moments_of(target, max_order)
+    q_mm = gallery.mixed_moments_of(q_source, max_order)
     if p_mm.dim != q_mm.dim:
         raise DimensionMismatch(f"target dim {p_mm.dim} != candidate dim {q_mm.dim}")
     rows = []
@@ -362,15 +362,16 @@ def aggregate_overall(h1_results, carleman_verdicts, moment_rows, flags):
     """Fold the pieces into one verdict.
 
     zero_measure_region voids everything: inconclusive. Otherwise a failed
-    direction rule or moment mismatch falsifies: inconsistent. Otherwise an
-    inconclusive Carleman scan blocks the conclusion: inconclusive. All
-    clear: consistent_with_convergence.
+    direction rule or moment mismatch falsifies: inconsistent. Otherwise a
+    Carleman scan that is not 'diverging' blocks the conclusion, since without
+    Carleman's condition along the frame the projections need not identify
+    the law: inconclusive. All clear: consistent_with_convergence.
     """
     if "zero_measure_region" in flags:
         return "inconclusive"
     if any(not r.passed for r in h1_results) or any(not r.passed for r in moment_rows):
         return "inconsistent"
-    if any(v == "inconclusive" for v in carleman_verdicts):
+    if any(v != "diverging" for v in carleman_verdicts):
         return "inconclusive"
     return "consistent_with_convergence"
 

@@ -495,6 +495,15 @@ class TestErrorPaths:
         assert err["error"] == "ParseError"
         assert err["row"] == 2
 
+    def test_negative_h1_tolerance_exit_two(self, tmp_path, capsys, gaussian_files):
+        # a negative tolerance would fail every direction: exit 1 on any data
+        code = main(["verdict", "--inputs", ",".join(map(str, gaussian_files)),
+                     "--target", "gaussian", "--h1-tolerance", "-1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "h1_tolerance" in err["message"]
+
     def test_missing_required_option(self, tmp_path, capsys):
         code = main(["project", "--direction", "1,0", "--out", str(tmp_path / "o")])
         assert code == 2

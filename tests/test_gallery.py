@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from cwkit.directions import Direction, sample_uniform
-from cwkit.gallery import (Gaussian, ProductLognormal, _from_signed_log, empirical_mgf,
-                           mixed_moments_of, sample, switching_pair)
+from cwkit.gallery import (Gaussian, ProductLognormal, _from_signed_log, mixed_moments_of,
+                           sample, switching_pair)
 from cwkit.moments import (carleman_partial_sums, mixed_to_directional,
                            multi_indices, multi_indices_upto, multinomial)
 from cwkit.projections import AtomicMeasure, Empirical, ks_distance, project
@@ -443,24 +443,3 @@ class TestSwitchingPair:
             assert pp.values.tolist() == pytest.approx(pq.values.tolist(), abs=1e-12)
             assert pp.weights.tolist() == pytest.approx(pq.weights.tolist(), abs=1e-12)
 
-
-class TestEmpiricalMgf:
-    def test_point_mass_stable_one(self):
-        from cwkit.projections import SampleSet
-
-        s = SampleSet(np.zeros((500, 2)))
-        for t, value, unstable in empirical_mgf(s, e1(), [-1.0, 0.0, 1.0, 3.0]):
-            assert value == 1.0
-            assert not unstable
-
-    def test_gaussian_mgf_value(self):
-        s = sample(Gaussian.standard(2), 10**5, seed=4)
-        ((t, value, unstable),) = [empirical_mgf(s, e1(), [1.0])[0]]
-        assert t == 1.0
-        assert value == pytest.approx(math.exp(0.5), abs=0.05)
-        assert not unstable
-
-    def test_lognormal_flagged_unstable(self):
-        s = sample(ProductLognormal.standard(2), 10**5, seed=4)
-        (_, _, unstable) = empirical_mgf(s, e1(), [1.0])[0]
-        assert unstable  # the lognormal MGF is infinite for every t > 0

@@ -204,6 +204,9 @@ class TestAggregation:
     def test_carleman_inconclusive(self):
         assert self.agg([True], ["diverging", "inconclusive"], [True]) == "inconclusive"
 
+    def test_carleman_converging_blocks(self):
+        assert self.agg([True], ["diverging", "converging"], [True]) == "inconclusive"
+
     def test_zero_measure_region_wins(self):
         assert self.agg([True], ["diverging"], [False],
                         flags=("zero_measure_region",)) == "inconclusive"
@@ -218,10 +221,39 @@ class TestAggregation:
         failed = (not all(h1)) or (not all(moments))
         if failed:
             assert out == "inconsistent"
-        elif "inconclusive" in carleman:
-            assert out == "inconclusive"
-        else:
+        elif set(carleman) == {"diverging"}:
             assert out == "consistent_with_convergence"
+        else:
+            assert out == "inconclusive"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("metric", "l2"),
+    ("h1_rule", "median"),
+    ("n_directions", 0),
+    ("moment_order", 0),
+    ("carleman_order", 4),
+    ("epsilon", 0.0),
+    ("epsilon", 1.0),
+    ("epsilon", float("nan")),
+    ("moment_tolerances", (0.1,)),
+    ("h1_tolerance", float("nan")),
+    ("h1_tolerance", float("inf")),
+    ("h1_tolerance", 0.0),
+    ("h1_tolerance", -1.0),
+    ("moment_tolerances", (0.1, 0.0)),
+    ("moment_tolerances", (float("nan"), 0.1)),
+    ("moment_tolerances", (0.1, -1.0)),
+    ("moment_se_multiplier", float("nan")),
+    ("moment_se_multiplier", 0.0),
+    ("moment_se_multiplier", -5.0),
+])
+def test_config_rejects(field, value):
+    # moment_order 2 with two tolerances is valid; each case breaks one field
+    base = dict(region=FullSphere(2), moment_order=2, moment_tolerances=(0.1, 0.2))
+    VerdictConfig(**base)
+    with pytest.raises(ValueError):
+        VerdictConfig(**{**base, field: value})
 
 
 def test_config_echo_lists_every_field_once():
@@ -297,6 +329,18 @@ class TestRunVerdict:
         report = run_verdict(seq, ln, config)
         assert "carleman_condition_failed" in report.flags
 
+    def test_converging_carleman_blocks_overall(self):
+        # the lognormal's projections fail Carleman's condition: every frame
+        # direction comes back converging, which must not give a confident verdict
+        ln = ProductLognormal.standard(3)
+        seq = [sample(ln, n, seed=i) for i, n in enumerate((10**3, 10**4))]
+        config = VerdictConfig(region=FullSphere(3), n_directions=12, carleman_order=24,
+                               moment_order=1, reference_sample_size=10**4)
+        report = run_verdict(seq, ln, config)
+        assert [r.verdict for r in report.carleman_reports] == ["converging"] * 3
+        assert "carleman_condition_failed" in report.flags
+        assert report.overall == "inconclusive"
+
     def test_dimension_mismatch(self):
         g, seq = gaussian_sequence()
         with pytest.raises(DimensionMismatch):
@@ -344,10 +388,10 @@ class TestRunVerdict:
             carleman = [r.verdict for r in report.carleman_reports]
             if h1_failed or mm_failed:
                 assert report.overall == "inconsistent"
-            elif "inconclusive" in carleman:
-                assert report.overall == "inconclusive"
-            else:
+            elif set(carleman) == {"diverging"}:
                 assert report.overall == "consistent_with_convergence"
+            else:
+                assert report.overall == "inconclusive"
 
 
 class TestSampleVersusMeasure:
