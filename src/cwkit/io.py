@@ -96,8 +96,8 @@ def ingest_samples(path, fmt=None):
     if fmt not in FORMATS:
         raise ValueError("fmt must be 'csv' or 'ndjson'")
     rows = _read_rows(path, fmt)
-    # build the array while rows is alive: freeing the row lists first left
-    # the CLI's allocator state such that its W1 kernel took ~45x the page faults
+    # build the array while rows is alive: freeing the row lists first left glibc's
+    # heap so that the CLI's W1 kernel took ~45x the page faults (2-vCPU Linux host)
     return Empirical(points=np.array(rows), label=path.stem)
 
 
