@@ -39,23 +39,34 @@ def write_json(path, obj):
 # ---------------------------------------------------------------------------
 
 def _is_number(cell):
+    # a JSON integer too long for a float raises OverflowError, not ValueError
     try:
         float(cell)
-    except ValueError:
+    except (ValueError, OverflowError):
         return False
     return True
 
 
-def _read_rows(path, fmt):
-    """One list of floats per nonblank line of a CSV or NDJSON file.
+def _data_lines(path, fmt):
+    """(line number, text) of each data line: nonblank, CSV header dropped.
 
     A CSV file may open with one header row, a row in which no cell is a
-    number. Every row must have the width of the first.
+    number.
     """
     lines = [(i, ln) for i, ln in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              if ln.strip()]
     if fmt == "csv" and lines and not any(map(_is_number, lines[0][1].split(","))):
         del lines[0]
+    return lines
+
+
+def _read_rows(path, fmt):
+    """One list of floats per data line of a CSV or NDJSON file.
+
+    Every row must have the width of the first. A cell may still be
+    infinite or NaN; ``_finite_array`` rejects those.
+    """
+    lines = _data_lines(path, fmt)
     rows = []
     for lineno, line in lines:
         if fmt == "csv":
@@ -74,13 +85,29 @@ def _read_rows(path, fmt):
                              row=lineno)
         try:
             rows.append([float(c) for c in cells])
-        except ValueError:
+        except (ValueError, OverflowError):
             col = next(j for j, c in enumerate(cells, 1) if not _is_number(c))
-            raise ParseError(f"{path}:{lineno}: column {col}: not a number: "
-                             f"{cells[col - 1].strip()!r}", row=lineno, column=col) from None
+            raise ParseError(f"{path}:{lineno}: column {col}: not a float: "
+                             f"{str(cells[col - 1]).strip()[:40]!r}", row=lineno,
+                             column=col) from None
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return rows
+
+
+def _finite_array(path, fmt, rows):
+    """The rows as one float array; an infinite or NaN cell is a ParseError.
+
+    One vectorised check on the array; the file is read again for the bad
+    cell's line only when it fails.
+    """
+    arr = np.array(rows)
+    if not np.isfinite(arr).all():
+        r, c = np.argwhere(~np.isfinite(arr))[0]
+        lineno = _data_lines(path, fmt)[r][0]
+        raise ParseError(f"{path}:{lineno}: column {c + 1}: not finite: "
+                         f"{float(arr[r, c])}", row=lineno, column=int(c) + 1)
+    return arr
 
 
 def ingest_samples(path, fmt=None):
@@ -98,15 +125,16 @@ def ingest_samples(path, fmt=None):
     rows = _read_rows(path, fmt)
     # build the array while rows is alive: freeing the row lists first left glibc's
     # heap so that the CLI's W1 kernel took ~45x the page faults (2-vCPU Linux host)
-    return Empirical(points=np.array(rows), label=path.stem)
+    return Empirical(points=_finite_array(path, fmt, rows), label=path.stem)
 
 
 def load_atomic_csv(path):
     """Read a weighted Empirical from CSV rows of d coordinates plus a weight."""
-    rows = _read_rows(Path(path), "csv")
+    path = Path(path)
+    rows = _read_rows(path, "csv")
     if len(rows[0]) < 2:
         raise ParseError(f"{path}: need at least one coordinate column plus a weight column")
-    arr = np.array(rows)
+    arr = _finite_array(path, "csv", rows)
     return Empirical(points=arr[:, :-1], weights=arr[:, -1])
 
 

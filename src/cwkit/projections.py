@@ -11,12 +11,15 @@ considered the same atom; that tolerance is the single equality notion for
 grid, with no binning.
 
 Each projected law is sorted once, when it is built: a sample's projection
-by one ``np.sort`` (its masses are all equal, so no permutation needs to
-follow), a weighted measure's by a stable argsort that carries its weights.
-KS and W1 then merge the two sorted laws by ``searchsorted`` without
-sorting again, and skip the grouping step when no two pooled atoms lie
-within MERGE_TOL. Every result is bit-identical to pooling both laws and
-sorting them together, so verdict reports do not change.
+in place (its masses are all equal, so no permutation needs to follow), a
+weighted measure's by a stable argsort that carries its weights. The
+arrays the kernel makes are frozen where they are, not copied again. KS and
+W1 then place both sorted laws on one grid by ``searchsorted`` without
+sorting again. When no two pooled atoms lie within MERGE_TOL, they read
+each law's own cumulative mass at its own atoms and at the other law's
+ranks, and never build pooled mass arrays; otherwise they group the pooled
+atoms. Every result is bit-identical to pooling both laws and sorting them
+together, so verdict reports do not change.
 
 The kernel stays one direction at a time. One GEMM over all directions was
 measured against the per-direction matrix-vector products it would replace
@@ -115,28 +118,48 @@ AtomicMeasure = Empirical
 
 def _merge_sorted(values, weights):
     # group consecutive sorted values whose gap is <= MERGE_TOL; representative
-    # is the weighted mean, so representatives stay strictly increasing
+    # is the weighted mean, so representatives stay strictly increasing.
+    # Both callers pass fresh arrays, so the result is frozen where it is.
     apart = np.diff(values) > MERGE_TOL
     if apart.all():
         # every group holds one value: reduceat would be the identity, but
         # v * w / w is not always v, and the representative keeps that rounding
-        return values * weights / weights, weights
-    starts = np.flatnonzero(np.concatenate(([True], apart)))
-    wsum = np.add.reduceat(weights, starts)
-    vsum = np.add.reduceat(values * weights, starts)
-    return vsum / wsum, wsum
+        rep = values * weights
+        rep /= weights
+    else:
+        starts = np.flatnonzero(np.concatenate(([True], apart)))
+        rep = np.add.reduceat(values * weights, starts)
+        weights = np.add.reduceat(weights, starts)
+        rep /= weights
+    rep.flags.writeable = False
+    weights.flags.writeable = False
+    return rep, weights
+
+
+def _keep_frozen(a):
+    # the kernel's fresh arrays arrive read-only and owning their memory, so
+    # no view can write to them; anything else is copied and frozen
+    if a.dtype == np.float64 and a.flags.owndata and not a.flags.writeable:
+        return a
+    return _freeze(a)
 
 
 @dataclass(frozen=True, eq=False)
 class Projected1D:
-    """A 1-D atomic law: strictly increasing values, positive weights, mass 1."""
+    """A 1-D atomic law: strictly increasing values, positive weights, mass 1.
+
+    The law keeps read-only copies of its arrays. A float64 array that is
+    already read-only and owns its memory, as ``project`` makes them, is kept
+    without a copy: the law then relies on its owner never making it
+    writable again.
+    """
 
     values: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        w = np.asarray(self.weights, dtype=np.float64)
+        v = _keep_frozen(np.asarray(self.values, dtype=np.float64))
+        w = _keep_frozen(np.asarray(self.weights, dtype=np.float64))
         if v.ndim != 1 or v.shape != w.shape or v.size < 1:
             raise ValueError("values and weights must be matching 1-D arrays")
         if not (np.all(np.isfinite(v)) and np.all(np.isfinite(w))):
@@ -147,8 +170,8 @@ class Projected1D:
             raise ValueError("weights must be strictly positive")
         if abs(w.sum() - 1.0) > MASS_TOL:
             raise ValueError(f"weights sum to {w.sum()!r}, not 1 within {MASS_TOL}")
-        object.__setattr__(self, "values", _freeze(v))
-        object.__setattr__(self, "weights", _freeze(w))
+        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "weights", w)
 
     @property
     def n_atoms(self):
@@ -159,68 +182,111 @@ class Projected1D:
         values = np.asarray(values, dtype=np.float64)
         weights = np.asarray(weights, dtype=np.float64)
         order = np.argsort(values, kind="stable")
-        v, w = _merge_sorted(values[order], weights[order])
-        return cls(v, w)
+        return cls(*_merge_sorted(values[order], weights[order]))
 
 
 def project(source, u):
     """Push an Empirical forward under x -> <u, x>."""
     if source.dim != u.dim:
         raise DimensionMismatch(f"source dim {source.dim} != direction dim {u.dim}")
+    v = source.points @ u.coords
     if source.weights is not None:
-        return Projected1D.from_raw(source.points @ u.coords, source.weights)
+        return Projected1D.from_raw(v, source.weights)
     # equal masses: the sorting permutation cannot change a bit, so no argsort
-    return Projected1D(*_merge_sorted(np.sort(source.points @ u.coords), source.mass))
+    v.sort()
+    return Projected1D(*_merge_sorted(v, source.mass))
 
 
-def _merged_cdfs(a, b):
-    # pooled atom grid (merged within MERGE_TOL) with both cumulative masses.
+def _cum0(weights):
+    # 0.0, then the running sums of weights: the CDF just before each atom,
+    # and after the last
+    cum = np.empty(weights.size + 1)
+    cum[0] = 0.0
+    np.cumsum(weights, out=cum[1:])
+    return cum
+
+
+def _cdf_gaps(a, b):
+    """F_a - F_b just after each point of the pooled atom grid.
+
+    The grid holds the atoms of both laws, merged within MERGE_TOL. Returns
+    (steps, parts): steps is np.diff(grid), and parts is a list of
+    (gaps, places) pairs; putting each gaps array at its places (index
+    arrays, or a slice) gives F_a - F_b along the grid.
+
+    Bit-identical to pooling both laws, sorting them together with a stable
+    sort, summing each law's mass per grid point and taking cumulative sums.
+    When no two pooled atoms lie within MERGE_TOL no pooled mass is built:
+    np.cumsum adds in sequence and adding 0.0 changes nothing, so a's pooled
+    cumulative mass is its own cumsum read at the number of a-atoms so far.
+    """
     # Both laws are strictly increasing, so an atom's pooled position is its
     # own rank plus the number of the other law's atoms before it; an a-atom
     # goes before an equal b-atom, the order a stable sort of a ++ b gives.
     # Only the smaller law is searched: the other fills the free slots in order.
-    n = a.n_atoms + b.n_atoms
+    # Index and gap arithmetic runs in place: at these sizes each temporary is
+    # fresh memory from the OS, whose page faults cost about as much as the
+    # arithmetic itself.
+    na, nb = a.n_atoms, b.n_atoms
+    n = na + nb
     free = np.ones(n, dtype=bool)
-    if a.n_atoms <= b.n_atoms:
-        pos_a = np.arange(a.n_atoms) + np.searchsorted(b.values, a.values, "left")
+    if na <= nb:
+        b_before_a = np.searchsorted(b.values, a.values, "left")
+        pos_a = np.arange(na)
+        pos_a += b_before_a
         free[pos_a] = False
         pos_b = np.flatnonzero(free)
+        a_before_b = np.arange(nb)
+        np.subtract(pos_b, a_before_b, out=a_before_b)
     else:
-        pos_b = np.arange(b.n_atoms) + np.searchsorted(a.values, b.values, "right")
+        a_before_b = np.searchsorted(a.values, b.values, "right")
+        pos_b = np.arange(nb)
+        pos_b += a_before_b
         free[pos_b] = False
         pos_a = np.flatnonzero(free)
+        b_before_a = np.arange(na)
+        np.subtract(pos_a, b_before_a, out=b_before_a)
     values = np.empty(n)
     values[pos_a] = a.values
     values[pos_b] = b.values
+    steps = np.diff(values)
+    apart = steps > MERGE_TOL
+    if apart.all():
+        cum_a, cum_b = _cum0(a.weights), _cum0(b.weights)
+        gaps_a = cum_b[b_before_a]
+        np.subtract(cum_a[1:], gaps_a, out=gaps_a)
+        gaps_b = cum_a[a_before_b]
+        gaps_b -= cum_b[1:]
+        return steps, [(gaps_a, pos_a), (gaps_b, pos_b)]
     wa = np.zeros(n)
     wa[pos_a] = a.weights
     wb = np.zeros(n)
     wb[pos_b] = b.weights
-    apart = np.diff(values) > MERGE_TOL
-    if apart.all():
-        # one atom per group: reduceat and the division by 1 are identities
-        return values, np.cumsum(wa), np.cumsum(wb)
     starts = np.flatnonzero(np.concatenate(([True], apart)))
-    grid = np.add.reduceat(values, starts) / np.diff(np.append(starts, values.size))
-    cum_a = np.cumsum(np.add.reduceat(wa, starts))
-    cum_b = np.cumsum(np.add.reduceat(wb, starts))
-    return grid, cum_a, cum_b
+    grid = np.add.reduceat(values, starts) / np.diff(np.append(starts, n))
+    gaps = np.cumsum(np.add.reduceat(wa, starts)) - np.cumsum(np.add.reduceat(wb, starts))
+    return np.diff(grid), [(gaps, slice(None))]
 
 
 def ks_distance(a, b):
     """Exact sup distance between the two right-continuous CDFs; in [0, 1]."""
-    _, cum_a, cum_b = _merged_cdfs(a, b)
-    # cumulative weights may end at 1 +- a few ulp; the sup of a CDF gap
+    _, parts = _cdf_gaps(a, b)
+    # max |gap| as max(max, -min), with no array of absolute values;
+    # cumulative weights may end at 1 +- a few ulp, and the sup of a CDF gap
     # cannot exceed 1
-    return float(min(1.0, np.max(np.abs(cum_a - cum_b))))
+    return float(min(1.0, max(max(g.max(), -g.min()) for g, _ in parts)))
 
 
 def wasserstein1(a, b):
     """Exact 1-Wasserstein distance: integral of |F_a - F_b| over the grid."""
-    grid, cum_a, cum_b = _merged_cdfs(a, b)
-    if grid.size == 1:
+    steps, parts = _cdf_gaps(a, b)
+    if steps.size == 0:
         return 0.0
-    return float(np.sum(np.abs(cum_a[:-1] - cum_b[:-1]) * np.diff(grid)))
+    dist = np.empty(steps.size + 1)
+    for gaps, places in parts:
+        dist[places] = gaps
+    np.abs(dist, out=dist)
+    return float(np.sum(dist[:-1] * steps))
 
 
 _METRIC_FNS = {"ks": ks_distance, "w1": wasserstein1}

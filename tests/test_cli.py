@@ -112,6 +112,15 @@ class TestIngest:
         ("one_column.csv", load_atomic_csv, "w\n1.0\n", (ParseError, None, None)),
         ("unknown_fmt.csv", lambda f: ingest_samples(f, fmt="tsv"), "1.0,2.0\n",
          (ValueError, None, None)),
+        # cells outside the float range or not finite: named by row and column
+        ("overflow.csv", ingest_samples, "1.0,2.0\n3.0,1e400\n", (ParseError, 2, 2)),
+        ("nan.csv", ingest_samples, "x,y\n1.0,nan\n3.0,4.0\n", (ParseError, 2, 2)),
+        ("inf.csv", ingest_samples, "1.0,2.0\n\n-inf,4.0\n", (ParseError, 3, 1)),
+        pytest.param("long_int.ndjson", ingest_samples, "[1, 2]\n[3, " + "9" * 401 + "]\n",
+                     (ParseError, 2, 2), id="long_int.ndjson"),
+        ("nan.ndjson", ingest_samples, "[1, 2]\n[NaN, 2]\n", (ParseError, 2, 1)),
+        ("overflow_atomic.csv", load_atomic_csv, "x1,x2,weight\n0,0,0.25\n1,1e400,0.75\n",
+         (ParseError, 3, 2)),
     ])
     def test_reader_table(self, name, loader, text, expected, tmp_path):
         # exception type, row and column are the contract; wording may change

@@ -293,6 +293,73 @@ def test_kernel_bit_equal_to_reference(m_a, m_b, coords):
         assert bits(wasserstein1(x, y)) == bits(ref_w1(x, y))
 
 
+def _cloud(rng, n, weighted):
+    pts = rng.standard_normal((n, 2))
+    if not weighted:
+        return Empirical(pts)
+    w = rng.uniform(0.05, 1.0, n)
+    return Empirical(pts, w / w.sum())
+
+
+@pytest.mark.parametrize("n_a, n_b, weighted", [
+    (1, 1, (False, False)), (1, 5000, (False, True)), (5000, 1, (True, False)),
+    (37, 2500, (True, True)), (2500, 37, (False, False)), (4999, 5000, (False, False)),
+    (5000, 4999, (True, True)), (800, 800, (False, True)),
+])
+def test_kernel_bit_equal_to_reference_without_ties(n_a, n_b, weighted):
+    # continuous draws: no two pooled atoms lie within MERGE_TOL, so the
+    # kernel reads each law's own cumulative mass at its own atoms; (a, b)
+    # and (b, a) run both searchsorted branches when the sizes differ
+    rng = np.random.default_rng(n_a * 7919 + n_b)
+    u = Direction.from_vector(rng.standard_normal(2))
+    a = project(_cloud(rng, n_a, weighted[0]), u)
+    b = project(_cloud(rng, n_b, weighted[1]), u)
+    assert np.diff(np.sort(np.concatenate([a.values, b.values]))).min() > MERGE_TOL
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert bits(ks_distance(x, y)) == bits(ref_ks(x, y))
+        assert bits(wasserstein1(x, y)) == bits(ref_w1(x, y))
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.5e-12])
+def test_kernel_bit_equal_to_reference_with_cross_tie(shift):
+    # one b-atom equal to, or 0.5e-12 above, an a-atom: the pooled atoms are
+    # grouped, and the positions found once are reused
+    rng = np.random.default_rng(5)
+    a_vals = np.sort(rng.uniform(1.0, 2.0, 3000))
+    b_vals = np.sort(np.append(rng.uniform(1.0, 2.0, 1200), a_vals[1700] + shift))
+    w = rng.uniform(0.05, 1.0, b_vals.size)
+    a, b = law(a_vals), law(b_vals, w / w.sum())
+    for x, y in ((a, b), (b, a)):
+        assert bits(ks_distance(x, y)) == bits(ref_ks(x, y))
+        assert bits(wasserstein1(x, y)) == bits(ref_w1(x, y))
+        assert ref_merged_cdfs(x, y)[0].size == a.n_atoms + b.n_atoms - 1
+
+
+class TestNoAliasing:
+    def test_constructor_copies_writable_input(self):
+        v, w = np.array([0.0, 1.0]), np.array([0.25, 0.75])
+        p = Projected1D(v, w)
+        v[0], w[:] = -5.0, 0.5
+        assert p.values.tolist() == [0.0, 1.0] and p.weights.tolist() == [0.25, 0.75]
+
+    def test_constructor_copies_read_only_view(self):
+        base = np.array([0.0, 1.0, 2.0])
+        view = base[:2]
+        view.flags.writeable = False
+        p = Projected1D(view, np.array([0.5, 0.5]))
+        base[0] = -5.0
+        assert p.values.tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("weights", [None, np.array([0.2, 0.3, 0.5])])
+    def test_project_returns_read_only_arrays_of_its_own(self, weights):
+        source = Empirical(np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 3.0]]), weights)
+        p = project(source, Direction(np.array([1.0, 0.0])))
+        assert not (p.values.flags.writeable or p.weights.flags.writeable)
+        assert not np.shares_memory(p.values, source.points)
+        with pytest.raises(ValueError):
+            p.values[0] = 9.0
+
+
 class TestDistanceTrace:
     def test_constant_target_sequence(self):
         t = SampleSet(np.array([[0.0, 1.0], [2.0, -1.0]]))
