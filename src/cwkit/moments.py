@@ -17,6 +17,7 @@ order everywhere (grades ascending; within a grade, lexicographically
 descending, e.g. d=2, m=2: (2,0), (1,1), (0,2)).
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -51,12 +52,10 @@ def multi_indices(d, m):
     """All multi-indices alpha with |alpha| = m, lexicographically descending."""
     if d < 1 or m < 0:
         raise ValueError("need d >= 1 and m >= 0")
-    if d == 1:
-        return [(m,)]
-    out = []
-    for head in range(m, -1, -1):
-        out.extend((head, *tail) for tail in multi_indices(d - 1, m - head))
-    return out
+    # counting each draw turns lexicographically ascending draws of m
+    # coordinates into lexicographically descending multi-indices
+    return [tuple(draw.count(j) for j in range(d))
+            for draw in itertools.combinations_with_replacement(range(d), m)]
 
 
 def multi_indices_upto(d, max_order):
@@ -273,16 +272,17 @@ class MixedMoments:
         come from the same monomials, built one alpha at a time: all at once
         they would take about 240 MB at d = 8, order 6, n = 10 000."""
         points, dim, n = source.points, source.dim, source.n
-        # power table: pows[i, k, j] = x_ij^k
-        pows = np.ones((n, max_order + 1, dim))
+        # power table: pows[j, k] = x_j^k, one contiguous row per factor
+        pows = np.ones((dim, max_order + 1, n))
         for k in range(1, max_order + 1):
-            pows[:, k, :] = pows[:, k - 1, :] * points
+            np.multiply(pows[:, k - 1], points.T, out=pows[:, k])
         table, se = {}, {}
+        mono = np.empty(n)
         for alpha in multi_indices_upto(dim, max_order):
-            mono = np.ones(n)
+            mono.fill(1.0)  # then 1 * x_j^a * x_k^b * ..., one factor at a time
             for j, a in enumerate(alpha):
                 if a:
-                    mono = mono * pows[:, a, j]
+                    np.multiply(mono, pows[j, a], out=mono)
             table[alpha] = float(source.expect(mono))
             if source.weights is None:
                 se[alpha] = float(np.std(mono) / np.sqrt(n))

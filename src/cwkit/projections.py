@@ -5,10 +5,11 @@ an i.i.d. sample (mass 1/n per row, moments known up to Monte-Carlo error),
 with weights an exact finite measure. ``SampleSet`` and ``AtomicMeasure``
 are older names for the same type.
 
-All 1-D laws are finite atomic measures. Values closer than MERGE_TOL are
-considered the same atom; that tolerance is the single equality notion for
-1-D laws package-wide. Distances are computed exactly on the merged atom
-grid, with no binning.
+All 1-D laws are finite atomic measures. Sorted values at most MERGE_TOL
+apart are one atom, the single equality notion for 1-D laws package-wide;
+a merged atom sits at its group's first (smallest) value with the group's
+summed mass. So every atom is a data value, atoms stay strictly increasing
+at any offset, and distances are computed exactly on that grid, unbinned.
 
 Each projected law is sorted once, when it is built: a sample's projection
 in place (its masses are all equal, so no permutation needs to follow), a
@@ -117,23 +118,17 @@ AtomicMeasure = Empirical
 
 
 def _merge_sorted(values, weights):
-    # group consecutive sorted values whose gap is <= MERGE_TOL; representative
-    # is the weighted mean, so representatives stay strictly increasing.
-    # Both callers pass fresh arrays, so the result is frozen where it is.
+    # group consecutive sorted values whose gap is <= MERGE_TOL; a group sits
+    # at its first value with its summed mass, so atoms are data values more
+    # than MERGE_TOL apart. Both callers pass fresh arrays, frozen in place.
     apart = np.diff(values) > MERGE_TOL
-    if apart.all():
-        # every group holds one value: reduceat would be the identity, but
-        # v * w / w is not always v, and the representative keeps that rounding
-        rep = values * weights
-        rep /= weights
-    else:
+    if not apart.all():
         starts = np.flatnonzero(np.concatenate(([True], apart)))
-        rep = np.add.reduceat(values * weights, starts)
+        values = values[starts]
         weights = np.add.reduceat(weights, starts)
-        rep /= weights
-    rep.flags.writeable = False
+    values.flags.writeable = False
     weights.flags.writeable = False
-    return rep, weights
+    return values, weights
 
 
 def _keep_frozen(a):
@@ -209,7 +204,7 @@ def _cum0(weights):
 def _cdf_gaps(a, b):
     """F_a - F_b just after each point of the pooled atom grid.
 
-    The grid holds the atoms of both laws, merged within MERGE_TOL. Returns
+    The grid holds the atoms of both laws, merged as within one law. Returns
     (steps, parts): steps is np.diff(grid), and parts is a list of
     (gaps, places) pairs; putting each gaps array at its places (index
     arrays, or a slice) gives F_a - F_b along the grid.
@@ -263,7 +258,7 @@ def _cdf_gaps(a, b):
     wb = np.zeros(n)
     wb[pos_b] = b.weights
     starts = np.flatnonzero(np.concatenate(([True], apart)))
-    grid = np.add.reduceat(values, starts) / np.diff(np.append(starts, n))
+    grid = values[starts]
     gaps = np.cumsum(np.add.reduceat(wa, starts)) - np.cumsum(np.add.reduceat(wb, starts))
     return np.diff(grid), [(gaps, slice(None))]
 

@@ -117,8 +117,7 @@ class TightnessBox:
 
     def coverage(self, element):
         """Fraction of an element's mass inside the box."""
-        inside = np.all(_abs_frame_coords(element, self.frame) <= self.half_widths, axis=1)
-        return float(element.expect(inside))
+        return _coverage(element, _abs_frame_coords(element, self.frame), self.half_widths)
 
     def to_dict(self):
         return {
@@ -132,6 +131,10 @@ def _abs_frame_coords(element, frame):
     # |<u_j, x>| one frame row at a time, for the quantiles and the coverage
     # alike: a matrix product rounds differently and can push tied rows out
     return np.abs(np.column_stack([element.points @ u_row for u_row in frame.matrix]))
+
+
+def _coverage(element, abs_coords, half_widths):
+    return float(element.expect(np.all(abs_coords <= half_widths, axis=1)))
 
 
 def _abs_quantile(element, v, q):
@@ -162,12 +165,10 @@ def tightness_box(sequence, frame, epsilon):
         max(_abs_quantile(elem, c[:, j], q) for elem, c in zip(sequence, coords))
         for j in range(d)
     ])
-    box = TightnessBox(frame=frame, half_widths=half, epsilon=epsilon,
-                       achieved_coverage=())
-    cov = tuple(box.coverage(elem) for elem in sequence)
+    cov = tuple(_coverage(elem, c, half) for elem, c in zip(sequence, coords))
     if min(cov) < 1.0 - epsilon - 1e-9:
         raise AssertionError("coverage fell below 1 - epsilon on the building data")
-    return dataclasses.replace(box, achieved_coverage=cov)
+    return TightnessBox(frame=frame, half_widths=half, epsilon=epsilon, achieved_coverage=cov)
 
 
 # ---------------------------------------------------------------------------

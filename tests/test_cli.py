@@ -393,6 +393,24 @@ class TestVerdictCommand:
         assert "metric = w1" in echo     # config survives where no flag given
         assert "directions = 20" in echo
 
+    @pytest.mark.parametrize("target", ["gaussian", "sample"])
+    def test_far_from_origin_is_a_verdict(self, tmp_path, target):
+        # projections of 1e6 + 1e-4 N(0, I) lie a few floats apart, yet more
+        # than MERGE_TOL apart: translated data gets a verdict, not an error
+        rng = np.random.default_rng(17)
+        paths = []
+        for n in (2000, 20000, 5000):
+            p = tmp_path / f"off_{n}.csv"
+            rows = 1e6 + 1e-4 * rng.standard_normal((n, 2))
+            p.write_text("".join(f"{float(a)!r},{float(b)!r}\n" for a, b in rows))
+            paths.append(str(p))
+        spec = paths[2] if target == "sample" else target
+        out = tmp_path / "voff"
+        code = main(["verdict", "--inputs", ",".join(paths[:2]), "--target", spec,
+                     "--directions", "20", "--seed", "3", "--out", str(out)])
+        assert code in (0, 1)
+        assert (out / "verdict.json").exists()
+
 
 ATOMS = np.array([[1.0, 0.5], [-0.5, 1.5], [0.25, -1.0]])
 ATOM_WEIGHTS = np.array([0.5, 0.25, 0.25])

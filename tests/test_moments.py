@@ -221,6 +221,46 @@ class TestStandardErrors:
             expected = np.std(mono) / np.sqrt(pts.shape[0])
             assert abs(mm.se[alpha] - expected) <= 1e-12 * expected
 
+    @staticmethod
+    def loop_reference(source, max_order):
+        # a power table of shape (n, order + 1, d) and a fresh monomial array
+        # per alpha, multiplied up one factor at a time
+        points, dim, n = source.points, source.dim, source.n
+        pows = np.ones((n, max_order + 1, dim))
+        for k in range(1, max_order + 1):
+            pows[:, k, :] = pows[:, k - 1, :] * points
+        table, se = {}, {}
+        for alpha in multi_indices_upto(dim, max_order):
+            mono = np.ones(n)
+            for j, a in enumerate(alpha):
+                if a:
+                    mono = mono * pows[:, a, j]
+            table[alpha] = float(source.expect(mono))
+            if source.weights is None:
+                se[alpha] = float(np.std(mono) / np.sqrt(n))
+        return table, se
+
+    @pytest.mark.parametrize("d, order, n, weighted", [
+        (1, 0, 1, False), (1, 9, 300, False), (3, 7, 500, True),
+        (4, 6, 2000, False), (8, 6, 400, False), (8, 4, 300, True),
+    ])
+    def test_table_bit_equal_to_loop(self, d, order, n, weighted):
+        rng = np.random.default_rng(100 * d + order)
+        # heavy tails, signed zeros and exact integers next to Gaussian draws
+        pts = rng.standard_normal((n, d)) * np.exp(rng.standard_normal((n, d)))
+        pts[::7, 0] = -0.0
+        pts[1::5, -1] = np.round(pts[1::5, -1])
+        if weighted:
+            w = rng.uniform(0.05, 1.0, n)
+            source = AtomicMeasure(pts, w / w.sum())
+        else:
+            source = SampleSet(pts)
+        mm = MixedMoments.from_sample(source, order)
+        table, se = self.loop_reference(source, order)
+        assert list(mm.table) == list(table) and list(mm.se) == list(se)
+        assert np.array(list(mm.table.values())).tobytes() == np.array(list(table.values())).tobytes()
+        assert np.array(list(mm.se.values())).tobytes() == np.array(list(se.values())).tobytes()
+
     def test_exact_sources_have_none(self):
         rng = np.random.default_rng(3)
         assert MixedMoments.from_sample(random_atomic(rng, 3, 5), 4).se == {}
@@ -337,7 +377,7 @@ class TestAbsoluteMomentBound:
 
 
 @settings(max_examples=25, deadline=None)
-@given(d=st.integers(2, 4), m=st.integers(0, 5))
+@given(d=st.integers(1, 8), m=st.integers(0, 6))
 def test_multi_indices_partition_property(d, m):
     idx = multi_indices(d, m)
     assert len(idx) == homogeneous_dim(d, m)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cwkit.directions import Direction
+from cwkit.directions import Direction, sample_uniform
 from cwkit.errors import DimensionMismatch
 from cwkit.projections import (MASS_TOL, MERGE_TOL, AtomicMeasure, Empirical, Projected1D,
                                SampleSet, distance_trace, ks_distance, project, wasserstein1)
@@ -215,16 +215,17 @@ def test_zero_iff_equal_after_merge(a, b):
 
 
 # Reference kernel: pool both laws, sort them together with a stable argsort,
-# then group with reduceat. The production kernel sorts each projected law
-# once and merges the two sorted laws by searchsorted; it must reproduce this
-# arithmetic bit for bit, because verdict reports are compared byte for byte.
+# then group with reduceat, each group at its first value. The production
+# kernel sorts each projected law once and merges the two sorted laws by
+# searchsorted; it must reproduce this arithmetic bit for bit, because
+# verdict reports are compared byte for byte.
 
 def ref_from_raw(values, weights):
     order = np.argsort(values, kind="stable")
     values, weights = values[order], weights[order]
     starts = np.flatnonzero(np.concatenate(([True], np.diff(values) > MERGE_TOL)))
     wsum = np.add.reduceat(weights, starts)
-    return np.add.reduceat(values * weights, starts) / wsum, wsum
+    return values[starts], wsum
 
 
 def ref_merged_cdfs(a, b):
@@ -234,7 +235,7 @@ def ref_merged_cdfs(a, b):
     order = np.argsort(values, kind="stable")
     values, wa, wb = values[order], wa[order], wb[order]
     starts = np.flatnonzero(np.concatenate(([True], np.diff(values) > MERGE_TOL)))
-    grid = np.add.reduceat(values, starts) / np.diff(np.append(starts, values.size))
+    grid = values[starts]
     cum_a = np.cumsum(np.add.reduceat(wa, starts))
     cum_b = np.cumsum(np.add.reduceat(wb, starts))
     return grid, cum_a, cum_b
@@ -392,3 +393,32 @@ class TestDistanceTrace:
         with pytest.raises(DimensionMismatch):
             distance_trace([SampleSet(np.zeros((1, 3)))], delta(0.0, 0.0),
                            Direction(np.array([1.0, 0.0])), "ks")
+
+
+class TestFarFromOrigin:
+    # Far from the origin, neighbouring projections can be one float apart
+    # and still more than MERGE_TOL apart: each stays its own atom, on its
+    # own value, whatever the offset.
+
+    def test_offset_gaussian_cloud(self):
+        rng = np.random.default_rng(0)
+        cloud = Empirical(1e6 + 1e-4 * rng.standard_normal((10**5, 3)))
+        for u in sample_uniform(3, 20, seed=1):
+            p = project(cloud, u)
+            assert np.all(np.diff(p.values) > MERGE_TOL)
+            assert np.all(np.isin(p.values, cloud.points @ u.coords))
+
+    @pytest.mark.parametrize("offset", [1e4, 1e5, 1e12])
+    def test_values_a_few_ulps_apart(self, offset):
+        rng = np.random.default_rng(int(np.log10(offset)))
+        values = offset + np.cumsum(rng.integers(1, 4, 2000)) * np.spacing(offset)
+        assert np.diff(values).min() > MERGE_TOL
+        points = np.column_stack([values[::-1], np.zeros(values.size)])
+        sample = project(Empirical(points), Direction(np.array([1.0, 0.0])))
+        assert bits(sample.values) == bits(values)
+        w = rng.uniform(0.05, 1.0, values.size)
+        w /= w.sum()
+        order = rng.permutation(values.size)
+        measure = Projected1D.from_raw(values[order], w[order])
+        assert bits(measure.values) == bits(values)
+        assert bits(measure.weights) == bits(w)
