@@ -9,8 +9,8 @@ tightness box, and reconstruct mixed moments from directional moments.
 """
 
 from .directions import (Cap, Direction, FiniteSet, Frame, FullSphere, UnionOfCaps,
-                         extract_frame, frame_constant, region_measure_estimate,
-                         sample_in_region, sample_uniform)
+                         extract_frame, frame_constant, parse_region,
+                         region_measure_estimate, sample_in_region, sample_uniform)
 from .errors import (BudgetExhausted, CwkitError, DimensionMismatch, InsufficientRank,
                      OrderExceeded, ParseError, RaggedRows, RankDeficient)
 from .gallery import Gaussian, ProductLognormal, mixed_moments_of, sample, switching_pair

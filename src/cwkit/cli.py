@@ -6,6 +6,11 @@ environment variable (seed only), then command-line flags. The fully
 resolved options are echoed to OUT/config_echo.cfg; `cwkit run --config
 OUT/config_echo.cfg` reproduces the run byte for byte.
 
+--region and --direction take the spec grammar of ``cwkit.directions``, so
+the region a verdict records (``provenance.config.region``) can be passed
+back to --region. Input files are NDJSON by the suffix .ndjson or .jsonl,
+else CSV; there is no format option.
+
 Exit codes: 0 success (including inconclusive verdicts, which are flagged
 in the report), 1 for an inconsistent verdict, 2 for usage or data errors
 and for internal errors. Errors are emitted as one JSON object on stderr;
@@ -25,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import gallery, io
-from .directions import (Cap, Direction, FiniteSet, FullSphere, UnionOfCaps,
-                         extract_frame, sample_in_region)
+from .directions import (Direction, extract_frame, parse_direction, parse_region,
+                         sample_in_region)
 from .errors import CwkitError, ParseError
 from .moments import carleman_partial_sums, moment_sequence, reconstruct_mixed
 from .projections import METRICS, Empirical, distance_trace, project
@@ -37,7 +42,7 @@ ECHO_NAME = "config_echo.cfg"
 DEFAULTS = {
     "sample-directions": {"dim": "2", "directions": "50", "region": "full", "seed": None},
     "gallery-sample": {"dist": "gaussian", "dim": "2", "n": "1000", "seed": None},
-    "project": {"input": None, "format": None, "direction": None},
+    "project": {"input": None, "direction": None},
     "trace": {"inputs": None, "target": None, "direction": None, "metric": "ks"},
     "carleman": {"dist": None, "input": None, "direction": None, "carleman_order": "30"},
     "reconstruct": {"input": None, "order": None},
@@ -95,33 +100,6 @@ def parse_config_file(path):
     return opts
 
 
-def parse_region(spec, dim_hint=None):
-    """Region syntax: 'full', 'cap:AXIS:ANGLE', 'union:AXIS:ANGLE;...',
-    'finite:V1;V2;...' with AXIS and V comma-separated floats."""
-    kind, _, rest = spec.partition(":")
-    if kind == "full":
-        d = int(rest) if rest else dim_hint
-        if d is None:
-            raise ValueError("region 'full' needs a dimension (full:D) or data to infer it")
-        return FullSphere(d)
-    if kind == "cap":
-        return _parse_cap(rest)
-    if kind == "union":
-        return UnionOfCaps(tuple(_parse_cap(part) for part in rest.split(";")))
-    if kind == "finite":
-        return FiniteSet(tuple(_parse_direction(part) for part in rest.split(";")))
-    raise ValueError(f"unknown region spec {spec!r}")
-
-
-def _parse_direction(spec):
-    return Direction.from_vector([float(x) for x in spec.split(",")])
-
-
-def _parse_cap(spec):
-    axis_s, _, angle_s = spec.rpartition(":")
-    return Cap(axis=_parse_direction(axis_s), half_angle=float(angle_s))
-
-
 def _expand_inputs(spec):
     paths = []
     for token in spec.split(","):
@@ -166,8 +144,8 @@ def _cmd_gallery_sample(cfg):
 
 
 def _cmd_project(cfg):
-    sample_set = io.ingest_samples(cfg.get("input", required=True), cfg.get("format"))
-    u = _parse_direction(cfg.get("direction", required=True))
+    sample_set = io.ingest_samples(cfg.get("input", required=True))
+    u = parse_direction(cfg.get("direction", required=True))
     proj = project(sample_set, u)
     io.atomic_write(cfg.out_dir / "projected.csv", io.projected_csv(proj))
     return 0
@@ -179,7 +157,7 @@ def _cmd_trace(cfg):
     target = _parse_target(cfg.get("target", required=True), sequence[0].dim)
     if not isinstance(target, Empirical):
         raise ValueError("trace needs a sample or atomic target, not an analytic one")
-    u = _parse_direction(cfg.get("direction", required=True))
+    u = parse_direction(cfg.get("direction", required=True))
     tr = distance_trace(sequence, target, u, cfg.get("metric"))
     io.atomic_write(cfg.out_dir / "trace.csv", io.traces_csv([tr]))
     return 0
@@ -196,7 +174,7 @@ def _cmd_carleman(cfg):
         source = dist_spec
     else:
         dist = io.ingest_samples(cfg.get("input", required=True))
-        u = _parse_direction(cfg.get("direction", required=True))
+        u = parse_direction(cfg.get("direction", required=True))
         source = f"{cfg.get('input')} along {cfg.get('direction')}"
     report = carleman_partial_sums(moment_sequence(dist, u, 2 * order), order)
     payload = {"source": source, "order": order, **report.to_dict()}
@@ -292,7 +270,7 @@ _COMMANDS = {
     "counterexample": _cmd_counterexample,
 }
 
-_CHOICES = {"format": io.FORMATS, "metric": METRICS, "h1_rule": H1_RULES}
+_CHOICES = {"metric": METRICS, "h1_rule": H1_RULES}
 
 
 def build_parser():
@@ -304,10 +282,8 @@ def build_parser():
         p.add_argument("--config", type=str, default=None)
         p.add_argument("--out", type=str, default=None)
         for key in defaults:
-            flags = ["--" + key.replace("_", "-")]
-            if name == "carleman" and key == "carleman_order":
-                flags.append("--order")  # shorthand
-            p.add_argument(*flags, dest=key, default=None, choices=_CHOICES.get(key))
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
+                           choices=_CHOICES.get(key))
     runner = sub.add_parser("run", help="replay a config echo")
     runner.add_argument("--config", type=str, required=True)
     runner.add_argument("--out", type=str, default=None)

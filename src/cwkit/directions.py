@@ -9,6 +9,10 @@ d directions whose stacked rows form an invertible matrix.
 There is one direction sampler, ``sample_in_region``; uniform sampling on
 the whole sphere is the region ``FullSphere(d)``. A Frame is given only its
 directions and derives its matrix and conditioning from them.
+
+Regions and directions print (``describe``) and parse (``parse_region``)
+here at 17 significant digits, and ``Direction.from_vector`` leaves a unit
+vector as it is, so a printed region parses back bit for bit.
 """
 
 from dataclasses import dataclass, field
@@ -51,12 +55,15 @@ class Direction:
 
     @classmethod
     def from_vector(cls, v):
-        """Normalize an arbitrary nonzero vector into a Direction."""
+        """Normalize a nonzero vector into a Direction; a unit one is kept as is."""
         v = np.asarray(v, dtype=np.float64)
         n = np.linalg.norm(v)
         if n == 0.0 or not np.isfinite(n):
             raise ValueError("cannot normalize a zero or non-finite vector")
-        return cls(v / n)
+        return cls(v if abs(n - 1.0) <= UNIT_NORM_TOL else v / n)
+
+    def describe(self):
+        return ",".join(f"{x:.17g}" for x in self.coords)
 
     def __repr__(self):
         return f"Direction({np.array2string(self.coords, separator=', ')})"
@@ -75,8 +82,6 @@ class FullSphere:
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError("dim must be >= 2")
-
-    has_positive_measure = True
 
     def contains(self, points):
         points = np.asarray(points, dtype=np.float64)
@@ -97,8 +102,6 @@ class Cap:
         if not (0.0 < self.half_angle <= np.pi):
             raise ValueError("half_angle must lie in (0, pi]")
 
-    has_positive_measure = True
-
     @property
     def dim(self):
         return self.axis.dim
@@ -110,8 +113,7 @@ class Cap:
         return np.asarray(points, dtype=np.float64) @ self.axis.coords >= np.cos(self.half_angle)
 
     def describe(self):
-        ax = ",".join(f"{x:.17g}" for x in self.axis.coords)
-        return f"cap:{ax}:{self.half_angle:.17g}"
+        return "cap:" + _cap_spec(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,8 +131,6 @@ class UnionOfCaps:
             raise ValueError("caps live in different dimensions")
         object.__setattr__(self, "caps", caps)
 
-    has_positive_measure = True
-
     @property
     def dim(self):
         return self.caps[0].dim
@@ -143,7 +143,7 @@ class UnionOfCaps:
         return hit
 
     def describe(self):
-        return "union:" + ";".join(c.describe()[4:] for c in self.caps)
+        return "union:" + ";".join(map(_cap_spec, self.caps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,22 +161,44 @@ class FiniteSet:
             raise ValueError("directions live in different dimensions")
         object.__setattr__(self, "directions", dirs)
 
-    has_positive_measure = False
-
     @property
     def dim(self):
         return self.directions[0].dim
 
-    def contains(self, points):
-        points = np.asarray(points, dtype=np.float64)
-        member = np.zeros(points.shape[0], dtype=bool)
-        for d in self.directions:
-            member |= np.all(points == d.coords, axis=1)
-        return member
-
     def describe(self):
-        vecs = ";".join(",".join(f"{x:.17g}" for x in d.coords) for d in self.directions)
-        return f"finite:{vecs}"
+        return "finite:" + ";".join(u.describe() for u in self.directions)
+
+
+def _cap_spec(cap):
+    return f"{cap.axis.describe()}:{cap.half_angle:.17g}"
+
+
+def _parse_cap(spec):
+    axis_s, _, angle_s = spec.rpartition(":")
+    return Cap(axis=parse_direction(axis_s), half_angle=float(angle_s))
+
+
+def parse_direction(spec):
+    """A Direction from comma-separated coordinates (normalized unless unit)."""
+    return Direction.from_vector([float(x) for x in spec.split(",")])
+
+
+def parse_region(spec, dim_hint=None):
+    """The region a spec names, the inverse of ``describe()``: 'full[:D]' (D from
+    dim_hint if absent), 'cap:AXIS:ANGLE', 'union:AXIS:ANGLE;...', 'finite:V1;V2;...'."""
+    kind, _, rest = spec.partition(":")
+    if kind == "full":
+        d = int(rest) if rest else dim_hint
+        if d is None:
+            raise ValueError("region 'full' needs a dimension (full:D) or data to infer it")
+        return FullSphere(d)
+    if kind == "cap":
+        return _parse_cap(rest)
+    if kind == "union":
+        return UnionOfCaps(tuple(_parse_cap(part) for part in rest.split(";")))
+    if kind == "finite":
+        return FiniteSet(tuple(parse_direction(part) for part in rest.split(";")))
+    raise ValueError(f"unknown region spec {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +269,7 @@ def sample_in_region(region, count, seed, max_draw_budget=None):
     `count` draws are accepted within `max_draw_budget` proposals (default
     10_000 * count).
     """
-    if not region.has_positive_measure:
+    if isinstance(region, FiniteSet):
         raise ValueError("region has surface measure zero; cannot rejection-sample")
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -275,6 +297,8 @@ def sample_in_region(region, count, seed, max_draw_budget=None):
 
 def region_measure_estimate(region, n, seed):
     """Monte-Carlo estimate of the region's normalized surface measure."""
+    if isinstance(region, FiniteSet):
+        raise ValueError("region has surface measure zero; cannot rejection-sample")
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = substream(seed, STREAM_MEASURE)

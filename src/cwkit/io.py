@@ -15,10 +15,6 @@ from .errors import ParseError, RaggedRows
 from .projections import Empirical
 
 
-#: input formats ingest_samples reads
-FORMATS = ("csv", "ndjson")
-
-
 def _fmt(x):
     return f"{float(x):.17g}"
 
@@ -110,18 +106,15 @@ def _finite_array(path, fmt, rows):
     return arr
 
 
-def ingest_samples(path, fmt=None):
+def ingest_samples(path):
     """Read an unweighted Empirical (a sample) from CSV, with an optional
     single header row, or from NDJSON.
 
-    fmt is 'csv' or 'ndjson'; None infers from the file suffix, defaulting
-    to csv. The file stem becomes the label.
+    The suffix .ndjson or .jsonl (any case) means NDJSON; any other means
+    CSV. The file stem becomes the label.
     """
     path = Path(path)
-    if fmt is None:
-        fmt = "ndjson" if path.suffix.lower() in (".ndjson", ".jsonl") else "csv"
-    if fmt not in FORMATS:
-        raise ValueError("fmt must be 'csv' or 'ndjson'")
+    fmt = "ndjson" if path.suffix.lower() in (".ndjson", ".jsonl") else "csv"
     rows = _read_rows(path, fmt)
     # build the array while rows is alive: freeing the row lists first left glibc's
     # heap so that the CLI's W1 kernel took ~45x the page faults (2-vCPU Linux host)
@@ -143,7 +136,7 @@ def load_atomic_csv(path):
 # ---------------------------------------------------------------------------
 
 def directions_csv(directions):
-    return "".join(",".join(_fmt(x) for x in u.coords) + "\n" for u in directions)
+    return "".join(u.describe() + "\n" for u in directions)
 
 
 def samples_csv(sample_set):

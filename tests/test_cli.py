@@ -11,9 +11,9 @@ import pytest
 
 import cwkit
 from cwkit import cli, gallery
-from cwkit.cli import main, parse_region
+from cwkit.cli import main
 from cwkit.directions import (DEFAULT_FRAME_TAU, Cap, Direction, FiniteSet, Frame,
-                              FullSphere, UnionOfCaps, extract_frame)
+                              FullSphere, UnionOfCaps, extract_frame, parse_region)
 from cwkit.errors import ParseError, RaggedRows
 from cwkit.io import atomic_csv, ingest_samples, load_atomic_csv, samples_csv
 from cwkit.projections import AtomicMeasure, ks_distance, project
@@ -74,7 +74,7 @@ class TestIngest:
         f = tmp_path / "pts.ndjson"
         f.write_text('[1, 2]\n{"not": "array"}\n')
         with pytest.raises(ParseError) as err:
-            ingest_samples(f, fmt="ndjson")
+            ingest_samples(f)
         assert err.value.row == 2
 
     def test_ndjson_boolean_rejected(self, tmp_path):
@@ -110,8 +110,8 @@ class TestIngest:
         ("atomic.csv", load_atomic_csv, "x1,x2,weight\n0,0,0.25\n 1 , 2 ,0.75\n",
          [[0.0, 0.0, 0.25], [1.0, 2.0, 0.75]]),
         ("one_column.csv", load_atomic_csv, "w\n1.0\n", (ParseError, None, None)),
-        ("unknown_fmt.csv", lambda f: ingest_samples(f, fmt="tsv"), "1.0,2.0\n",
-         (ValueError, None, None)),
+        # the suffix alone picks the format, in any case
+        ("upper.JSONL", ingest_samples, "[1, 2]\n[3, 4]\n", [[1.0, 2.0], [3.0, 4.0]]),
         # cells outside the float range or not finite: named by row and column
         ("overflow.csv", ingest_samples, "1.0,2.0\n3.0,1e400\n", (ParseError, 2, 2)),
         ("nan.csv", ingest_samples, "x,y\n1.0,nan\n3.0,4.0\n", (ParseError, 2, 2)),
@@ -306,6 +306,23 @@ class TestSubcommands:
         csv_lines = (out / "mixed_moments.csv").read_text().splitlines()
         assert csv_lines[0] == "alpha1,alpha2,value"
         assert csv_lines[1].startswith("2,0,")
+
+    def test_reconstruct_bit_equal_to_library(self, tmp_path):
+        # rows at 17 digits read back as the very Directions that were written
+        from cwkit.directions import sample_uniform
+        from cwkit.moments import reconstruct_mixed
+
+        dirs = sample_uniform(3, 20, seed=6)
+        values = np.random.default_rng(6).standard_normal(20)
+        obs = tmp_path / "obs.csv"
+        obs.write_text("".join(",".join(f"{x:.17g}" for x in (*u.coords, v)) + "\n"
+                               for u, v in zip(dirs, values)))
+        out = tmp_path / "rec"
+        assert main(["reconstruct", "--input", str(obs), "--order", "3",
+                     "--out", str(out)]) == 0
+        got = json.loads((out / "reconstruction.json").read_text())["coefficients"]
+        want = reconstruct_mixed(list(zip(dirs, values)), 3, 3).coefficients
+        assert np.array(got).tobytes() == want.tobytes()
 
     def test_trace_and_tightness(self, tmp_path, gaussian_files):
         inputs = ",".join(str(p) for p in gaussian_files)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cwkit.directions import (Cap, Direction, FiniteSet, Frame, FullSphere, UnionOfCaps,
-                              _draw_unit_rows, extract_frame, frame_constant,
+                              _draw_unit_rows, extract_frame, frame_constant, parse_region,
                               region_measure_estimate, sample_in_region, sample_uniform)
 from cwkit.errors import BudgetExhausted, InsufficientRank
 from cwkit.rng import STREAM_SPHERE, substream
@@ -30,6 +30,15 @@ class TestDirection:
     def test_from_vector_normalizes(self):
         u = Direction.from_vector([3.0, 4.0])
         assert np.allclose(u.coords, [0.6, 0.8])
+
+    def test_from_vector_is_idempotent(self):
+        # a normalized vector is unit within UNIT_NORM_TOL, so it comes back as is
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            d = int(rng.integers(2, 9))
+            v = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3)
+            u = Direction.from_vector(v)
+            assert Direction.from_vector(u.coords).coords.tobytes() == u.coords.tobytes()
 
 
 class TestSampleUniform:
@@ -113,6 +122,48 @@ class TestRegionMeasure:
         n = 10**4
         est = region_measure_estimate(Cap(e(0, 3), np.pi / 3), n, seed=2)
         assert abs(est - 0.25) < 3 / np.sqrt(n)
+
+    def test_finite_set_rejected(self):
+        with pytest.raises(ValueError):
+            region_measure_estimate(FiniteSet((e(0, 2),)), 100, seed=0)
+
+
+def _random_region(rng):
+    d = int(rng.integers(2, 9))
+
+    def cap():
+        return Cap(Direction.from_vector(rng.standard_normal(d)), rng.uniform(1e-3, np.pi))
+
+    kind = rng.integers(4)
+    if kind == 0:
+        return cap()
+    if kind == 1:
+        return UnionOfCaps(tuple(cap() for _ in range(int(rng.integers(1, 4)))))
+    if kind == 2:
+        return FiniteSet(tuple(Direction.from_vector(rng.standard_normal(d)) for _ in range(3)))
+    return FullSphere(d)
+
+
+def _region_bits(region):
+    """Type, dimension and the exact bits of every axis, angle and direction."""
+    if isinstance(region, UnionOfCaps):
+        parts = [_region_bits(c) for c in region.caps]
+    elif isinstance(region, Cap):
+        parts = [region.axis.coords.tobytes(), float(region.half_angle).hex()]
+    elif isinstance(region, FiniteSet):
+        parts = [u.coords.tobytes() for u in region.directions]
+    else:
+        parts = []
+    return (type(region).__name__, region.dim, *parts)
+
+
+def test_region_spec_round_trips_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for _ in range(2000):
+        region = _random_region(rng)
+        back = parse_region(region.describe())
+        assert back.describe() == region.describe()
+        assert _region_bits(back) == _region_bits(region)
 
 
 class TestExtractFrame:

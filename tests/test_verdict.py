@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cwkit.directions import (Cap, Direction, FiniteSet, Frame, FullSphere,
-                              extract_frame, sample_in_region, sample_uniform)
+                              extract_frame, parse_region, sample_in_region, sample_uniform)
 from cwkit.errors import DimensionMismatch, InsufficientRank
 from cwkit.gallery import Gaussian, ProductLognormal, sample, switching_pair
 from cwkit.projections import AtomicMeasure, DistanceTrace, SampleSet, ks_distance, project
@@ -320,6 +321,17 @@ class TestRunVerdict:
         a = run_verdict(seq, g, config).to_json()
         b = run_verdict(seq, g, config).to_json()
         assert a == b
+
+    # every axis and vector is typed off the sphere and renormalized on the way in
+    @pytest.mark.parametrize("spec", ["cap:1,2:0.9", "union:2,1:0.5;-1,2:0.7",
+                                      "finite:1,2;3,-1;1,1"])
+    def test_recorded_config_replays_byte_identical(self, spec):
+        g, seq = gaussian_sequence()
+        config = VerdictConfig(region=parse_region(spec), n_directions=20, seed=3)
+        text = run_verdict(seq, g, config).to_json()
+        recorded = json.loads(text)["provenance"]["config"]
+        replay = VerdictConfig(**{**recorded, "region": parse_region(recorded["region"])})
+        assert run_verdict(seq, g, replay).to_json() == text
 
     def test_lognormal_target_flagged(self):
         ln = ProductLognormal.standard(2)
