@@ -4,19 +4,24 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cwkit
-from cwkit import cli, gallery
+from cwkit import cli, gallery, io
 from cwkit.cli import main
 from cwkit.directions import (DEFAULT_FRAME_TAU, Cap, Direction, FiniteSet, Frame,
                               FullSphere, UnionOfCaps, extract_frame, parse_region)
-from cwkit.errors import ParseError, RaggedRows
-from cwkit.io import atomic_csv, ingest_samples, load_atomic_csv, samples_csv
-from cwkit.projections import AtomicMeasure, ks_distance, project
+from cwkit.errors import CwkitError, ParseError, RaggedRows
+from cwkit.io import (atomic_csv, ingest_samples, load_atomic_csv, projected_csv,
+                      samples_csv)
+from cwkit.projections import AtomicMeasure, Empirical, ks_distance, project
 from cwkit.verdict import VerdictConfig, h2_check
 
 
@@ -121,11 +126,25 @@ class TestIngest:
         ("nan.ndjson", ingest_samples, "[1, 2]\n[NaN, 2]\n", (ParseError, 2, 1)),
         ("overflow_atomic.csv", load_atomic_csv, "x1,x2,weight\n0,0,0.25\n1,1e400,0.75\n",
          (ParseError, 3, 2)),
+        # a byte-order mark, as spreadsheet exports write, is not part of the first cell
+        ("bom.csv", ingest_samples, "\ufeff1.0,2.0\n3.0,4.0\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("bom.ndjson", ingest_samples, "\ufeff[1, 2]\n[3, 4]\n", [[1.0, 2.0], [3.0, 4.0]]),
+        # str.splitlines breaks lines at \x0b, \x1c and a lone \r; loadtxt alone would not
+        ("vt_in_line.csv", ingest_samples, "1\x0b,2\n3,4\n", (RaggedRows, 2, None)),
+        ("fs_in_line.csv", ingest_samples, "1\x1c,2\n3,4\n", (RaggedRows, 2, None)),
+        ("cr.csv", ingest_samples, "x,y\r1,2\r3,4\r", [[1.0, 2.0], [3.0, 4.0]]),
+        ("crlf.csv", ingest_samples, "x,y\r\n1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("blank_spaces.csv", ingest_samples, "1,2\n \t \n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("underscore.csv", ingest_samples, "1_0,2\n3,4\n", [[10.0, 2.0], [3.0, 4.0]]),
+        ("late_header.csv", ingest_samples, "\n \n\nx,y\n1,2\n", [[1.0, 2.0]]),
+        ("column.csv", ingest_samples, "x\n1.5\n-2\n", [[1.5], [-2.0]]),
+        # loadtxt strips \x1f from a cell as whitespace; float() does not
+        ("us_in_cell.csv", ingest_samples, "\x1f1,2\n", (ParseError, 1, 1)),
     ])
     def test_reader_table(self, name, loader, text, expected, tmp_path):
         # exception type, row and column are the contract; wording may change
         f = tmp_path / name
-        f.write_text(text)
+        f.write_text(text, encoding="utf-8")
         if isinstance(expected, tuple):
             exc, row, column = expected
             with pytest.raises(exc) as err:
@@ -138,6 +157,43 @@ class TestIngest:
             rows = got.points if got.weights is None else np.column_stack([got.points,
                                                                            got.weights])
             assert rows.tolist() == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=st.lists(st.sampled_from(
+        list("0123456789,.e-+_ \t\n\r\x0b\x1c\x1fx") + ["\r\n", "inf", "nan"])).map("".join))
+    def test_bulk_parse_matches_row_loop(self, text):
+        # the one-call CSV parse must return what the row loop returns, bit for
+        # bit, or let it raise the same error
+        def outcome(load, path):
+            try:
+                got = load(path)
+            except (CwkitError, ValueError) as err:
+                return (type(err), str(err), getattr(err, "row", None),
+                        getattr(err, "column", None))
+            arr = got.points if got.weights is None else np.column_stack([got.points,
+                                                                          got.weights])
+            return arr.shape, arr.tobytes()
+
+        def row_loop_samples(path):
+            return Empirical(points=io._finite_array(path, "csv", io._read_rows(path, "csv")),
+                             label=path.stem)
+
+        def row_loop_atomic(path):
+            rows = io._read_rows(path, "csv")
+            if len(rows[0]) < 2:
+                raise ParseError(f"{path}: need at least one coordinate column plus a "
+                                 "weight column")
+            arr = io._finite_array(path, "csv", rows)
+            return Empirical(points=arr[:, :-1], weights=arr[:, -1])
+
+        # warnings are errors here, not through a pytest mark: a mark also covers
+        # the report hooks of plugins, which may warn themselves
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = Path(tmp) / "prop.csv"
+            path.write_bytes(text.encode())
+            assert outcome(ingest_samples, path) == outcome(row_loop_samples, path)
+            assert outcome(load_atomic_csv, path) == outcome(row_loop_atomic, path)
 
     def test_csv_first_row_typo_raises(self, tmp_path, capsys):
         # one numeric cell makes the first row data, so its typo is an error,
@@ -156,6 +212,25 @@ class TestIngest:
                      "--out", str(tmp_path / "v")])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
+
+def test_csv_writers_match_per_cell_format():
+    # formatting a block of rows at once writes what formatting each cell alone wrote
+    def rows(arr):
+        return "".join(",".join(f"{float(x):.17g}" for x in row) + "\n" for row in arr)
+
+    n = io._WRITE_BLOCK + 3  # a full block and a short one
+    rng = np.random.default_rng(5)
+    pts = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+    pts[0] = [0.0, -0.0, 5e-324]
+    pts[-1] = [1e16, 0.1, 1.7976931348623157e308]
+    weights = np.full(n, 1 / n)
+    measure = Empirical(points=pts, weights=weights)
+    assert samples_csv(Empirical(points=pts)) == rows(pts)
+    assert atomic_csv(measure) == "x1,x2,x3,weight\n" + rows(np.column_stack([pts, weights]))
+    proj = project(measure, Direction([1.0, 0.0, 0.0]))
+    assert projected_csv(proj) == "value,weight\n" + rows(np.column_stack([proj.values,
+                                                                          proj.weights]))
 
 
 class TestParseRegion:
