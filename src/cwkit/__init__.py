@@ -19,7 +19,8 @@ from .moments import (CarlemanReport, MixedMoments, MomentSequence, carleman_par
                       moment_sequence, multi_indices, multi_indices_upto, multinomial,
                       reconstruct_mixed, rm_residual)
 from .projections import (AtomicMeasure, DistanceTrace, Empirical, Projected1D, SampleSet,
-                          distance_trace, ks_distance, project, wasserstein1)
+                          distance_trace, distance_traces, ks_distance, project,
+                          wasserstein1)
 from .verdict import (TightnessBox, VerdictConfig, VerdictReport, aggregate_overall,
                       h1_check, h2_check, moment_match, run_verdict, tightness_box)
 

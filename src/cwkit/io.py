@@ -61,21 +61,22 @@ def _read_text(path):
     return path.read_text(encoding="utf-8-sig")
 
 
-def _data_lines(path, fmt):
+def _data_lines(text, fmt):
     """(line number, text) of each data line: nonblank, CSV header dropped."""
-    lines = [(i, ln) for i, ln in enumerate(_read_text(path).splitlines(), 1) if ln.strip()]
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if fmt == "csv" and lines and _is_header(lines[0][1]):
         del lines[0]
     return lines
 
 
-def _read_rows(path, fmt):
-    """One list of floats per data line of a CSV or NDJSON file.
+def _read_rows(path, text, fmt):
+    """One list of floats per data line of the text of a CSV or NDJSON file.
 
     Every row must have the width of the first. A cell may still be
-    infinite or NaN; ``_finite_array`` rejects those.
+    infinite or NaN; ``_finite_array`` rejects those. ``path`` only names
+    the file in errors.
     """
-    lines = _data_lines(path, fmt)
+    lines = _data_lines(text, fmt)
     rows = []
     for lineno, line in lines:
         if fmt == "csv":
@@ -104,16 +105,16 @@ def _read_rows(path, fmt):
     return rows
 
 
-def _finite_array(path, fmt, rows):
+def _finite_array(path, text, fmt, rows):
     """The rows as one float array; an infinite or NaN cell is a ParseError.
 
-    One vectorised check on the array; the file is read again for the bad
-    cell's line only when it fails.
+    One vectorised check on the array; the text is split into lines again
+    for the bad cell's line number only when it fails.
     """
     arr = np.array(rows)
     if not np.isfinite(arr).all():
         r, c = np.argwhere(~np.isfinite(arr))[0]
-        lineno = _data_lines(path, fmt)[r][0]
+        lineno = _data_lines(text, fmt)[r][0]
         raise ParseError(f"{path}:{lineno}: column {c + 1}: not finite: "
                          f"{float(arr[r, c])}", row=lineno, column=int(c) + 1)
     return arr
@@ -134,8 +135,8 @@ def _csv_body(text):
     return body[end:] if _is_header(body[:end]) else body
 
 
-def _bulk_csv(path):
-    """The data rows of a CSV file as one float array, parsed in one loadtxt
+def _bulk_csv(text):
+    """The data rows of a CSV text as one float array, parsed in one loadtxt
     call, or None where only the row loop may answer.
 
     None when the text holds a character on which the two part, holds no
@@ -144,7 +145,6 @@ def _bulk_csv(path):
     parse a cell with CPython's string-to-double, and on the text left they
     split the same lines and strip the same whitespace.
     """
-    text = _read_text(path)
     if any(c in text for c in _LOADTXT_DIFFERS) or text.count("\r") != text.count("\r\n"):
         return None
     body = _csv_body(text)
@@ -173,22 +173,24 @@ def ingest_samples(path):
     # ~19.3k with the row loop alone and ~72.6k with loadtxt reading the path
     # itself. On the row loop, build the array while rows is alive: freeing the
     # row lists first cost the CLI's W1 kernel ~45x the page faults.
-    points = _bulk_csv(path) if fmt == "csv" else None
+    text = _read_text(path)
+    points = _bulk_csv(text) if fmt == "csv" else None
     if points is None:
-        rows = _read_rows(path, fmt)
-        points = _finite_array(path, fmt, rows)
+        rows = _read_rows(path, text, fmt)
+        points = _finite_array(path, text, fmt, rows)
     return Empirical(points=points, label=path.stem)
 
 
 def load_atomic_csv(path):
     """Read a weighted Empirical from CSV rows of d coordinates plus a weight."""
     path = Path(path)
-    arr = _bulk_csv(path)
+    text = _read_text(path)
+    arr = _bulk_csv(text)
     if arr is None or arr.shape[1] < 2:
-        rows = _read_rows(path, "csv")
+        rows = _read_rows(path, text, "csv")
         if len(rows[0]) < 2:
             raise ParseError(f"{path}: need at least one coordinate column plus a weight column")
-        arr = _finite_array(path, "csv", rows)
+        arr = _finite_array(path, text, "csv", rows)
     return Empirical(points=arr[:, :-1], weights=arr[:, -1])
 
 

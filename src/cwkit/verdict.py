@@ -29,7 +29,7 @@ from .directions import (DEFAULT_FRAME_TAU, FiniteSet, extract_frame, frame_cons
                          sample_in_region)
 from .errors import BudgetExhausted, DimensionMismatch, InsufficientRank
 from .moments import carleman_partial_sums, jsonsafe, moment_sequence, multi_indices
-from .projections import METRICS, DistanceTrace, Empirical, distance_trace
+from .projections import METRICS, DistanceTrace, Empirical, distance_traces
 from .rng import STREAM_REFERENCE, substream
 
 H1_RULES = ("final_below", "monotone_trend")
@@ -437,7 +437,7 @@ def run_verdict(sequence, target, config):
     n_min = min(elem.n for elem in sequence)
     tol = config.h1_tolerance if config.h1_tolerance is not None else _default_h1_tolerance(n_min)
 
-    traces = [distance_trace(sequence, h1_target, u, config.metric) for u in directions]
+    traces = distance_traces(sequence, h1_target, directions, config.metric)
     h1 = h1_check(traces, tol, config.h1_rule)
     carleman = h2_check(target, frame, config.carleman_order)
     box = tightness_box(sequence, frame, config.epsilon)

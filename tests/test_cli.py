@@ -175,15 +175,18 @@ class TestIngest:
             return arr.shape, arr.tobytes()
 
         def row_loop_samples(path):
-            return Empirical(points=io._finite_array(path, "csv", io._read_rows(path, "csv")),
+            text = io._read_text(path)
+            return Empirical(points=io._finite_array(path, text, "csv",
+                                                     io._read_rows(path, text, "csv")),
                              label=path.stem)
 
         def row_loop_atomic(path):
-            rows = io._read_rows(path, "csv")
+            text = io._read_text(path)
+            rows = io._read_rows(path, text, "csv")
             if len(rows[0]) < 2:
                 raise ParseError(f"{path}: need at least one coordinate column plus a "
                                  "weight column")
-            arr = io._finite_array(path, "csv", rows)
+            arr = io._finite_array(path, text, "csv", rows)
             return Empirical(points=arr[:, :-1], weights=arr[:, -1])
 
         # warnings are errors here, not through a pytest mark: a mark also covers
@@ -194,6 +197,30 @@ class TestIngest:
             path.write_bytes(text.encode())
             assert outcome(ingest_samples, path) == outcome(row_loop_samples, path)
             assert outcome(load_atomic_csv, path) == outcome(row_loop_atomic, path)
+
+    @pytest.mark.parametrize("text, ok", [
+        ("x,y\n1,2\n3,nan\n", False),  # the bad cell's line is looked up in the text
+        ("x,y\n1_0,0.25\n3,0.75\n", True),  # loadtxt declines 1_0; the row loop reads 10
+    ])
+    def test_fallback_reads_each_file_once(self, tmp_path, monkeypatch, text, ok):
+        reads = []
+        read_text = io._read_text
+
+        def counted(path):
+            reads.append(path)
+            return read_text(path)
+
+        monkeypatch.setattr(io, "_read_text", counted)
+        f = tmp_path / "fallback.csv"
+        f.write_text(text)
+        for load in (ingest_samples, load_atomic_csv):
+            reads.clear()
+            if ok:
+                load(f)
+            else:
+                with pytest.raises(ParseError):
+                    load(f)
+            assert reads == [f]
 
     def test_csv_first_row_typo_raises(self, tmp_path, capsys):
         # one numeric cell makes the first row data, so its typo is an error,

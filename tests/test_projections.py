@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from cwkit.directions import Direction, sample_uniform
 from cwkit.errors import DimensionMismatch
 from cwkit.projections import (MASS_TOL, MERGE_TOL, AtomicMeasure, Empirical, Projected1D,
-                               SampleSet, distance_trace, ks_distance, project, wasserstein1)
+                               SampleSet, distance_trace, distance_traces, ks_distance, project,
+                               wasserstein1)
 
 SQ2 = np.sqrt(2.0) / 2.0
 
@@ -292,6 +293,56 @@ def test_kernel_bit_equal_to_reference(m_a, m_b, coords):
     for x, y in ((a, b), (b, a), (a, a)):
         assert bits(ks_distance(x, y)) == bits(ref_ks(x, y))
         assert bits(wasserstein1(x, y)) == bits(ref_w1(x, y))
+
+
+TRACE_DIRECTIONS = [(1.0, 0.0), (-1.0, 0.0), (0.6, 0.8), (0.0, 1.0), (-0.8, 0.6)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(clouds(), min_size=1, max_size=3), clouds(),
+       st.lists(st.sampled_from(TRACE_DIRECTIONS), min_size=3, max_size=4))
+def test_trace_pass_bit_equal_to_reference(sequence, target, coords):
+    # one pass over several directions shares the target's projection and the
+    # cumulative masses of equal-size samples; each distance must still be the
+    # pooled reference's, ties within MERGE_TOL across the laws included
+    directions = [Direction(np.array(c)) for c in coords]
+    for metric, ref in (("ks", ref_ks), ("w1", ref_w1)):
+        traces = distance_traces(sequence, target, directions, metric)
+        assert [tr.direction for tr in traces] == directions
+        for u, tr in zip(directions, traces):
+            t = project(target, u)
+            want = [ref(project(elem, u), t) for elem in sequence]
+            assert bits(tr.distances) == bits(want)
+            assert tr.sizes.tolist() == [elem.n for elem in sequence]
+
+
+def test_ks_merges_close_atoms_of_a_hand_built_law():
+    # a Projected1D built by hand may hold atoms within MERGE_TOL of each
+    # other. The pooled grid sums such a group's masses before the running
+    # sum, which rounds apart from adding them one by one: here the two
+    # orders give 0.4999999999999999 and 0.5
+    a = Projected1D(np.array([0.0, 1e-13, 1.0]), np.array([0.4, 0.1, 0.5]))
+    b = Projected1D(np.array([-0.5, 0.5, 0.5 + 1e-13]), np.array([0.1, 0.2, 0.7]))
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert bits(ks_distance(x, y)) == bits(ref_ks(x, y))
+        assert bits(wasserstein1(x, y)) == bits(ref_w1(x, y))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("weights", [None, np.array([0.5, 0.5])])
+def test_overflowing_projection_rejected(sign, weights):
+    # finite points whose projection overflows to +-inf
+    big = Empirical(sign * np.array([[1.7e308, 1.7e308], [0.0, 1.0]]), weights)
+    small = Empirical(np.array([[0.0, 0.0], [1.0, 1.0]]))
+    u = Direction(np.array([SQ2, SQ2]))
+    with pytest.raises(ValueError, match="^atoms must be finite$"):
+        project(big, u)
+    for sequence, target in (([big], small), ([small], big)):
+        with pytest.raises(ValueError, match="^atoms must be finite$"):
+            distance_traces(sequence, target, [u])
+        with pytest.raises(ValueError, match="^atoms must be finite$"):
+            distance_trace(sequence, target, u)
 
 
 def _cloud(rng, n, weighted):

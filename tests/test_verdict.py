@@ -15,6 +15,8 @@ from cwkit.projections import AtomicMeasure, DistanceTrace, SampleSet, ks_distan
 from cwkit.verdict import (VerdictConfig, _kendall_tau_b, aggregate_overall, h1_check,
                            h2_check, moment_match, run_verdict, tightness_box)
 
+from test_projections import ref_ks
+
 
 def ident_frame(d):
     return Frame([Direction(np.eye(d)[i]) for i in range(d)])
@@ -276,6 +278,28 @@ def gaussian_sequence(d=2, base_seed=100):
 
 
 class TestRunVerdict:
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_h1_distances_equal_pooled_reference(self, weighted):
+        # the one trace pass over all directions, pair by pair against the
+        # pooled reference kernel; rows on a coarse lattice tie across laws
+        rng = np.random.default_rng(11)
+        seq = [SampleSet(np.round(rng.standard_normal((n, 2)), 1)) for n in (40, 200, 800)]
+        pts = np.round(rng.standard_normal((300, 2)), 1)
+        if weighted:
+            pts = np.unique(pts, axis=0)
+            w = rng.uniform(0.05, 1.0, len(pts))
+            target = AtomicMeasure(pts, w / w.sum())
+        else:
+            target = SampleSet(pts)
+        config = VerdictConfig(region=Cap(Direction(np.array([1.0, 0.0])), 0.6), n_directions=6,
+                               moment_order=2, carleman_order=6, seed=2)
+        report = run_verdict(seq, target, config)
+        assert len(report.h1_results) == 6
+        for r in report.h1_results:
+            u = r.trace.direction
+            want = [ref_ks(project(elem, u), project(target, u)) for elem in seq]
+            assert r.trace.distances.tobytes() == np.asarray(want).tobytes()
+
     def test_gaussian_consistent(self):
         g, seq = gaussian_sequence()
         report = run_verdict(seq, g, VerdictConfig(region=FullSphere(2), seed=7))
