@@ -312,13 +312,14 @@ def extract_frame(candidates, tau=DEFAULT_FRAME_TAU):
     Scans candidates in order and accepts one when the smallest singular
     value of the accepted rows remains >= tau. Raises InsufficientRank if
     fewer than d are accepted, i.e. the candidates are numerically contained
-    near a proper subspace.
+    near a proper subspace, and ValueError unless 0 < tau <= 1.
     """
     candidates = list(candidates)
     if not candidates:
         raise ValueError("candidates must be nonempty")
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
+    # stacked unit rows have smallest singular value at most 1: no tau > 1 is met
+    if not (0.0 < tau <= 1.0):
+        raise ValueError(f"tau must lie in (0, 1], got {tau!r}")
     d = candidates[0].dim
     accepted = []
     for cand in candidates:

@@ -16,14 +16,15 @@ in place (its masses are all equal, so no permutation needs to follow), a
 weighted measure's by a stable argsort that carries its weights. The
 arrays the kernel makes are frozen where they are, not copied again.
 
-KS searches the law of fewer atoms into the other once and builds no pooled
-grid: F_a - F_b takes its extremes at the ends of the runs that one law's
-atoms form between the other's, so it reads each law's own cumulative mass
-there. W1 places both laws on the pooled grid by ``searchsorted``, because
-its sum runs in pooled order, and reads the same cumulative masses. When two
-pooled atoms lie within MERGE_TOL, both group the pooled atoms instead. Every
-result is bit-identical to pooling both laws and sorting them together, so
-verdict reports do not change.
+Both distances are symmetric, so each searches the law S of fewer atoms
+into the other law L once. KS builds no pooled grid: F_S - F_L takes its
+extremes at the ends of the runs that S's atoms form between L's, so it
+reads each law's own cumulative mass there. W1 turns the same search into
+pooled positions, because its sum runs in pooled order, and reads the same
+cumulative masses. When two pooled atoms lie within MERGE_TOL, both take one
+grouped fallback on the pooled grid. Every result is bit-identical to
+pooling both laws and sorting them together, so verdict reports do not
+change.
 
 ``distance_traces`` makes all of a run's h1 distances in one pass. Along each
 direction it projects and accumulates the target once. A sample whose
@@ -270,75 +271,6 @@ def _law_along(source, u, uniform):
     return _Law(v, None, uniform[n])
 
 
-def _cdf_gaps(a, b):
-    """F_a - F_b just after each point of the pooled atom grid.
-
-    The grid holds the atoms of both laws, merged as within one law. Returns
-    (steps, parts): steps is np.diff(grid), and parts is a list of
-    (gaps, places) pairs; putting each gaps array at its places (index
-    arrays, or a slice) gives F_a - F_b along the grid.
-
-    Bit-identical to pooling both laws, sorting them together with a stable
-    sort, summing each law's mass per grid point and taking cumulative sums.
-    When no two pooled atoms lie within MERGE_TOL no pooled mass is built:
-    np.cumsum adds in sequence and adding 0.0 changes nothing, so a's pooled
-    cumulative mass is its own cumsum read at the number of a-atoms so far.
-    """
-    # Both laws are strictly increasing, so an atom's pooled position is its
-    # own rank plus the number of the other law's atoms before it; an a-atom
-    # goes before an equal b-atom, the order a stable sort of a ++ b gives.
-    # Only the smaller law is searched: the other fills the free slots in order.
-    # Index and gap arithmetic runs in place: at these sizes each temporary is
-    # fresh memory from the OS, whose page faults cost about as much as the
-    # arithmetic itself.
-    na, nb = a.values.size, b.values.size
-    n = na + nb
-    free = np.ones(n, dtype=bool)
-    if na <= nb:
-        b_before_a = np.searchsorted(b.values, a.values, "left")
-        pos_a = np.arange(na)
-        pos_a += b_before_a
-        free[pos_a] = False
-        pos_b = np.flatnonzero(free)
-        a_before_b = np.arange(nb)
-        np.subtract(pos_b, a_before_b, out=a_before_b)
-    else:
-        a_before_b = np.searchsorted(a.values, b.values, "right")
-        pos_b = np.arange(nb)
-        pos_b += a_before_b
-        free[pos_b] = False
-        pos_a = np.flatnonzero(free)
-        b_before_a = np.arange(na)
-        np.subtract(pos_a, b_before_a, out=b_before_a)
-    values = np.empty(n)
-    values[pos_a] = a.values
-    values[pos_b] = b.values
-    steps = np.diff(values)
-    apart = steps > MERGE_TOL
-    if apart.all():
-        gaps_a = b.cum[b_before_a]
-        np.subtract(a.cum[1:], gaps_a, out=gaps_a)
-        gaps_b = a.cum[a_before_b]
-        gaps_b -= b.cum[1:]
-        return steps, [(gaps_a, pos_a), (gaps_b, pos_b)]
-    wa = np.zeros(n)
-    wa[pos_a] = a.masses()
-    wb = np.zeros(n)
-    wb[pos_b] = b.masses()
-    starts = np.flatnonzero(np.concatenate(([True], apart)))
-    grid = values[starts]
-    gaps = np.cumsum(np.add.reduceat(wa, starts)) - np.cumsum(np.add.reduceat(wb, starts))
-    return np.diff(grid), [(gaps, slice(None))]
-
-
-def _ks_pooled(a, b):
-    _, parts = _cdf_gaps(a, b)
-    # max |gap| as max(max, -min), with no array of absolute values;
-    # cumulative weights may end at 1 +- a few ulp, and the sup of a CDF gap
-    # cannot exceed 1
-    return float(min(1.0, max(max(g.max(), -g.min()) for g, _ in parts)))
-
-
 def _near_across(small, large, below):
     # whether an atom of small lies within MERGE_TOL of its nearest atom of
     # large on either side; below[i] counts the atoms of large below small[i]
@@ -349,47 +281,111 @@ def _near_across(small, large, below):
                 or (small[first:] - large[below[first:] - 1] <= MERGE_TOL).any())
 
 
-def _ks(a, b):
-    """KS distance of two laws whose own atoms lie more than MERGE_TOL apart.
-
-    With S the law of fewer atoms and L the other, F_S - F_L is largest just
-    after an atom of S and smallest just before one, or after the last atom:
-    between two atoms of S, F_S stays and F_L grows. cumsum and subtraction
-    are monotone in floating point too, so the ends of these runs hold the
-    exact extremes over the pooled grid, and one search of S into L finds
-    them. Where a pooled pair lies within MERGE_TOL the grid sums the pair's
-    masses before the running sum, which can round apart, so the pooled
-    path answers.
-    """
+def _search(a, b):
+    # both distances are symmetric, since F_S - F_L is exactly -(F_L - F_S);
+    # so the law S of fewer atoms is searched into the other, L, once:
+    # below[i] counts the atoms of L below the i-th atom of S
     small, large = (a, b) if a.values.size <= b.values.size else (b, a)
-    below = np.searchsorted(large.values, small.values)
-    if _near_across(small.values, large.values, below):
-        return _ks_pooled(a, b)
-    cum_large = large.cum[below]  # F_L just before each atom of S
-    top = (small.cum[1:] - cum_large).max()
-    bottom = min((small.cum[:-1] - cum_large).min(), small.cum[-1] - large.cum[-1])
-    # F_b - F_a is exactly -(F_a - F_b), so |gap| does not depend on the order
+    return small, large, np.searchsorted(large.values, small.values)
+
+
+def _pool(small, large, below):
+    """Pooled positions of both laws' atoms, and the pooled values.
+
+    Both laws are strictly increasing, so an atom's pooled position is its
+    own rank plus the number of the other law's atoms before it; an atom of
+    S goes before an equal atom of L. Only S is searched: L fills the free
+    slots in order.
+    """
+    # Index and gap arithmetic runs in place, here and in _w1: at these sizes
+    # each temporary is fresh memory from the OS, whose page faults cost
+    # about as much as the arithmetic itself.
+    n = small.values.size + large.values.size
+    pos_s = np.arange(small.values.size)
+    pos_s += below
+    free = np.ones(n, dtype=bool)
+    free[pos_s] = False
+    pos_l = np.flatnonzero(free)
+    values = np.empty(n)
+    values[pos_s] = small.values
+    values[pos_l] = large.values
+    return pos_s, pos_l, values
+
+
+def _grouped(small, large, pos_s, pos_l, values):
+    """Steps of the pooled grid and F_S - F_L just after each of its points,
+    pooled atoms within MERGE_TOL grouped as within one law.
+
+    This is the pooled reference itself: each group's masses are summed
+    before the running sum, which can round apart from the run ends that
+    the fast paths read, so every pair with a near pooled pair comes here.
+    """
+    ws = np.zeros(values.size)
+    ws[pos_s] = small.masses()
+    wl = np.zeros(values.size)
+    wl[pos_l] = large.masses()
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(values) > MERGE_TOL)))
+    gaps = np.cumsum(np.add.reduceat(ws, starts)) - np.cumsum(np.add.reduceat(wl, starts))
+    return np.diff(values[starts]), gaps
+
+
+def _ks(a, b, near=False):
+    """KS distance; ``near`` says a law may hold atoms within MERGE_TOL.
+
+    F_S - F_L is largest just after an atom of S and smallest just before
+    one, or after the last atom: between two atoms of S, F_S stays and F_L
+    grows. cumsum and subtraction are monotone in floating point too, so the
+    ends of these runs hold the exact extremes over the pooled grid, and the
+    one search of S into L finds them. Where a pooled pair lies within
+    MERGE_TOL, the grouped grid answers.
+    """
+    small, large, below = _search(a, b)
+    if near or _near_across(small.values, large.values, below):
+        gaps = _grouped(small, large, *_pool(small, large, below))[1]
+        top, bottom = gaps.max(), gaps.min()
+    else:
+        cum_large = large.cum[below]  # F_L just before each atom of S
+        top = (small.cum[1:] - cum_large).max()
+        bottom = min((small.cum[:-1] - cum_large).min(), small.cum[-1] - large.cum[-1])
+    # max |gap| as max(max, -min), with no array of absolute values;
+    # cumulative weights may end at 1 +- a few ulp, and the sup of a CDF gap
+    # cannot exceed 1
     return float(min(1.0, max(top, -bottom)))
 
 
 def _w1(a, b):
-    steps, parts = _cdf_gaps(a, b)
-    if steps.size == 0:
-        return 0.0
-    dist = np.empty(steps.size + 1)
-    for gaps, places in parts:
-        dist[places] = gaps
+    """W1 distance: |F_S - F_L| times each step, summed in pooled order.
+
+    When no two pooled atoms lie within MERGE_TOL no pooled mass is built:
+    np.cumsum adds in sequence and adding 0.0 changes nothing, so each law's
+    pooled cumulative mass is its own cumsum read at the number of its atoms
+    so far.
+    """
+    small, large, below = _search(a, b)
+    pos_s, pos_l, values = _pool(small, large, below)
+    steps = np.diff(values)
+    if (steps > MERGE_TOL).all():
+        dist = values  # the pooled values are spent: F_S - F_L takes their memory
+        gaps = large.cum[below]
+        np.subtract(small.cum[1:], gaps, out=gaps)
+        dist[pos_s] = gaps
+        s_before_l = np.arange(large.values.size)
+        np.subtract(pos_l, s_before_l, out=s_before_l)
+        gaps = small.cum[s_before_l]
+        gaps -= large.cum[1:]
+        dist[pos_l] = gaps
+    else:
+        steps, dist = _grouped(small, large, pos_s, pos_l, values)
     np.abs(dist, out=dist)
-    return float(np.sum(dist[:-1] * steps))
+    np.multiply(dist[:-1], steps, out=steps)
+    return float(np.sum(steps))
 
 
 def ks_distance(a, b):
     """Exact sup distance between the two right-continuous CDFs; in [0, 1]."""
     a, b = _Law.of(a), _Law.of(b)
-    if _spaced(a.values) and _spaced(b.values):
-        return _ks(a, b)
     # a law built by hand may hold atoms within MERGE_TOL of each other
-    return _ks_pooled(a, b)
+    return _ks(a, b, near=not (_spaced(a.values) and _spaced(b.values)))
 
 
 def wasserstein1(a, b):
@@ -440,6 +436,8 @@ def distance_traces(sequence, target, directions, metric="ks"):
     whole pass, then dropped with it. Each distance equals ``ks_distance`` or
     ``wasserstein1`` of the ``project``-ed laws, bit for bit.
     """
+    if not sequence:
+        raise ValueError("sequence must be nonempty")
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
     fn = _METRIC_FNS[metric]

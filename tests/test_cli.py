@@ -312,6 +312,15 @@ def test_cli_defaults_parse_to_library_defaults(command):
     assert {"directions", "epsilon", "frame_tau"} <= checked
 
 
+def test_verdict_rejects_unreachable_frame_tau(tmp_path, gaussian_files, capsys):
+    # no frame of unit rows has a smallest singular value above 1, or NaN
+    code = main(["verdict", "--inputs", ",".join(str(p) for p in gaussian_files),
+                 "--target", "gaussian", "--frame-tau", "nan", "--out", str(tmp_path / "v")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "tau" in err["message"]
+
+
 class TestSubcommands:
     def test_sample_directions(self, tmp_path, capsys):
         out = tmp_path / "out"

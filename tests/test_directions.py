@@ -195,6 +195,17 @@ class TestExtractFrame:
         with pytest.raises(InsufficientRank):
             extract_frame(cands, tau=1e-6)
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), 1.5, 0.0, -1.0])
+    def test_tau_outside_unit_interval_rejected(self, tau):
+        # unit rows have smallest singular value at most 1: a tau above 1, or
+        # NaN, could never be met and would blame the candidates
+        with pytest.raises(ValueError, match="^tau must lie in"):
+            extract_frame([e(i, 2) for i in range(2)], tau=tau)
+
+    def test_tau_one_accepts_orthonormal_candidates(self):
+        frame = extract_frame([e(i, 3) for i in range(3)], tau=1.0)
+        assert frame.matrix.tobytes() == np.eye(3).tobytes()
+
     def test_frame_row_integrity(self):
         dirs = sample_uniform(3, 10, seed=8)
         frame = extract_frame(dirs)

@@ -361,7 +361,7 @@ def _cloud(rng, n, weighted):
 def test_kernel_bit_equal_to_reference_without_ties(n_a, n_b, weighted):
     # continuous draws: no two pooled atoms lie within MERGE_TOL, so the
     # kernel reads each law's own cumulative mass at its own atoms; (a, b)
-    # and (b, a) run both searchsorted branches when the sizes differ
+    # and (b, a) search the smaller law into the larger from either side
     rng = np.random.default_rng(n_a * 7919 + n_b)
     u = Direction.from_vector(rng.standard_normal(2))
     a = project(_cloud(rng, n_a, weighted[0]), u)
@@ -375,7 +375,7 @@ def test_kernel_bit_equal_to_reference_without_ties(n_a, n_b, weighted):
 @pytest.mark.parametrize("shift", [0.0, 0.5e-12])
 def test_kernel_bit_equal_to_reference_with_cross_tie(shift):
     # one b-atom equal to, or 0.5e-12 above, an a-atom: the pooled atoms are
-    # grouped, and the positions found once are reused
+    # grouped, at the pooled positions the one search of the smaller law gives
     rng = np.random.default_rng(5)
     a_vals = np.sort(rng.uniform(1.0, 2.0, 3000))
     b_vals = np.sort(np.append(rng.uniform(1.0, 2.0, 1200), a_vals[1700] + shift))
@@ -444,6 +444,13 @@ class TestDistanceTrace:
         with pytest.raises(DimensionMismatch):
             distance_trace([SampleSet(np.zeros((1, 3)))], delta(0.0, 0.0),
                            Direction(np.array([1.0, 0.0])), "ks")
+
+    def test_empty_sequence_rejected(self):
+        u = Direction(np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="^sequence must be nonempty$"):
+            distance_traces([], delta(0.0, 0.0), [u])
+        with pytest.raises(ValueError, match="^sequence must be nonempty$"):
+            distance_trace([], delta(0.0, 0.0), u)
 
 
 class TestFarFromOrigin:
