@@ -9,7 +9,10 @@ OUT/config_echo.cfg` reproduces the run byte for byte.
 --region and --direction take the spec grammar of ``cwkit.directions``, so
 the region a verdict records (``provenance.config.region``) can be passed
 back to --region. Input files are NDJSON by the suffix .ndjson or .jsonl,
-else CSV; there is no format option.
+else CSV; there is no format option. --inputs takes comma-separated paths
+or glob patterns; a pattern's matches come in natural order, digit runs
+compared as integers (elem2.csv before elem10.csv), since the last file is
+the element the verdict reads last.
 
 Exit codes: 0 success (including inconclusive verdicts, which are flagged
 in the report), 1 for an inconsistent verdict, 2 for usage or data errors
@@ -22,6 +25,7 @@ import argparse
 import glob as _glob
 import json
 import os
+import re
 import sys
 import traceback
 from dataclasses import dataclass
@@ -100,11 +104,17 @@ def parse_config_file(path):
     return opts
 
 
+def _natural_key(path):
+    parts = re.split(r"(\d+)", path)
+    # ties such as elem01 and elem1 fall back to the string, so the order is total
+    return [int(p) if i % 2 else p for i, p in enumerate(parts)], path
+
+
 def _expand_inputs(spec):
     paths = []
     for token in spec.split(","):
         token = token.strip()
-        hits = sorted(_glob.glob(token))
+        hits = sorted(_glob.glob(token), key=_natural_key)
         if hits:
             paths.extend(hits)
         else:

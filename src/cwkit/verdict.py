@@ -1,20 +1,29 @@
 """The convergence diagnostic as an executable procedure.
 
-run_verdict checks, for a sequence of sample sets against a target law:
+run_verdict checks, for a sequence of sample sets against a target law,
+the two hypotheses of the sharp Cramer-Wold theorem, and only these decide
+the verdict:
 
   h1: along every sampled direction, the projected sequence laws approach
       the projected target (finite-sample rule on a distance trace);
   h2: along d extracted frame directions, the target projections pass the
-      Carleman divergence diagnostic;
-  tightness: a frame-aligned box capturing all but epsilon of each element;
-  moment match: mixed moments of the target against the last element.
+      Carleman divergence diagnostic.
 
-The aggregate verdict can only fail to falsify convergence, never prove it;
-hence 'consistent_with_convergence' rather than 'converged'. Regions of
-surface measure zero (finite direction sets) void the hypotheses entirely:
-such runs are flagged and come back 'inconclusive' no matter what the
-directional data says, which is exactly the lesson of the switching
-counterexample.
+Two diagnostics ride along in the report: a frame-aligned tightness box
+capturing all but epsilon of each element, and a mixed-moment match of the
+target against the last element. Weak convergence does not imply
+convergence of moments, so a moment gap only sets the flag
+'moment_mismatch'.
+
+The verdict can only fail to falsify convergence, never prove it; hence
+'consistent_with_convergence' rather than 'converged'. Regions of surface
+measure zero (finite direction sets) void the hypotheses: such runs are
+flagged and come back 'inconclusive' whatever the directional data says,
+which is the lesson of the switching counterexample. An unweighted sample
+target cannot certify h2: its empirical law has compact support, so its
+Carleman scans read 'diverging' whatever population it came from. Such
+runs carry the flag 'carleman_unverifiable_from_sample' and are at best
+'inconclusive'.
 """
 
 import dataclasses
@@ -34,11 +43,6 @@ from .rng import STREAM_REFERENCE, substream
 
 H1_RULES = ("final_below", "monotone_trend")
 VERDICTS = ("consistent_with_convergence", "inconsistent", "inconclusive")
-
-
-def _reliable_order_limit(n):
-    # empirical moments beyond this order are noise-dominated
-    return 2.0 * n**0.25
 
 
 def _default_h1_tolerance(n_min):
@@ -236,26 +240,13 @@ def h1_check(traces, tolerance, rule="final_below"):
 def h2_check(target, frame, carleman_order):
     """Carleman diagnostic of the target's projection along each frame row.
 
-    Analytic targets use exact moment oracles. Empirical targets use the
-    moments of their projections: exact for a weighted measure; for a
-    sample, with a note when the needed orders pass the reliability limit
-    2 n^{1/4}.
+    Analytic targets use exact moment oracles, Empirical targets the exact
+    moments of their projections. An unweighted sample's scan reads the
+    sample's own compactly supported law, not the population it came from.
     """
-    note = ""
-    if isinstance(target, Empirical) and target.weights is None:
-        limit = _reliable_order_limit(target.n)
-        if 2 * carleman_order > limit:
-            note = (f"empirical moments beyond order {limit:.0f} are "
-                    f"noise-dominated at n={target.n}")
-    reports = []
-    for u in frame.directions:
-        rep = carleman_partial_sums(moment_sequence(target, u, 2 * carleman_order),
-                                    carleman_order)
-        if note:
-            joined = f"{rep.note}; {note}" if rep.note else note
-            rep = dataclasses.replace(rep, note=joined)
-        reports.append(rep)
-    return reports
+    return [carleman_partial_sums(moment_sequence(target, u, 2 * carleman_order),
+                                  carleman_order)
+            for u in frame.directions]
 
 
 # ---------------------------------------------------------------------------
@@ -359,20 +350,22 @@ class VerdictReport:
         return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
 
 
-def aggregate_overall(h1_results, carleman_verdicts, moment_rows, flags):
-    """Fold the pieces into one verdict.
+def aggregate_overall(h1_results, carleman_verdicts, flags):
+    """Fold the theorem's two hypotheses into one verdict.
 
     zero_measure_region voids everything: inconclusive. Otherwise a failed
-    direction rule or moment mismatch falsifies: inconsistent. Otherwise a
-    Carleman scan that is not 'diverging' blocks the conclusion, since without
-    Carleman's condition along the frame the projections need not identify
-    the law: inconclusive. All clear: consistent_with_convergence.
+    direction rule falsifies h1: inconsistent. Otherwise h2 must hold: a
+    Carleman scan that is not 'diverging', or a sample target that cannot
+    certify its scans (carleman_unverifiable_from_sample), leaves the
+    projections unable to identify the law: inconclusive. All clear:
+    consistent_with_convergence. Moments and tightness are not inputs.
     """
     if "zero_measure_region" in flags:
         return "inconclusive"
-    if any(not r.passed for r in h1_results) or any(not r.passed for r in moment_rows):
+    if any(not r.passed for r in h1_results):
         return "inconsistent"
-    if any(v != "diverging" for v in carleman_verdicts):
+    if (any(v != "diverging" for v in carleman_verdicts)
+            or "carleman_unverifiable_from_sample" in flags):
         return "inconclusive"
     return "consistent_with_convergence"
 
@@ -446,10 +439,12 @@ def run_verdict(sequence, target, config):
 
     if any(r.verdict == "converging" for r in carleman):
         flags.append("carleman_condition_failed")
-    if any("noise-dominated" in r.note for r in carleman):
-        flags.append("empirical_moments_unreliable")
+    if isinstance(target, Empirical) and target.weights is None:
+        flags.append("carleman_unverifiable_from_sample")
+    if any(not r.passed for r in moments):
+        flags.append("moment_mismatch")
 
-    overall = aggregate_overall(h1, [r.verdict for r in carleman], moments, flags)
+    overall = aggregate_overall(h1, [r.verdict for r in carleman], flags)
     provenance = {
         "config": config.echo(),
         "resolved_h1_tolerance": float(tol),

@@ -1,0 +1,52 @@
+"""Seeded null-and-power checks of the whole verdict.
+
+Null: data drawn from the target must never come back 'inconsistent',
+whatever kind of target it is. Power: a target that is wrong by a modest
+mean shift must come back 'inconsistent' on every seed, so a rule that
+never says 'inconsistent' cannot pass the null check alone.
+
+Every case runs d = 2, elements of 300 and 3 000 points, 20 directions and
+a 5 000-point reference draw, over 10 seeds.
+"""
+
+import numpy as np
+import pytest
+
+from cwkit import (FullSphere, Gaussian, ProductLognormal, VerdictConfig, run_verdict, sample,
+                   switching_pair)
+
+SIZES = (300, 3_000)
+SEEDS = range(10)
+
+
+def overall(law, target, seed):
+    sequence = [sample(law, n, seed=100 * seed + i) for i, n in enumerate(SIZES)]
+    config = VerdictConfig(region=FullSphere(2), n_directions=20, seed=seed,
+                           reference_sample_size=5_000)
+    return run_verdict(sequence, target, config).overall
+
+
+def null_case(kind, seed):
+    if kind == "gaussian":
+        law = Gaussian.standard(2)
+        return law, law
+    if kind == "lognormal":
+        law = ProductLognormal.standard(2)
+        return law, law
+    if kind == "atomic":
+        law = switching_pair([[1, 0], [0, 1]])[0]
+        return law, law
+    law = Gaussian.standard(2)
+    return law, sample(law, 5_000, seed=100 * seed + 99)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "lognormal", "atomic", "sample"])
+def test_null_never_inconsistent(kind):
+    outcomes = [overall(*null_case(kind, seed), seed) for seed in SEEDS]
+    assert "inconsistent" not in outcomes, outcomes
+
+
+def test_shifted_target_always_inconsistent():
+    shifted = Gaussian(np.array([0.3, 0.0]), np.eye(2))
+    outcomes = [overall(Gaussian.standard(2), shifted, seed) for seed in SEEDS]
+    assert outcomes == ["inconsistent"] * len(SEEDS)

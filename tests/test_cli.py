@@ -370,7 +370,6 @@ class TestSubcommands:
         payload = json.loads((out / "carleman.json").read_text())
         u = Direction.from_vector([0.6, 0.8])
         frame = Frame([u, Direction(np.array([1.0, 0.0]))])
-        # order 16 stays under 2 n^(1/4) at n = 5000: h2_check adds no note
         report = h2_check(ingest_samples(gaussian_files[2]), frame, 8)[0].to_dict()
         assert {key: payload[key] for key in report} == report
 
@@ -434,6 +433,19 @@ class TestSubcommands:
         got = json.loads((out / "reconstruction.json").read_text())["coefficients"]
         want = reconstruct_mixed(list(zip(dirs, values)), 3, 3).coefficients
         assert np.array(got).tobytes() == want.tobytes()
+
+    def test_input_glob_in_natural_order(self, tmp_path):
+        # elem10 is the last element, not elem9: digit runs sort as integers
+        rng = np.random.default_rng(4)
+        for i in range(1, 11):
+            (tmp_path / f"elem{i}.csv").write_text(samples_csv(
+                Empirical(rng.standard_normal((10 * i, 2)))))
+        out = tmp_path / "tr"
+        assert main(["trace", "--inputs", str(tmp_path / "elem*.csv"),
+                     "--target", str(tmp_path / "elem1.csv"), "--direction", "0,1",
+                     "--out", str(out)]) == 0
+        rows = (out / "trace.csv").read_text().splitlines()[1:]
+        assert [int(row.split(",")[1]) for row in rows] == [10 * i for i in range(1, 11)]
 
     def test_trace_and_tightness(self, tmp_path, gaussian_files):
         inputs = ",".join(str(p) for p in gaussian_files)
@@ -581,8 +593,9 @@ class TestAtomicForms:
         payload = json.loads((out / "verdict.json").read_text())
         assert payload["overall"] == "inconsistent"
         assert payload["h1"]["n_failed"] == 20
-        # exact target: no reference draw, no noise note on its Carleman scan
-        assert payload["flags"] == []
+        # exact target: no reference draw, and its Carleman scans certify h2;
+        # the moment gap to the Gaussian draws is only flagged
+        assert payload["flags"] == ["moment_mismatch"]
         assert [c["verdict"] for c in payload["carleman"]] == ["diverging", "diverging"]
         assert all(c["note"] == "" for c in payload["carleman"])
         assert (payload["provenance"]["target_digest"]
