@@ -267,12 +267,14 @@ def sample_in_region(region, count, seed, max_draw_budget=None):
     1024); on FullSphere every proposal is accepted, so the result is the
     first `count` uniform draws. Raises BudgetExhausted when fewer than
     `count` draws are accepted within `max_draw_budget` proposals (default
-    10_000 * count).
+    10_000 * count), and ValueError when that budget is below 1.
     """
     if isinstance(region, FiniteSet):
         raise ValueError("region has surface measure zero; cannot rejection-sample")
     if count < 1:
         raise ValueError("count must be >= 1")
+    if max_draw_budget is not None and max_draw_budget < 1:
+        raise ValueError(f"max_draw_budget must be >= 1, got {max_draw_budget!r}")
     budget = int(max_draw_budget) if max_draw_budget is not None else 10_000 * count
     rng = substream(seed, STREAM_SPHERE)
     d = region.dim

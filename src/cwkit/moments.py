@@ -17,6 +17,7 @@ order everywhere (grades ascending; within a grade, lexicographically
 descending, e.g. d=2, m=2: (2,0), (1,1), (0,2)).
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -29,6 +30,9 @@ from .projections import Empirical, project
 
 #: absolute floor used when validating "nonnegative" empirical even moments
 _EVEN_TOL = 1e-12
+
+#: bytes of monomial rows that MixedMoments.from_sample reduces at once
+_BLOCK_BYTES = 256 * 1024
 
 CARLEMAN_SLOPE_TOL = 0.05
 CARLEMAN_CAUCHY_TOL = 1e-9
@@ -48,14 +52,22 @@ def jsonsafe(x):
 # multi-index helpers
 # ---------------------------------------------------------------------------
 
-def multi_indices(d, m):
-    """All multi-indices alpha with |alpha| = m, lexicographically descending."""
-    if d < 1 or m < 0:
-        raise ValueError("need d >= 1 and m >= 0")
+@functools.lru_cache(maxsize=64)
+def _multi_indices(d, m):
     # counting each draw turns lexicographically ascending draws of m
     # coordinates into lexicographically descending multi-indices
-    return [tuple(draw.count(j) for j in range(d))
-            for draw in itertools.combinations_with_replacement(range(d), m)]
+    return tuple(tuple(draw.count(j) for j in range(d))
+                 for draw in itertools.combinations_with_replacement(range(d), m))
+
+
+def multi_indices(d, m):
+    """All multi-indices alpha with |alpha| = m, lexicographically descending.
+
+    Each (d, m) is enumerated once and kept in a small cache; every call
+    returns a fresh list, so callers may change it freely."""
+    if d < 1 or m < 0:
+        raise ValueError("need d >= 1 and m >= 0")
+    return list(_multi_indices(d, m))
 
 
 def multi_indices_upto(d, max_order):
@@ -268,24 +280,44 @@ class MixedMoments:
     @classmethod
     def from_sample(cls, source, max_order):
         """Mixed moments of an Empirical: empirical for a sample, exact for
-        a weighted measure. A sample's standard errors std(x^alpha) / sqrt(n)
-        come from the same monomials, built one alpha at a time: all at once
-        they would take about 240 MB at d = 8, order 6, n = 10 000."""
+        a weighted measure, with a sample's standard errors std(x^alpha) /
+        sqrt(n) from the same monomials.
+
+        The monomials are built in blocks of rows of about _BLOCK_BYTES (one
+        row when n is larger), each row multiplied up from a table of powers
+        one factor at a time, and each block is reduced at once: one
+        ``expect`` over its rows for the means, then the standard errors in
+        place in np.std's order of operations. Every value is bit-equal to
+        building and reducing the rows one alpha at a time."""
         points, dim, n = source.points, source.dim, source.n
         # power table: pows[j, k] = x_j^k, one contiguous row per factor
         pows = np.ones((dim, max_order + 1, n))
         for k in range(1, max_order + 1):
             np.multiply(pows[:, k - 1], points.T, out=pows[:, k])
+        alphas = multi_indices_upto(dim, max_order)
+        per_block = max(1, _BLOCK_BYTES // pows.itemsize // n)
+        block = np.empty((min(per_block, len(alphas)), n))
         table, se = {}, {}
-        mono = np.empty(n)
-        for alpha in multi_indices_upto(dim, max_order):
-            mono.fill(1.0)  # then 1 * x_j^a * x_k^b * ..., one factor at a time
-            for j, a in enumerate(alpha):
-                if a:
-                    np.multiply(mono, pows[j, a], out=mono)
-            table[alpha] = float(source.expect(mono))
+        for start in range(0, len(alphas), per_block):
+            chunk = alphas[start:start + per_block]
+            monos = block[:len(chunk)]
+            for row, alpha in zip(monos, chunk):
+                # the first power is copied, the others multiplied in place;
+                # alpha = 0 copies the row x_0^0 = 1
+                factors = [pows[j, a] for j, a in enumerate(alpha) if a] or [pows[0, 0]]
+                np.copyto(row, factors[0])
+                for f in factors[1:]:
+                    np.multiply(row, f, out=row)
+            means = source.expect(monos)
+            table.update(zip(chunk, means.tolist()))
             if source.weights is None:
-                se[alpha] = float(np.std(mono) / np.sqrt(n))
+                monos -= means[:, None]
+                np.multiply(monos, monos, out=monos)
+                err = monos.sum(axis=-1)
+                err /= n
+                np.sqrt(err, out=err)
+                err /= np.sqrt(n)
+                se.update(zip(chunk, err.tolist()))
         mm = cls(dim=dim, max_order=max_order, table=table)
         object.__setattr__(mm, "se", se)
         return mm

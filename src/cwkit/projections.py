@@ -106,14 +106,18 @@ class Empirical:
         return np.full(self.n, 1.0 / self.n) if self.weights is None else self.weights
 
     def expect(self, values):
-        """Integral of per-point values: the sample mean, or the weighted sum.
+        """Integral of per-point values along the last axis: the sample mean,
+        or the weighted sum. Each row of a 2-D block is integrated on its own,
+        bit-equal to integrating it alone.
 
         Every integral over a point cloud goes through here. Both cases use
         numpy's pairwise summation, never a BLAS dot product: OpenBLAS splits
         a long dot across threads and rounds it differently at each thread
         count, so reports would depend on the machine's thread setting.
         """
-        return np.mean(values) if self.weights is None else np.sum(self.weights * values)
+        if self.weights is None:
+            return np.mean(values, axis=-1)
+        return np.sum(self.weights * values, axis=-1)
 
     def digest(self):
         """SHA-256 of the points, then of the label (sample) or weights (measure)."""

@@ -29,6 +29,7 @@ runs carry the flag 'carleman_unverifiable_from_sample' and are at best
 import dataclasses
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +89,14 @@ class VerdictConfig:
             x = getattr(self, name)
             if x is not None and not (np.isfinite(x) and x > 0.0):
                 raise ValueError(f"{name} must be finite and > 0")
+        # caught here, not later with another message while directions or the reference are drawn
+        for name, optional in (("reference_sample_size", False), ("max_draw_budget", True)):
+            x = getattr(self, name)
+            if optional and x is None:
+                continue
+            if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < 1:
+                allowed = "None or an integer >= 1" if optional else "an integer >= 1"
+                raise ValueError(f"{name} must be {allowed}, got {x!r}")
         if self.moment_tolerances is not None:
             tols = tuple(float(t) for t in self.moment_tolerances)
             if len(tols) != self.moment_order:

@@ -672,6 +672,15 @@ class TestErrorPaths:
         assert err["error"] == "ValueError"
         assert "h1_tolerance" in err["message"]
 
+    def test_reference_n_zero_exit_two(self, tmp_path, capsys, gaussian_files):
+        code = main(["verdict", "--inputs", ",".join(map(str, gaussian_files)),
+                     "--target", "gaussian", "--reference-n", "0", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "reference_sample_size" in err["message"]
+        assert not (tmp_path / "o" / "verdict.json").exists()
+
     def test_missing_required_option(self, tmp_path, capsys):
         code = main(["project", "--direction", "1,0", "--out", str(tmp_path / "o")])
         assert code == 2

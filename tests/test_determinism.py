@@ -3,8 +3,10 @@
 OpenBLAS splits a dot product of more than about 10 000 terms across
 threads, and each split rounds differently. The script below runs the
 sums that used to be dot products (directional moments of a 30 000-point
-sample target, the mixed-moment table of a 30 000-atom measure) once with
-one BLAS thread and once with two, and the outputs must agree byte for byte.
+sample target, the mixed-moment table of a 30 000-atom measure) and the
+row reductions of a 30 000-point sample's mixed-moment table and standard
+errors once with one BLAS thread and once with two, and the outputs must
+agree byte for byte.
 """
 
 import os
@@ -35,6 +37,10 @@ w = rng.uniform(0.5, 1.5, 30_000)
 measure = Empirical(rng.standard_normal((30_000, 2)), w / w.sum())
 table = MixedMoments.from_sample(measure, 4).table
 print([float(v).hex() for v in table.values()])
+
+sample = MixedMoments.from_sample(Empirical(rng.standard_normal((30_000, 2))), 4)
+print([float(v).hex() for v in sample.table.values()])
+print([float(v).hex() for v in sample.se.values()])
 """
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -107,6 +107,15 @@ class TestSampleInRegion:
         with pytest.raises(BudgetExhausted):
             sample_in_region(tiny, 10, seed=0, max_draw_budget=2000)
 
+    @pytest.mark.parametrize("budget", [0, -5, 0.5])
+    def test_budget_below_one_rejected(self, budget):
+        # not BudgetExhausted: no region is too small for a budget of no draws
+        with pytest.raises(ValueError, match=f"max_draw_budget must be >= 1, got {budget!r}"):
+            sample_in_region(FullSphere(2), 50, seed=0, max_draw_budget=budget)
+
+    def test_budget_of_one_draw(self):
+        assert len(sample_in_region(FullSphere(2), 1, seed=0, max_draw_budget=1)) == 1
+
 
 class TestRegionMeasure:
     def test_full_sphere_exact(self):

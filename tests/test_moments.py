@@ -44,6 +44,17 @@ class TestMultiIndices:
             assert len(multi_indices(d, m)) == len(brute) == homogeneous_dim(d, m)
             assert set(multi_indices(d, m)) == set(brute)
 
+    def test_returned_lists_are_fresh(self):
+        # enumerations are cached; a caller's changes must not reach the cache
+        first = multi_indices(3, 2)
+        first[0] = (9, 9, 9)
+        first.append((0, 0, 0))
+        assert multi_indices(3, 2) == [(2, 0, 0), (1, 1, 0), (1, 0, 1),
+                                       (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+        upto = multi_indices_upto(2, 1)
+        upto.clear()
+        assert multi_indices_upto(2, 1) == [(0, 0), (1, 0), (0, 1)]
+
     def test_homogeneous_dim_values(self):
         assert homogeneous_dim(2, 3) == 4
         assert homogeneous_dim(7, 0) == 1
@@ -243,6 +254,10 @@ class TestStandardErrors:
     @pytest.mark.parametrize("d, order, n, weighted", [
         (1, 0, 1, False), (1, 9, 300, False), (3, 7, 500, True),
         (4, 6, 2000, False), (8, 6, 400, False), (8, 4, 300, True),
+        # n above one 256 KiB block, so one row per block
+        (2, 4, 40_000, False), (3, 4, 40_000, True),
+        # 56 alphas in blocks of 3 rows, the last block short
+        (3, 5, 10_000, False),
     ])
     def test_table_bit_equal_to_loop(self, d, order, n, weighted):
         rng = np.random.default_rng(100 * d + order)

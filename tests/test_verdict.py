@@ -263,6 +263,23 @@ def test_config_rejects(field, value):
         VerdictConfig(**{**base, field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("reference_sample_size", 0), ("reference_sample_size", 1.5),
+    ("reference_sample_size", True), ("max_draw_budget", 0),
+    ("max_draw_budget", -3), ("max_draw_budget", 2.5),
+])
+def test_config_names_bad_count(field, value):
+    # caught when the config is built, not after the directions are drawn
+    with pytest.raises(ValueError, match=f"{field} must be .*integer >= 1, got {value!r}"):
+        VerdictConfig(region=FullSphere(2), **{field: value})
+
+
+def test_config_accepts_counts():
+    cfg = VerdictConfig(region=FullSphere(2), reference_sample_size=1, max_draw_budget=1)
+    assert (cfg.reference_sample_size, cfg.max_draw_budget) == (1, 1)
+    assert VerdictConfig(region=FullSphere(2), max_draw_budget=np.int64(7)).max_draw_budget == 7
+
+
 def test_config_echo_lists_every_field_once():
     cfg = VerdictConfig(region=Cap(Direction(np.array([1.0, 0.0])), 0.5), moment_order=2,
                         moment_tolerances=[0.1, 0.2])
