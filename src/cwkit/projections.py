@@ -11,10 +11,13 @@ a merged atom sits at its group's first (smallest) value with the group's
 summed mass. So every atom is a data value, atoms stay strictly increasing
 at any offset, and distances are computed exactly on that grid, unbinned.
 
-Each projected law is sorted once, when it is built: a sample's projection
-in place (its masses are all equal, so no permutation needs to follow), a
-weighted measure's by a stable argsort that carries its weights. The
-arrays the kernel makes are frozen where they are, not copied again.
+<u, x> is computed in one place, ``_projection``, for every stage, and one
+builder, ``_law``, turns a projected column into a 1-D law for the h1 pass,
+``project`` and ``Projected1D.from_raw`` alike. It sorts the column once: a
+sample's in place (its masses are all equal, so no permutation needs to
+follow), an exact measure's by a stable argsort that carries its weights.
+The h1 pass builds a ``Projected1D`` only for a law whose values merge;
+every other law goes to the kernel as it is, after the same checks.
 
 Both distances are symmetric, so each searches the law S of fewer atoms
 into the other law L once. KS builds no pooled grid: F_S - F_L takes its
@@ -29,8 +32,7 @@ change.
 ``distance_traces`` makes all of a run's h1 distances in one pass. Along each
 direction it projects and accumulates the target once. A sample whose
 projection merges no atoms has cumulative masses that depend on n alone;
-the pass builds them once per n, drops them when it returns, and does not
-re-check the laws it makes itself.
+the pass builds them once per n and drops them when it returns.
 
 Directions still go one at a time. One GEMM over all directions was
 measured against the per-direction matrix-vector products it would replace
@@ -135,64 +137,54 @@ AtomicMeasure = Empirical
 def _merge_sorted(values, weights):
     # group consecutive sorted values whose gap is <= MERGE_TOL; a group sits
     # at its first value with its summed mass, so atoms are data values more
-    # than MERGE_TOL apart. Both callers pass fresh arrays, frozen in place.
-    apart = np.diff(values) > MERGE_TOL
-    if not apart.all():
-        starts = np.flatnonzero(np.concatenate(([True], apart)))
-        values = values[starts]
-        weights = np.add.reduceat(weights, starts)
-    values.flags.writeable = False
-    weights.flags.writeable = False
-    return values, weights
+    # than MERGE_TOL apart
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(values) > MERGE_TOL)))
+    return values[starts], np.add.reduceat(weights, starts)
 
 
-def _keep_frozen(a):
-    # the kernel's fresh arrays arrive read-only and owning their memory, so
-    # no view can write to them; anything else is copied and frozen
-    if a.dtype == np.float64 and a.flags.owndata and not a.flags.writeable:
-        return a
-    return _freeze(a)
+def _unit_masses(w):
+    # strictly positive masses summing to 1 within MASS_TOL; returns w
+    if np.any(w <= 0.0):
+        raise ValueError("weights must be strictly positive")
+    if abs(w.sum() - 1.0) > MASS_TOL:
+        raise ValueError(f"weights sum to {w.sum()!r}, not 1 within {MASS_TOL}")
+    return w
 
 
 @dataclass(frozen=True, eq=False)
 class Projected1D:
     """A 1-D atomic law: strictly increasing values, positive weights, mass 1.
 
-    The law keeps read-only copies of its arrays. A float64 array that is
-    already read-only and owns its memory, as ``project`` makes them, is kept
-    without a copy: the law then relies on its owner never making it
-    writable again.
+    The law keeps read-only copies of its arrays. ``project`` and
+    ``from_raw`` build one from a projected column through the same sort and
+    merge as the h1 pass.
     """
 
     values: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        v = _keep_frozen(np.asarray(self.values, dtype=np.float64))
-        w = _keep_frozen(np.asarray(self.weights, dtype=np.float64))
+        v = _freeze(self.values)
+        w = _freeze(self.weights)
         if v.ndim != 1 or v.shape != w.shape or v.size < 1:
             raise ValueError("values and weights must be matching 1-D arrays")
         if not (np.all(np.isfinite(v)) and np.all(np.isfinite(w))):
             raise ValueError("atoms must be finite")
         if np.any(np.diff(v) <= 0.0):
             raise ValueError("values must be strictly increasing")
-        if np.any(w <= 0.0):
-            raise ValueError("weights must be strictly positive")
-        if abs(w.sum() - 1.0) > MASS_TOL:
-            raise ValueError(f"weights sum to {w.sum()!r}, not 1 within {MASS_TOL}")
+        _unit_masses(w)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "weights", w)
 
-    @property
-    def n_atoms(self):
-        return self.values.size
-
     @classmethod
     def from_raw(cls, values, weights):
+        """The law of unsorted values with their masses, sorted and merged."""
         values = np.asarray(values, dtype=np.float64)
         weights = np.asarray(weights, dtype=np.float64)
-        order = np.argsort(values, kind="stable")
-        return cls(*_merge_sorted(values[order], weights[order]))
+        if values.ndim != 1 or values.shape != weights.shape or values.size < 1:
+            raise ValueError("values and weights must be matching 1-D arrays")
+        law = _law(values, weights, None)
+        return cls(law.values, law.weights)
 
 
 def _projection(source, u):
@@ -204,12 +196,8 @@ def _projection(source, u):
 
 def project(source, u):
     """Push an Empirical forward under x -> <u, x>."""
-    v = _projection(source, u)
-    if source.weights is not None:
-        return Projected1D.from_raw(v, source.weights)
-    # equal masses: the sorting permutation cannot change a bit, so no argsort
-    v.sort()
-    return Projected1D(*_merge_sorted(v, source.mass))
+    law = _law(_projection(source, u), source.weights, {})
+    return Projected1D(law.values, source.mass if law.weights is None else law.weights)
 
 
 def _cum0(weights):
@@ -244,35 +232,35 @@ class _Law(NamedTuple):
         return 1.0 / self.values.size if self.weights is None else self.weights
 
 
-def _uniform_cum(n):
-    # the cumulative masses of n atoms of 1/n each, after Projected1D's mass check
-    w = np.full(n, 1.0 / n)
-    if abs(w.sum() - 1.0) > MASS_TOL:
-        raise ValueError(f"weights sum to {w.sum()!r}, not 1 within {MASS_TOL}")
-    return _cum0(w)
+def _law(column, weights, uniform):
+    """The law of a fresh projected column whose rows carry ``weights``, or
+    mass 1/n each when ``weights`` is None (a sample).
 
-
-def _law_along(source, u, uniform):
-    """The law of source projected along u, as ``project`` makes it.
-
-    A sample whose sorted projection merges no atoms skips ``Projected1D``:
-    its ends show whether it is finite (NaN sorts last), no merge means
-    strictly increasing values, and its cumulative masses depend on n alone,
-    so they are taken from ``uniform`` (n -> masses), filled on first use.
-    Every other law is a ``Projected1D`` with all its checks.
+    A sample is sorted in place: its masses are all equal, so no permutation
+    needs to follow. Weighted values are sorted by a stable argsort that
+    carries their weights. The sorted ends show whether the law is finite
+    (NaN sorts last). Values that merge go through ``Projected1D`` with all
+    its checks. Otherwise no merge means strictly increasing values: an
+    exact measure keeps its sorted weights once they pass the mass check, and
+    a sample's cumulative masses depend on n alone, so they are taken from
+    ``uniform`` (n -> masses), filled on first use.
     """
-    v = _projection(source, u)
-    if source.weights is not None:
-        return _Law.of(Projected1D.from_raw(v, source.weights))
-    v.sort()
-    if not (np.isfinite(v[0]) and np.isfinite(v[-1])):
+    if weights is None:
+        column.sort()
+    else:
+        order = np.argsort(column, kind="stable")
+        column, weights = column[order], weights[order]
+    if not (np.isfinite(column[0]) and np.isfinite(column[-1])):
         raise ValueError("atoms must be finite")
-    if not _spaced(v):
-        return _Law.of(Projected1D(*_merge_sorted(v, source.mass)))
-    n = v.size
+    if not _spaced(column):
+        masses = np.full(column.size, 1.0 / column.size) if weights is None else weights
+        return _Law.of(Projected1D(*_merge_sorted(column, masses)))
+    if weights is not None:
+        return _Law(column, weights, _cum0(_unit_masses(weights)))
+    n = column.size
     if n not in uniform:
-        uniform[n] = _uniform_cum(n)
-    return _Law(v, None, uniform[n])
+        uniform[n] = _cum0(_unit_masses(np.full(n, 1.0 / n)))
+    return _Law(column, None, uniform[n])
 
 
 def _near_across(small, large, below):
@@ -403,7 +391,7 @@ _METRIC_FNS = {"ks": _ks, "w1": _w1}
 @dataclass(frozen=True, eq=False)
 class DistanceTrace:
     """Distances of projected sequence elements to a projected target, one
-    entry per element; ``indices`` numbers the elements 1..len(sequence)."""
+    entry per element; ``entries`` numbers the elements 1..len(sequence)."""
 
     direction: object
     metric: str
@@ -424,12 +412,9 @@ class DistanceTrace:
         object.__setattr__(self, "distances", _freeze(dist))
 
     @property
-    def indices(self):
-        return np.arange(1, self.distances.size + 1)
-
-    @property
     def entries(self):
-        return list(zip(self.indices.tolist(), self.sizes.tolist(), self.distances.tolist()))
+        return list(zip(range(1, self.sizes.size + 1), self.sizes.tolist(),
+                        self.distances.tolist()))
 
 
 def distance_traces(sequence, target, directions, metric="ks"):
@@ -449,8 +434,9 @@ def distance_traces(sequence, target, directions, metric="ks"):
     sizes = np.asarray([elem.n for elem in sequence])
     traces = []
     for u in directions:
-        proj_target = _law_along(target, u, uniform)
-        dists = [fn(_law_along(elem, u, uniform), proj_target) for elem in sequence]
+        proj_target = _law(_projection(target, u), target.weights, uniform)
+        dists = [fn(_law(_projection(elem, u), elem.weights, uniform), proj_target)
+                 for elem in sequence]
         traces.append(DistanceTrace(direction=u, metric=metric, sizes=sizes,
                                     distances=np.asarray(dists)))
     return traces

@@ -39,11 +39,10 @@ from .directions import (DEFAULT_FRAME_TAU, FiniteSet, extract_frame, frame_cons
                          sample_in_region)
 from .errors import BudgetExhausted, DimensionMismatch, InsufficientRank
 from .moments import carleman_partial_sums, jsonsafe, moment_sequence, multi_indices
-from .projections import METRICS, DistanceTrace, Empirical, distance_traces
+from .projections import METRICS, DistanceTrace, Empirical, _projection, distance_traces
 from .rng import STREAM_REFERENCE, substream
 
 H1_RULES = ("final_below", "monotone_trend")
-VERDICTS = ("consistent_with_convergence", "inconsistent", "inconclusive")
 
 
 def _default_h1_tolerance(n_min):
@@ -141,9 +140,9 @@ class TightnessBox:
 
 
 def _abs_frame_coords(element, frame):
-    # |<u_j, x>| one frame row at a time, for the quantiles and the coverage
+    # |<u_j, x>| one frame direction at a time, for the quantiles and the coverage
     # alike: a matrix product rounds differently and can push tied rows out
-    return np.abs(np.column_stack([element.points @ u_row for u_row in frame.matrix]))
+    return np.abs(np.column_stack([_projection(element, u) for u in frame.directions]))
 
 
 def _coverage(element, abs_coords, half_widths):

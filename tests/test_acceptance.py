@@ -17,7 +17,7 @@ from cwkit.gallery import Gaussian, ProductLognormal, sample, switching_pair
 from cwkit.moments import (MixedMoments, carleman_partial_sums, homogeneous_dim,
                            mixed_to_directional, multi_indices, multi_indices_upto,
                            reconstruct_mixed)
-from cwkit.projections import SampleSet, ks_distance, project
+from cwkit.projections import Empirical, ks_distance, project
 from cwkit.verdict import VerdictConfig, run_verdict, tightness_box
 
 
@@ -138,7 +138,7 @@ def test_criterion_6_end_to_end_verdicts():
     rep2 = run_verdict(seq, shifted, conf)
 
     p, q, certified = switching_pair([[1, 0], [0, 1]])
-    q_exact = SampleSet(q.points, label="q-atoms")
+    q_exact = Empirical(q.points, label="q-atoms")
     conf3 = VerdictConfig(region=FiniteSet(tuple(certified)), seed=1,
                           moment_order=2, carleman_order=6)
     rep3 = run_verdict([q_exact, q_exact, q_exact], p, conf3)

@@ -21,7 +21,7 @@ from cwkit.directions import (DEFAULT_FRAME_TAU, Cap, Direction, FiniteSet, Fram
 from cwkit.errors import CwkitError, ParseError, RaggedRows
 from cwkit.io import (atomic_csv, ingest_samples, load_atomic_csv, projected_csv,
                       samples_csv)
-from cwkit.projections import AtomicMeasure, Empirical, ks_distance, project
+from cwkit.projections import Empirical, ks_distance, project
 from cwkit.verdict import VerdictConfig, h2_check
 
 
@@ -559,7 +559,7 @@ ATOM_WEIGHTS = np.array([0.5, 0.25, 0.25])
 @pytest.fixture
 def atomic_file(tmp_path):
     path = tmp_path / "measure.csv"
-    path.write_text(atomic_csv(AtomicMeasure(ATOMS, ATOM_WEIGHTS)))
+    path.write_text(atomic_csv(Empirical(ATOMS, ATOM_WEIGHTS)))
     return path
 
 

@@ -11,7 +11,7 @@ from cwkit.gallery import (Gaussian, ProductLognormal, _from_signed_log, mixed_m
                            sample, switching_pair)
 from cwkit.moments import (carleman_partial_sums, mixed_to_directional,
                            multi_indices, multi_indices_upto, multinomial)
-from cwkit.projections import AtomicMeasure, Empirical, ks_distance, project
+from cwkit.projections import Empirical, ks_distance, project
 from cwkit.rng import STREAM_GALLERY, substream
 
 
@@ -24,7 +24,7 @@ def e1(d=2):
 class TestSampling:
     def test_atomic_point_mass(self):
         v = np.array([[2.0, -1.0, 0.5]])
-        dist = AtomicMeasure(v, np.array([1.0]))
+        dist = Empirical(v, np.array([1.0]))
         s = sample(dist, 50, seed=0)
         assert np.all(s.points == v)
 
@@ -63,7 +63,7 @@ class TestSampling:
             sample(Empirical(np.zeros((5, 2))), 10, seed=0)
 
     def test_atomic_weight_frequencies(self):
-        m = AtomicMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.25, 0.75]))
+        m = Empirical(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.25, 0.75]))
         s = sample(m, 10**5, seed=3)
         frac = np.mean(s.points[:, 0] == 1.0)
         assert frac == pytest.approx(0.75, abs=0.01)

@@ -14,7 +14,7 @@ from cwkit.moments import (MixedMoments, MomentSequence, carleman_partial_sums,
                            moment_sequence, multi_indices, multi_indices_upto, multinomial,
                            reconstruct_mixed, rm_residual)
 from cwkit.gallery import Gaussian, mixed_moments_of
-from cwkit.projections import AtomicMeasure, Projected1D, SampleSet
+from cwkit.projections import Empirical, Projected1D
 from cwkit.directions import Cap, sample_in_region
 
 
@@ -25,7 +25,7 @@ def law(values, weights):
 def random_atomic(rng, d, k):
     pts = rng.uniform(-1.5, 1.5, size=(k, d))
     w = rng.uniform(0.2, 1.0, size=k)
-    return AtomicMeasure(pts, w / w.sum())
+    return Empirical(pts, w / w.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,7 @@ class TestDirectionalMoment:
         assert moment_sequence(m, u, 1).values[0] == 1.0
 
     def test_point_mass_mean(self):
-        m = AtomicMeasure(np.array([[1.0, 2.0]]), np.array([1.0]))
+        m = Empirical(np.array([[1.0, 2.0]]), np.array([1.0]))
         assert moment_sequence(m, Direction(np.array([0.0, 1.0])), 1).values[1] == 2.0
 
     def test_standard_gaussian_second_moment(self):
@@ -180,7 +180,7 @@ class TestDirectionalMoment:
             assert moment_sequence(g, u, 2).values[2] == pytest.approx(1.0, abs=1e-12)
 
     def test_sample_set_average(self):
-        s = SampleSet(np.array([[1.0, 0.0], [3.0, 0.0]]))
+        s = Empirical(np.array([[1.0, 0.0], [3.0, 0.0]]))
         assert moment_sequence(s, Direction(np.array([1.0, 0.0])), 2).values[2] == 5.0
 
 
@@ -188,7 +188,7 @@ class TestMixedToDirectional:
     def test_first_order_is_mean_inner_product(self):
         rng = np.random.default_rng(5)
         meas = random_atomic(rng, 3, 6)
-        mm = MixedMoments.from_atomic(meas, 1)
+        mm = MixedMoments.from_sample(meas, 1)
         mean = meas.weights @ meas.points
         for u in sample_uniform(3, 4, seed=9):
             assert mixed_to_directional(mm, u, 1) == pytest.approx(float(mean @ u.coords), abs=1e-14)
@@ -205,7 +205,7 @@ class TestMixedToDirectional:
         # two independent evaluation routes must agree to 1e-12
         rng = np.random.default_rng(m)
         meas = random_atomic(rng, 3, 5)
-        mm = MixedMoments.from_atomic(meas, 6)
+        mm = MixedMoments.from_sample(meas, 6)
         for u in sample_uniform(3, 3, seed=m):
             direct = meas.expect((meas.points @ u.coords) ** m)
             via_mm = mixed_to_directional(mm, u, m)
@@ -222,7 +222,7 @@ class TestStandardErrors:
         # the table multiplies powers up one by one, the reference uses **:
         # from exponent 3 on the two round differently in the last bits
         pts = np.random.default_rng(8).standard_normal((2000, 4))
-        mm = MixedMoments.from_sample(SampleSet(pts), 6)
+        mm = MixedMoments.from_sample(Empirical(pts), 6)
         assert set(mm.se) == set(multi_indices_upto(4, 6))
         for alpha in multi_indices_upto(4, 6):
             mono = np.ones(pts.shape[0])
@@ -267,9 +267,9 @@ class TestStandardErrors:
         pts[1::5, -1] = np.round(pts[1::5, -1])
         if weighted:
             w = rng.uniform(0.05, 1.0, n)
-            source = AtomicMeasure(pts, w / w.sum())
+            source = Empirical(pts, w / w.sum())
         else:
-            source = SampleSet(pts)
+            source = Empirical(pts)
         mm = MixedMoments.from_sample(source, order)
         table, se = self.loop_reference(source, order)
         assert list(mm.table) == list(table) and list(mm.se) == list(se)
@@ -330,7 +330,7 @@ class TestRmResidual:
     def test_equal_tables_vanish(self):
         rng = np.random.default_rng(2)
         meas = random_atomic(rng, 2, 4)
-        mm = MixedMoments.from_atomic(meas, 5)
+        mm = MixedMoments.from_sample(meas, 5)
         for u in sample_uniform(2, 5, seed=5):
             for m in range(1, 6):
                 assert rm_residual(mm, mm, u, m) == 0.0
@@ -339,8 +339,8 @@ class TestRmResidual:
         from cwkit.gallery import switching_pair
 
         p, q, _ = switching_pair([[1, 0], [0, 1]])
-        p_mm = MixedMoments.from_atomic(p, 6)
-        q_mm = MixedMoments.from_atomic(q, 6)
+        p_mm = MixedMoments.from_sample(p, 6)
+        q_mm = MixedMoments.from_sample(q, 6)
         for u in sample_uniform(2, 10, seed=8):
             for m in range(7):
                 brute = (float(q.weights @ (q.points @ u.coords) ** m)
@@ -351,9 +351,9 @@ class TestRmResidual:
         rng = np.random.default_rng(9)
         meas = random_atomic(rng, 3, 5)
         shift = np.array([0.3, -1.2, 0.7])
-        translated = AtomicMeasure(meas.points + shift, meas.weights)
-        p_mm = MixedMoments.from_atomic(meas, 1)
-        q_mm = MixedMoments.from_atomic(translated, 1)
+        translated = Empirical(meas.points + shift, meas.weights)
+        p_mm = MixedMoments.from_sample(meas, 1)
+        q_mm = MixedMoments.from_sample(translated, 1)
         for u in sample_uniform(3, 5, seed=11):
             assert rm_residual(p_mm, q_mm, u, 1) == pytest.approx(float(shift @ u.coords), abs=1e-12)
 

@@ -13,7 +13,7 @@ SQ2 = np.sqrt(2.0) / 2.0
 
 
 def delta(*coords):
-    return AtomicMeasure(np.array([coords], dtype=float), np.array([1.0]))
+    return Empirical(np.array([coords], dtype=float), np.array([1.0]))
 
 
 def law(values, weights=None):
@@ -96,35 +96,35 @@ class TestEmpirical:
 
 class TestProject:
     def test_coordinate_projection(self):
-        s = SampleSet(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        s = Empirical(np.array([[1.0, 2.0], [3.0, 4.0]]))
         p = project(s, Direction(np.array([1.0, 0.0])))
         assert p.values.tolist() == [1.0, 3.0]
         assert p.weights.tolist() == [0.5, 0.5]
 
     def test_diagonal_projection(self):
-        m = AtomicMeasure(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0.5, 0.5]))
+        m = Empirical(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0.5, 0.5]))
         p = project(m, Direction(np.array([SQ2, SQ2])))
         assert p.values == pytest.approx([0.0, np.sqrt(2.0)], abs=1e-15)
         assert p.weights.tolist() == [0.5, 0.5]
 
     def test_atoms_merging_to_one(self):
-        m = AtomicMeasure(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.5, 0.5]))
+        m = Empirical(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.5, 0.5]))
         p = project(m, Direction(np.array([SQ2, SQ2])))
-        assert p.n_atoms == 1
+        assert p.values.size == 1
         assert p.values[0] == pytest.approx(SQ2, abs=1e-15)
         assert p.weights[0] == 1.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            project(SampleSet(np.zeros((2, 3))), Direction(np.array([1.0, 0.0])))
+            project(Empirical(np.zeros((2, 3))), Direction(np.array([1.0, 0.0])))
 
     def test_translation_by_direction(self):
         rng = np.random.default_rng(1)
         pts = rng.standard_normal((50, 3))
         u = Direction.from_vector(rng.standard_normal(3))
         c = 2.75
-        a = project(SampleSet(pts + c * u.coords), u)
-        b = project(SampleSet(pts), u)
+        a = project(Empirical(pts + c * u.coords), u)
+        b = project(Empirical(pts), u)
         assert np.allclose(a.values, b.values + c, atol=1e-9)
 
     @settings(max_examples=50, deadline=None)
@@ -133,7 +133,7 @@ class TestProject:
         rng = np.random.default_rng(seed)
         pts = rng.standard_normal((rng.integers(1, 40), 2))
         u = Direction.from_vector(rng.standard_normal(2))
-        p = project(SampleSet(pts), u)
+        p = project(Empirical(pts), u)
         assert abs(p.weights.sum() - 1.0) <= 1e-12
 
 
@@ -210,7 +210,7 @@ def test_metric_axioms(a, b, c):
 def test_zero_iff_equal_after_merge(a, b):
     assert ks_distance(a, a) == 0.0
     if ks_distance(a, b) == 0.0:
-        assert a.n_atoms == b.n_atoms
+        assert a.values.size == b.values.size
         assert np.allclose(a.values, b.values, atol=3e-12)
         assert np.allclose(a.weights, b.weights, atol=1e-12)
 
@@ -231,8 +231,8 @@ def ref_from_raw(values, weights):
 
 def ref_merged_cdfs(a, b):
     values = np.concatenate([a.values, b.values])
-    wa = np.concatenate([a.weights, np.zeros(b.n_atoms)])
-    wb = np.concatenate([np.zeros(a.n_atoms), b.weights])
+    wa = np.concatenate([a.weights, np.zeros(b.values.size)])
+    wb = np.concatenate([np.zeros(a.values.size), b.weights])
     order = np.argsort(values, kind="stable")
     values, wa, wb = values[order], wa[order], wb[order]
     starts = np.flatnonzero(np.concatenate(([True], np.diff(values) > MERGE_TOL)))
@@ -275,10 +275,10 @@ def clouds(draw):
     if draw(st.booleans()):
         # sample: few distinct second coordinates, so duplicate rows occur
         y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), float)
-        return SampleSet(np.column_stack([x, y]))
+        return Empirical(np.column_stack([x, y]))
     raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
     # distinct second coordinates keep the atoms pairwise distinct
-    return AtomicMeasure(np.column_stack([x, np.arange(n, dtype=float)]), raw / raw.sum())
+    return Empirical(np.column_stack([x, np.arange(n, dtype=float)]), raw / raw.sum())
 
 
 @settings(max_examples=300, deadline=None)
@@ -315,6 +315,60 @@ def test_trace_pass_bit_equal_to_reference(sequence, target, coords):
             assert bits(tr.distances) == bits(want)
             assert tr.sizes.tolist() == [elem.n for elem in sequence]
 
+
+
+@st.composite
+def distinct_rows(draw):
+    # rows on a half-integer lattice, pairwise distinct so that they can be
+    # read as an exact measure too; along the trace directions their
+    # projections tie exactly or within MERGE_TOL, so the laws merge
+    n = draw(st.integers(1, 10))
+    rows = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                         min_size=n, max_size=n, unique=True))
+    return np.array(rows, dtype=float) / 2.0
+
+
+@settings(max_examples=120, deadline=None)
+@given(distinct_rows(), st.lists(clouds(), min_size=1, max_size=2),
+       st.lists(st.sampled_from(TRACE_DIRECTIONS), min_size=2, max_size=3))
+def test_sample_and_uniform_measure_give_the_same_distances(points, others, coords):
+    # distinct rows as a sample and as the exact measure of mass 1/n on each
+    # are one law, so the h1 pass gives them the same distances bit for bit,
+    # whether the cloud is an element or the target
+    n = points.shape[0]
+    sample, measure = Empirical(points), Empirical(points, np.full(n, 1.0 / n))
+    directions = [Direction(np.array(c)) for c in coords]
+    for metric in ("ks", "w1"):
+        for as_element in (True, False):
+            def run(cloud):
+                sequence, target = ([cloud, *others], others[0]) if as_element else (others, cloud)
+                return [bits(tr.distances)
+                        for tr in distance_traces(sequence, target, directions, metric)]
+            assert run(sample) == run(measure)
+
+
+def _rows_permuted(cloud, rng):
+    # a sample with its rows in another order; an exact measure as it is
+    if cloud.weights is not None:
+        return cloud
+    return Empirical(cloud.points[rng.permutation(cloud.n)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(clouds(), min_size=1, max_size=3), clouds(), st.integers(0, 2**32 - 1))
+def test_permuting_sample_rows_keeps_distances(sequence, target, seed):
+    # a sample is a law, so the order of its rows changes no h1 distance by a
+    # bit; the rounded draw adds a larger sample whose projections tie
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 200))
+    sequence = [*sequence, Empirical(np.round(rng.standard_normal((n, 2)), 1))]
+    directions = [Direction(np.array(c)) for c in TRACE_DIRECTIONS]
+    shuffled = [_rows_permuted(elem, rng) for elem in sequence]
+    shuffled_target = _rows_permuted(target, rng)
+    for metric in ("ks", "w1"):
+        want = distance_traces(sequence, target, directions, metric)
+        got = distance_traces(shuffled, shuffled_target, directions, metric)
+        assert [bits(tr.distances) for tr in got] == [bits(tr.distances) for tr in want]
 
 def test_ks_merges_close_atoms_of_a_hand_built_law():
     # a Projected1D built by hand may hold atoms within MERGE_TOL of each
@@ -384,7 +438,7 @@ def test_kernel_bit_equal_to_reference_with_cross_tie(shift):
     for x, y in ((a, b), (b, a)):
         assert bits(ks_distance(x, y)) == bits(ref_ks(x, y))
         assert bits(wasserstein1(x, y)) == bits(ref_w1(x, y))
-        assert ref_merged_cdfs(x, y)[0].size == a.n_atoms + b.n_atoms - 1
+        assert ref_merged_cdfs(x, y)[0].size == a.values.size + b.values.size - 1
 
 
 class TestNoAliasing:
@@ -414,10 +468,10 @@ class TestNoAliasing:
 
 class TestDistanceTrace:
     def test_constant_target_sequence(self):
-        t = SampleSet(np.array([[0.0, 1.0], [2.0, -1.0]]))
+        t = Empirical(np.array([[0.0, 1.0], [2.0, -1.0]]))
         tr = distance_trace([t, t, t], t, Direction(np.array([1.0, 0.0])), "ks")
         assert tr.distances.tolist() == [0.0, 0.0, 0.0]
-        assert tr.indices.tolist() == [1, 2, 3]
+        assert [e[0] for e in tr.entries] == [1, 2, 3]
         assert tr.sizes.tolist() == [2, 2, 2]
         assert tr.sizes.dtype == np.int64
         assert not (tr.sizes.flags.writeable or tr.distances.flags.writeable)
@@ -426,8 +480,8 @@ class TestDistanceTrace:
         # DKW: one-sample KS against the truth is < sqrt(ln(2/delta)/(2n))
         # w.p. 1-delta; with n=1e4 and a 1e5 reference this is well under 0.05
         rng = np.random.default_rng(42)
-        seq = [SampleSet(rng.standard_normal((n, 2))) for n in (100, 1000, 10000)]
-        ref = SampleSet(rng.standard_normal((10**5, 2)))
+        seq = [Empirical(rng.standard_normal((n, 2))) for n in (100, 1000, 10000)]
+        ref = Empirical(rng.standard_normal((10**5, 2)))
         tr = distance_trace(seq, ref, Direction(np.array([0.0, 1.0])), "ks")
         assert tr.distances[-1] < 0.05
         assert tr.distances[0] >= tr.distances[-1]
@@ -442,7 +496,7 @@ class TestDistanceTrace:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            distance_trace([SampleSet(np.zeros((1, 3)))], delta(0.0, 0.0),
+            distance_trace([Empirical(np.zeros((1, 3)))], delta(0.0, 0.0),
                            Direction(np.array([1.0, 0.0])), "ks")
 
     def test_empty_sequence_rejected(self):

@@ -11,8 +11,7 @@ from cwkit.directions import (Cap, Direction, FiniteSet, Frame, FullSphere,
                               extract_frame, parse_region, sample_in_region, sample_uniform)
 from cwkit.errors import DimensionMismatch, InsufficientRank
 from cwkit.gallery import Gaussian, ProductLognormal, sample, switching_pair
-from cwkit.projections import (AtomicMeasure, DistanceTrace, Empirical, SampleSet, ks_distance,
-                               project)
+from cwkit.projections import DistanceTrace, Empirical, ks_distance, project
 from cwkit.verdict import (VerdictConfig, _kendall_tau_b, aggregate_overall, h1_check,
                            h2_check, moment_match, run_verdict, tightness_box)
 
@@ -33,7 +32,7 @@ def trace_of(distances, sizes=None):
 
 class TestTightnessBox:
     def test_point_mass_zero_box(self):
-        seq = [SampleSet(np.zeros((10, 2))), SampleSet(np.zeros((5, 2)))]
+        seq = [Empirical(np.zeros((10, 2))), Empirical(np.zeros((5, 2)))]
         box = tightness_box(seq, ident_frame(2), 0.1)
         assert box.half_widths.tolist() == [0.0, 0.0]
         assert box.achieved_coverage == (1.0, 1.0)
@@ -49,7 +48,7 @@ class TestTightnessBox:
         for trial in range(20):
             d = int(rng.integers(2, 5))
             eps = float(rng.uniform(0.02, 0.5))
-            seq = [SampleSet(rng.standard_normal((int(rng.integers(3, 400)), d)))
+            seq = [Empirical(rng.standard_normal((int(rng.integers(3, 400)), d)))
                    for _ in range(int(rng.integers(1, 4)))]
             frame = extract_frame(sample_uniform(d, 10 * d, seed=trial))
             box = tightness_box(seq, frame, eps)
@@ -64,7 +63,7 @@ class TestTightnessBox:
     def test_tied_rows_keep_building_guarantee(self):
         # draws from a 3-atom measure put hundreds of tied rows at each
         # quantile: the box and its coverage must see the same projected bits
-        meas = AtomicMeasure(np.array([[1.0, 0.5, -0.3], [-0.5, 1.5, 0.7], [0.25, -1.0, 2.0]]),
+        meas = Empirical(np.array([[1.0, 0.5, -0.3], [-0.5, 1.5, 0.7], [0.25, -1.0, 2.0]]),
                              np.array([0.5, 0.25, 0.25]))
         seq = [sample(meas, n, seed=i) for i, n in enumerate((1000, 2000, 3000), start=1)]
         q = 1.0 - 0.1 / 3
@@ -77,7 +76,7 @@ class TestTightnessBox:
                     np.quantile(np.abs(e.points @ u_row), q, method="higher") for e in seq)
 
     def test_atomic_weighted_quantile(self):
-        m = AtomicMeasure(np.array([[0.0, 0.0], [10.0, 0.0]]), np.array([0.96, 0.04]))
+        m = Empirical(np.array([[0.0, 0.0], [10.0, 0.0]]), np.array([0.96, 0.04]))
         box = tightness_box([m], ident_frame(2), 0.1)
         # 95th percentile of |x1| under weights (0.96, 0.04) is 0
         assert box.half_widths[0] == 0.0
@@ -144,7 +143,7 @@ class TestH2Check:
         assert [r.verdict for r in reports] == ["converging"] * 2
 
     def test_bounded_atomic_diverging(self):
-        m = AtomicMeasure(np.array([[1.0, 0.0], [-1.0, 2.0]]), np.array([0.5, 0.5]))
+        m = Empirical(np.array([[1.0, 0.0], [-1.0, 2.0]]), np.array([0.5, 0.5]))
         reports = h2_check(m, ident_frame(2), 10)
         assert all(r.verdict == "diverging" for r in reports)
 
@@ -169,7 +168,7 @@ class TestMomentMatch:
         rng = np.random.default_rng(2)
         pts = rng.uniform(-1, 1, size=(6, 2))
         w = rng.uniform(0.5, 1.0, 6)
-        m = AtomicMeasure(pts, w / w.sum())
+        m = Empirical(pts, w / w.sum())
         rows = moment_match(m, m, 3)
         assert all(r.max_abs_discrepancy == 0.0 and r.passed for r in rows)
 
@@ -304,14 +303,14 @@ class TestRunVerdict:
         # the one trace pass over all directions, pair by pair against the
         # pooled reference kernel; rows on a coarse lattice tie across laws
         rng = np.random.default_rng(11)
-        seq = [SampleSet(np.round(rng.standard_normal((n, 2)), 1)) for n in (40, 200, 800)]
+        seq = [Empirical(np.round(rng.standard_normal((n, 2)), 1)) for n in (40, 200, 800)]
         pts = np.round(rng.standard_normal((300, 2)), 1)
         if weighted:
             pts = np.unique(pts, axis=0)
             w = rng.uniform(0.05, 1.0, len(pts))
-            target = AtomicMeasure(pts, w / w.sum())
+            target = Empirical(pts, w / w.sum())
         else:
-            target = SampleSet(pts)
+            target = Empirical(pts)
         config = VerdictConfig(region=Cap(Direction(np.array([1.0, 0.0])), 0.6), n_directions=6,
                                moment_order=2, carleman_order=6, seed=2)
         report = run_verdict(seq, target, config)
@@ -338,7 +337,7 @@ class TestRunVerdict:
 
     def test_switching_finite_region_inconclusive(self):
         p, q, certified = switching_pair([[1, 0], [0, 1]])
-        q_exact = SampleSet(q.points, label="q")
+        q_exact = Empirical(q.points, label="q")
         config = VerdictConfig(region=FiniteSet(tuple(certified)), seed=1,
                                moment_order=2, carleman_order=6)
         report = run_verdict([q_exact, q_exact, q_exact], p, config)
@@ -487,8 +486,8 @@ class TestSampleVersusMeasure:
     def pair(self):
         pts = np.random.default_rng(2024).standard_normal((self.N, 2))
         assert np.unique(pts, axis=0).shape[0] == self.N
-        return (SampleSet(pts, label="cloud"),
-                AtomicMeasure(pts, np.full(self.N, 1.0 / self.N)))
+        return (Empirical(pts, label="cloud"),
+                Empirical(pts, np.full(self.N, 1.0 / self.N)))
 
     def test_tightness_quantiles_differ(self, pair):
         sample_set, measure = pair
@@ -538,7 +537,7 @@ class TestSampleVersusMeasure:
 
     def test_digest_label_only_for_sample(self, pair):
         sample_set, measure = pair
-        relabelled = SampleSet(sample_set.points, label="other")
+        relabelled = Empirical(sample_set.points, label="other")
         assert sample_set.digest() != relabelled.digest()
 
         def sha(*parts):
