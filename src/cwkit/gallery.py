@@ -13,7 +13,9 @@ moment-determinate projections; the lognormal does not, which is what
 makes it the canonical Carleman failure case.
 """
 
+import functools
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -45,6 +47,26 @@ def _projected_sequence(signed_logs):
             # even moments of a projection are strictly positive
             logs[k] = log_abs
     return MomentSequence(values=vals, log_values=logs)
+
+
+@functools.lru_cache(maxsize=64)
+def _isserlis_plan(d, m):
+    """The Isserlis recursion over the graded |alpha| <= m as a flat
+    array('i'): for each alpha after 0, its first nonzero index i, the
+    position of beta = alpha - e_i, the count of nonzero beta_j, and for
+    each in order of j: j, beta_j and the position of beta - e_j. Shared by
+    every caller: read it only."""
+    alphas = multi_indices_upto(d, m)
+    position = {alpha: k for k, alpha in enumerate(alphas)}
+    plan = array("i")
+    for alpha in alphas[1:]:
+        i = next(k for k, a in enumerate(alpha) if a)
+        beta = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+        terms = [(j, b) for j, b in enumerate(beta) if b]
+        plan.extend((i, position[beta], len(terms)))
+        for j, b in terms:
+            plan.extend((j, b, position[beta[:j] + (b - 1,) + beta[j + 1:]]))
+    return plan
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,22 +126,19 @@ class Gaussian:
         """{alpha: E[x^alpha]} for every |alpha| <= max_order, by the Isserlis
         recursion mu(alpha) = m_i mu(beta) + sum_j cov_ij beta_j mu(beta - e_j),
         with i the first nonzero index of alpha and beta = alpha - e_i. In
-        graded order every entry on the right is already in the table."""
+        graded order every entry on the right is already in the table, so
+        the recursion reads them by position from ``_isserlis_plan``."""
         mean, cov = self.mean.tolist(), self.cov.tolist()
-        alphas = multi_indices_upto(self.dim, max_order)
-        table = {alphas[0]: 1.0}
-        for alpha in alphas[1:]:
-            beta = list(alpha)
-            i = next(k for k, a in enumerate(alpha) if a)
-            beta[i] -= 1
-            total = mean[i] * table[tuple(beta)]
-            for j, b in enumerate(beta):
-                if b:
-                    beta[j] -= 1
-                    total += cov[i][j] * b * table[tuple(beta)]
-                    beta[j] += 1
-            table[alpha] = total
-        return table
+        values = [1.0]
+        steps = iter(_isserlis_plan(self.dim, max_order))
+        for i in steps:
+            total = mean[i] * values[next(steps)]
+            row = cov[i]
+            for _ in range(next(steps)):
+                j, b, at = next(steps), next(steps), next(steps)
+                total += row[j] * b * values[at]
+            values.append(total)
+        return dict(zip(multi_indices_upto(self.dim, max_order), values))
 
 
 @dataclass(frozen=True, eq=False)

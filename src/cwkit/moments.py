@@ -20,6 +20,7 @@ descending, e.g. d=2, m=2: (2,0), (1,1), (0,2)).
 import functools
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +77,49 @@ def multi_indices_upto(d, max_order):
     for m in range(max_order + 1):
         out.extend(multi_indices(d, m))
     return out
+
+
+def _top_power(m):
+    # the highest power _monomial_moments keeps in its table: x_j^m is used
+    # by the one row alpha = m e_j alone, which is made as x_j^(m-1) x_j
+    return m - 1 if m > 1 else m
+
+
+@functools.lru_cache(maxsize=64)
+def _prefix_walk(d, m):
+    """Depth-first order of every |alpha| <= m in which each alpha comes
+    after its prefix, alpha with its last nonzero part dropped.
+
+    A flat array('i') of four entries per alpha: the row of its prefix, the
+    row of the power that multiplies it, alpha's position in
+    ``multi_indices_upto(d, m)``, and the stack row that keeps alpha's own
+    row for longer alphas; -1 means no row. Rows number the min(d, m) - 1
+    stack rows first, then the power table: x_j^k is row
+    stack + j * top + k - 1, k <= top = _top_power(m). alpha = 0 comes first
+    and has no rows (its row is all ones). An alpha with one nonzero part
+    has no prefix and copies its power, except x_j^m, which multiplies
+    x_j^(m-1) by x_j. Shared by every caller: read it only."""
+    position = {alpha: i for i, alpha in enumerate(multi_indices_upto(d, m))}
+    stack_rows, top = max(min(d, m) - 1, 0), _top_power(m)
+    walk = array("i", (-1, -1, 0, -1))
+
+    def visit(alpha, depth, first, total):
+        for j in range(first, d):
+            power = stack_rows + j * top - 1  # + k: the row of x_j^k
+            for a in range(1, m - total + 1):
+                longer = alpha[:j] + (a,) + alpha[j + 1:]
+                keep = depth if j < d - 1 and total + a < m else -1
+                if depth:
+                    walk.extend((depth - 1, power + a, position[longer], keep))
+                elif a > top:
+                    walk.extend((power + a - 1, power + 1, position[longer], keep))
+                else:
+                    walk.extend((-1, power + a, position[longer], keep))
+                if keep >= 0:
+                    visit(longer, depth + 1, j + 1, total + a)
+
+    visit((0,) * d, 0, 0, 0)
+    return walk
 
 
 def multinomial(m, alpha):
@@ -250,6 +294,56 @@ def moment_sequence(source, u, max_order):
     return source.projected_even_moments(u, max_order)
 
 
+def _monomial_moments(source, max_order):
+    # means and standard errors of the monomials x^alpha, |alpha| <= max_order,
+    # in graded order (see MixedMoments.from_sample)
+    points, dim, n = source.points, source.dim, source.n
+    top = _top_power(max_order)
+    # power table: x_j^k for k = 1..top, one contiguous row each
+    pows = np.empty((dim, top, n))
+    if top:
+        pows[:, 0] = points.T
+    for k in range(1, top):
+        np.multiply(pows[:, k - 1], points.T, out=pows[:, k])
+    # the stack, then the powers, as one list of row views: a list index
+    # costs less than an array's
+    rows = list(np.empty((max(min(dim, max_order) - 1, 0), n))) + list(pows.reshape(-1, n))
+    walk = _prefix_walk(dim, max_order)
+    count = len(walk) // 4
+    positions = np.frombuffer(walk, dtype=np.intc)[2::4]
+    per_block = max(1, _BLOCK_BYTES // points.itemsize // n)
+    block = np.empty((min(per_block, count), n))
+    means = np.empty(count)
+    errs = np.empty(count)
+    steps = zip(*[iter(walk)] * 4)
+    for start in range(0, count, per_block):
+        monos = block[:min(per_block, count - start)]
+        for row in monos:
+            prefix, power, _, keep = next(steps)
+            # a prefix row is made on the stack, then copied into the block
+            out = rows[keep] if keep >= 0 else row
+            if prefix >= 0:
+                np.multiply(rows[prefix], rows[power], out=out)
+            elif power >= 0:
+                np.copyto(out, rows[power])
+            else:
+                out.fill(1.0)
+            if keep >= 0:
+                np.copyto(row, out)
+        at = positions[start:start + len(monos)]
+        mean = source.expect(monos)
+        means[at] = mean
+        if source.weights is None:
+            monos -= mean[:, None]
+            np.multiply(monos, monos, out=monos)
+            err = monos.sum(axis=-1)
+            err /= n
+            np.sqrt(err, out=err)
+            err /= np.sqrt(n)
+            errs[at] = err
+    return means, errs
+
+
 @dataclass(frozen=True, eq=False)
 class MixedMoments:
     """Complete table of mixed moments mu_alpha for all |alpha| <= max_order,
@@ -283,43 +377,26 @@ class MixedMoments:
         a weighted measure, with a sample's standard errors std(x^alpha) /
         sqrt(n) from the same monomials.
 
-        The monomials are built in blocks of rows of about _BLOCK_BYTES (one
-        row when n is larger), each row multiplied up from a table of powers
-        one factor at a time, and each block is reduced at once: one
-        ``expect`` over its rows for the means, then the standard errors in
-        place in np.std's order of operations. Every value is bit-equal to
+        The monomial rows are built in the order of ``_prefix_walk``, each
+        as one product: the row of alpha with its last nonzero part dropped
+        (kept on a stack of at most min(d, m) - 1 rows) times the power
+        x_j^{alpha_j} from a table of powers. That is the product
+        x_0^{alpha_0} x_1^{alpha_1} ... taken left to right, so every row is
+        bit-equal to multiplying it up one factor at a time; the table stops
+        at x_j^{m-1}, and the row of x_j^m is made as x_j^{m-1} x_j, which is
+        how the table would have made it. Rows go into blocks of about
+        _BLOCK_BYTES (one row when n is larger), and each block is reduced
+        at once: one ``expect`` over its rows for the means, then the
+        standard errors in place in np.std's order of operations. Each value
+        lands at its alpha's graded position, so every value is bit-equal to
         building and reducing the rows one alpha at a time."""
-        points, dim, n = source.points, source.dim, source.n
-        # power table: pows[j, k] = x_j^k, one contiguous row per factor
-        pows = np.ones((dim, max_order + 1, n))
-        for k in range(1, max_order + 1):
-            np.multiply(pows[:, k - 1], points.T, out=pows[:, k])
-        alphas = multi_indices_upto(dim, max_order)
-        per_block = max(1, _BLOCK_BYTES // pows.itemsize // n)
-        block = np.empty((min(per_block, len(alphas)), n))
-        table, se = {}, {}
-        for start in range(0, len(alphas), per_block):
-            chunk = alphas[start:start + per_block]
-            monos = block[:len(chunk)]
-            for row, alpha in zip(monos, chunk):
-                # the first power is copied, the others multiplied in place;
-                # alpha = 0 copies the row x_0^0 = 1
-                factors = [pows[j, a] for j, a in enumerate(alpha) if a] or [pows[0, 0]]
-                np.copyto(row, factors[0])
-                for f in factors[1:]:
-                    np.multiply(row, f, out=row)
-            means = source.expect(monos)
-            table.update(zip(chunk, means.tolist()))
-            if source.weights is None:
-                monos -= means[:, None]
-                np.multiply(monos, monos, out=monos)
-                err = monos.sum(axis=-1)
-                err /= n
-                np.sqrt(err, out=err)
-                err /= np.sqrt(n)
-                se.update(zip(chunk, err.tolist()))
-        mm = cls(dim=dim, max_order=max_order, table=table)
-        object.__setattr__(mm, "se", se)
+        # the work arrays are freed before the tables are made, so their
+        # memory is not held twice
+        means, errs = _monomial_moments(source, max_order)
+        alphas = multi_indices_upto(source.dim, max_order)
+        mm = cls(dim=source.dim, max_order=max_order, table=dict(zip(alphas, means.tolist())))
+        if source.weights is None:
+            object.__setattr__(mm, "se", dict(zip(alphas, errs.tolist())))
         return mm
 
     from_atomic = from_sample  # older name for weighted sources

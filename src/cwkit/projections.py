@@ -15,7 +15,8 @@ at any offset, and distances are computed exactly on that grid, unbinned.
 builder, ``_law``, turns a projected column into a 1-D law for the h1 pass,
 ``project`` and ``Projected1D.from_raw`` alike. It sorts the column once: a
 sample's in place (its masses are all equal, so no permutation needs to
-follow), an exact measure's by a stable argsort that carries its weights.
+follow), an exact measure's by an argsort that carries its weights, stable
+only when values merge.
 The h1 pass builds a ``Projected1D`` only for a law whose values merge;
 every other law goes to the kernel as it is, after the same checks.
 
@@ -237,8 +238,11 @@ def _law(column, weights, uniform):
     mass 1/n each when ``weights`` is None (a sample).
 
     A sample is sorted in place: its masses are all equal, so no permutation
-    needs to follow. Weighted values are sorted by a stable argsort that
-    carries their weights. The sorted ends show whether the law is finite
+    needs to follow. Weighted values are sorted by numpy's default argsort,
+    which carries their weights. Sorted values that are not ``_spaced`` are
+    sorted again by a stable argsort, because the order among ties decides a
+    merged atom's summed mass; spaced values are distinct, so any sort gives
+    the same permutation. The sorted ends show whether the law is finite
     (NaN sorts last). Values that merge go through ``Projected1D`` with all
     its checks. Otherwise no merge means strictly increasing values: an
     exact measure keeps its sorted weights once they pass the mass check, and
@@ -247,12 +251,16 @@ def _law(column, weights, uniform):
     """
     if weights is None:
         column.sort()
+        spaced = _spaced(column)
     else:
-        order = np.argsort(column, kind="stable")
+        order = np.argsort(column)
+        spaced = _spaced(column[order])
+        if not spaced:
+            order = np.argsort(column, kind="stable")
         column, weights = column[order], weights[order]
     if not (np.isfinite(column[0]) and np.isfinite(column[-1])):
         raise ValueError("atoms must be finite")
-    if not _spaced(column):
+    if not spaced:
         masses = np.full(column.size, 1.0 / column.size) if weights is None else weights
         return _Law.of(Projected1D(*_merge_sorted(column, masses)))
     if weights is not None:

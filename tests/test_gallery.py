@@ -139,6 +139,34 @@ class TestGaussianOracle:
             scale = pairing_sum(abs_mean, abs_cov, idx)
             assert abs(Fraction(table[alpha]) - exact) <= Fraction(1e-14) * scale
 
+    @staticmethod
+    def dict_reference(g, max_order):
+        # the recursion over graded tuples, each right-hand entry looked up by key
+        mean, cov = g.mean.tolist(), g.cov.tolist()
+        alphas = multi_indices_upto(g.dim, max_order)
+        table = {alphas[0]: 1.0}
+        for alpha in alphas[1:]:
+            beta = list(alpha)
+            i = next(k for k, a in enumerate(alpha) if a)
+            beta[i] -= 1
+            total = mean[i] * table[tuple(beta)]
+            for j, b in enumerate(beta):
+                if b:
+                    beta[j] -= 1
+                    total += cov[i][j] * b * table[tuple(beta)]
+                    beta[j] += 1
+            table[alpha] = total
+        return table
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("d, order", [(3, 8), (8, 6)])
+    def test_random_law_bit_equal_to_dict_recursion(self, seed, d, order):
+        g = random_gaussian(seed, d)
+        table = g.mixed_moment_table(order)
+        expected = self.dict_reference(g, order)
+        assert list(table) == list(expected)
+        assert np.array(list(table.values())).tobytes() == np.array(list(expected.values())).tobytes()
+
     def test_table_and_closed_form_directional_moments_agree(self):
         # two independent oracles, compared past the old order cap of 8
         g = random_gaussian(7, 3)

@@ -258,6 +258,10 @@ class TestStandardErrors:
         (2, 4, 40_000, False), (3, 4, 40_000, True),
         # 56 alphas in blocks of 3 rows, the last block short
         (3, 5, 10_000, False),
+        # prefix chains five parts deep, one row per block
+        (5, 5, 30_000, False),
+        # fewer orders than coordinates, weighted
+        (8, 3, 200, True),
     ])
     def test_table_bit_equal_to_loop(self, d, order, n, weighted):
         rng = np.random.default_rng(100 * d + order)
