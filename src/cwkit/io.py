@@ -22,10 +22,6 @@ from .errors import ParseError, RaggedRows
 from .projections import Empirical
 
 
-def _fmt(x):
-    return f"{float(x):.17g}"
-
-
 def atomic_write(path, text):
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -209,7 +205,9 @@ _WRITE_BLOCK = 4096
 
 
 def _csv_rows(arr):
-    """One CSV line per row of a 2-D float array, each cell as ``_fmt`` writes it.
+    """One CSV line per row of a 2-D float array, each cell as ``%.17g``: the
+    shortest text of an integer-valued cell, and enough digits to read any
+    other float back exactly.
 
     One format string over a block of rows: no per-row Python objects.
     """
@@ -233,17 +231,14 @@ def atomic_csv(measure):
 
 def traces_csv(traces):
     """One row per (direction, sequence element): direction_id,n,distance."""
-    lines = ["direction_id,n,distance"]
-    for i, tr in enumerate(traces):
-        for _, size, dist in tr.entries:
-            lines.append(f"{i},{size},{_fmt(dist)}")
-    return "\n".join(lines) + "\n"
+    return "direction_id,n,distance\n" + "".join(
+        _csv_rows(np.column_stack([np.full(tr.sizes.size, i), tr.sizes, tr.distances]))
+        for i, tr in enumerate(traces))
 
 
 def mixed_moments_csv(exponents, values):
     """Rows of alpha_1..alpha_d followed by the moment value."""
     d = len(exponents[0])
-    lines = [",".join(f"alpha{i + 1}" for i in range(d)) + ",value"]
-    for alpha, val in zip(exponents, values):
-        lines.append(",".join(str(int(a)) for a in alpha) + f",{_fmt(val)}")
-    return "\n".join(lines) + "\n"
+    header = ",".join(f"alpha{i + 1}" for i in range(d)) + ",value\n"
+    return header + _csv_rows(np.column_stack([np.asarray(exponents, dtype=np.float64),
+                                               np.asarray(values, dtype=np.float64)]))

@@ -12,13 +12,13 @@ summed mass. So every atom is a data value, atoms stay strictly increasing
 at any offset, and distances are computed exactly on that grid, unbinned.
 
 <u, x> is computed in one place, ``_projection``, for every stage, and one
-builder, ``_law``, turns a projected column into a 1-D law for the h1 pass,
-``project`` and ``Projected1D.from_raw`` alike. It sorts the column once: a
-sample's in place (its masses are all equal, so no permutation needs to
-follow), an exact measure's by an argsort that carries its weights, stable
-only when values merge.
-The h1 pass builds a ``Projected1D`` only for a law whose values merge;
-every other law goes to the kernel as it is, after the same checks.
+builder, ``_law``, turns values and their masses into a 1-D law for the h1
+pass and the ``Projected1D`` constructor alike; ``project`` is that
+constructor on a projected column. It sorts the values once: the h1 pass
+sorts a sample's column in place (its masses are all equal, so no
+permutation needs to follow), every other column by an argsort that carries
+its masses, stable only when values merge. The h1 pass builds no
+``Projected1D``: its laws go to the kernel as ``_law`` leaves them.
 
 Both distances are symmetric, so each searches the law S of fewer atoms
 into the other law L once. KS builds no pooled grid: F_S - F_L takes its
@@ -86,10 +86,7 @@ class Empirical:
                 raise ValueError("need one weight per atom")
             if not (np.all(np.isfinite(p)) and np.all(np.isfinite(w))):
                 raise ValueError("atoms must be finite")
-            if np.any(w <= 0.0):
-                raise ValueError("weights must be strictly positive")
-            if abs(w.sum() - 1.0) > MASS_TOL:
-                raise ValueError(f"weights sum to {w.sum()!r}, not 1 within {MASS_TOL}")
+            _unit_masses(w)
             if np.unique(p, axis=0).shape[0] != p.shape[0]:
                 raise ValueError("atoms must be pairwise distinct")
             object.__setattr__(self, "weights", _freeze(w))
@@ -154,38 +151,30 @@ def _unit_masses(w):
 
 @dataclass(frozen=True, eq=False)
 class Projected1D:
-    """A 1-D atomic law: strictly increasing values, positive weights, mass 1.
+    """A 1-D atomic law: strictly increasing values more than MERGE_TOL
+    apart, positive weights, mass 1.
 
-    The law keeps read-only copies of its arrays. ``project`` and
-    ``from_raw`` build one from a projected column through the same sort and
-    merge as the h1 pass.
+    The constructor takes values in any order with their masses, checks
+    them and builds the law from copies through the same sort and merge as
+    the h1 pass: values at most MERGE_TOL apart become one atom at the
+    smallest of them, carrying their summed mass.
     """
 
     values: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        v = _freeze(self.values)
-        w = _freeze(self.weights)
+        v = np.asarray(self.values, dtype=np.float64)
+        w = np.asarray(self.weights, dtype=np.float64)
         if v.ndim != 1 or v.shape != w.shape or v.size < 1:
             raise ValueError("values and weights must be matching 1-D arrays")
-        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(w))):
+        if not np.all(np.isfinite(w)):
             raise ValueError("atoms must be finite")
-        if np.any(np.diff(v) <= 0.0):
-            raise ValueError("values must be strictly increasing")
-        _unit_masses(w)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def from_raw(cls, values, weights):
-        """The law of unsorted values with their masses, sorted and merged."""
-        values = np.asarray(values, dtype=np.float64)
-        weights = np.asarray(weights, dtype=np.float64)
-        if values.ndim != 1 or values.shape != weights.shape or values.size < 1:
-            raise ValueError("values and weights must be matching 1-D arrays")
-        law = _law(values, weights, None)
-        return cls(law.values, law.weights)
+        law = _law(v, w, None)  # weighted: its arrays are new, the inputs untouched
+        for name in ("values", "weights"):
+            arr = getattr(law, name)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 def _projection(source, u):
@@ -197,8 +186,7 @@ def _projection(source, u):
 
 def project(source, u):
     """Push an Empirical forward under x -> <u, x>."""
-    law = _law(_projection(source, u), source.weights, {})
-    return Projected1D(law.values, source.mass if law.weights is None else law.weights)
+    return Projected1D(_projection(source, u), source.mass)
 
 
 def _cum0(weights):
@@ -234,20 +222,20 @@ class _Law(NamedTuple):
 
 
 def _law(column, weights, uniform):
-    """The law of a fresh projected column whose rows carry ``weights``, or
-    mass 1/n each when ``weights`` is None (a sample).
+    """The law of values whose rows carry ``weights``, or mass 1/n each when
+    ``weights`` is None (a sample's fresh projected column, sorted in place).
 
-    A sample is sorted in place: its masses are all equal, so no permutation
-    needs to follow. Weighted values are sorted by numpy's default argsort,
-    which carries their weights. Sorted values that are not ``_spaced`` are
-    sorted again by a stable argsort, because the order among ties decides a
-    merged atom's summed mass; spaced values are distinct, so any sort gives
-    the same permutation. The sorted ends show whether the law is finite
-    (NaN sorts last). Values that merge go through ``Projected1D`` with all
-    its checks. Otherwise no merge means strictly increasing values: an
-    exact measure keeps its sorted weights once they pass the mass check, and
-    a sample's cumulative masses depend on n alone, so they are taken from
-    ``uniform`` (n -> masses), filled on first use.
+    A sample's masses are all equal, so no permutation needs to follow its
+    sort. Weighted values are sorted by numpy's default argsort, which
+    carries their weights and leaves the inputs as they are. Sorted values
+    that are not ``_spaced`` are sorted again by a stable argsort, because
+    the order among ties decides a merged atom's summed mass; spaced values
+    are distinct, so any sort gives the same permutation. The sorted ends
+    show whether the law is finite (NaN sorts last), then the weights pass
+    the mass check. Values that merge become ``_merge_sorted``'s atoms.
+    Otherwise no merge means strictly increasing values: weighted values keep
+    their sorted weights, and a sample's cumulative masses depend on n alone,
+    so they are taken from ``uniform`` (n -> masses), filled on first use.
     """
     if weights is None:
         column.sort()
@@ -260,11 +248,14 @@ def _law(column, weights, uniform):
         column, weights = column[order], weights[order]
     if not (np.isfinite(column[0]) and np.isfinite(column[-1])):
         raise ValueError("atoms must be finite")
+    if weights is not None:
+        _unit_masses(weights)
     if not spaced:
         masses = np.full(column.size, 1.0 / column.size) if weights is None else weights
-        return _Law.of(Projected1D(*_merge_sorted(column, masses)))
+        values, masses = _merge_sorted(column, masses)
+        return _Law(values, masses, _cum0(masses))
     if weights is not None:
-        return _Law(column, weights, _cum0(_unit_masses(weights)))
+        return _Law(column, weights, _cum0(weights))
     n = column.size
     if n not in uniform:
         uniform[n] = _cum0(_unit_masses(np.full(n, 1.0 / n)))
@@ -329,8 +320,8 @@ def _grouped(small, large, pos_s, pos_l, values):
     return np.diff(values[starts]), gaps
 
 
-def _ks(a, b, near=False):
-    """KS distance; ``near`` says a law may hold atoms within MERGE_TOL.
+def _ks(a, b):
+    """KS distance.
 
     F_S - F_L is largest just after an atom of S and smallest just before
     one, or after the last atom: between two atoms of S, F_S stays and F_L
@@ -340,7 +331,7 @@ def _ks(a, b, near=False):
     MERGE_TOL, the grouped grid answers.
     """
     small, large, below = _search(a, b)
-    if near or _near_across(small.values, large.values, below):
+    if _near_across(small.values, large.values, below):
         gaps = _grouped(small, large, *_pool(small, large, below))[1]
         top, bottom = gaps.max(), gaps.min()
     else:
@@ -383,9 +374,7 @@ def _w1(a, b):
 
 def ks_distance(a, b):
     """Exact sup distance between the two right-continuous CDFs; in [0, 1]."""
-    a, b = _Law.of(a), _Law.of(b)
-    # a law built by hand may hold atoms within MERGE_TOL of each other
-    return _ks(a, b, near=not (_spaced(a.values) and _spaced(b.values)))
+    return _ks(_Law.of(a), _Law.of(b))
 
 
 def wasserstein1(a, b):

@@ -75,12 +75,6 @@ class VerdictConfig:
             raise ValueError(f"metric must be one of {METRICS}")
         if self.h1_rule not in H1_RULES:
             raise ValueError(f"h1_rule must be one of {H1_RULES}")
-        if self.n_directions < 1:
-            raise ValueError("n_directions must be >= 1")
-        if self.moment_order < 1:
-            raise ValueError("moment_order must be >= 1")
-        if self.carleman_order < 5:
-            raise ValueError("carleman_order must be >= 5")
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
         # a NaN, zero or negative tolerance would decide every check by itself
@@ -89,12 +83,15 @@ class VerdictConfig:
             if x is not None and not (np.isfinite(x) and x > 0.0):
                 raise ValueError(f"{name} must be finite and > 0")
         # caught here, not later with another message while directions or the reference are drawn
-        for name, optional in (("reference_sample_size", False), ("max_draw_budget", True)):
+        counts = (("n_directions", 1, False), ("carleman_order", 5, False),
+                  ("moment_order", 1, False), ("reference_sample_size", 1, False),
+                  ("max_draw_budget", 1, True))
+        for name, least, optional in counts:
             x = getattr(self, name)
             if optional and x is None:
                 continue
-            if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < 1:
-                allowed = "None or an integer >= 1" if optional else "an integer >= 1"
+            if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < least:
+                allowed = ("None or " if optional else "") + f"an integer >= {least}"
                 raise ValueError(f"{name} must be {allowed}, got {x!r}")
         if self.moment_tolerances is not None:
             tols = tuple(float(t) for t in self.moment_tolerances)

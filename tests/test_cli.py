@@ -19,9 +19,9 @@ from cwkit.cli import main
 from cwkit.directions import (DEFAULT_FRAME_TAU, Cap, Direction, FiniteSet, Frame,
                               FullSphere, UnionOfCaps, extract_frame, parse_region)
 from cwkit.errors import CwkitError, ParseError, RaggedRows
-from cwkit.io import (atomic_csv, ingest_samples, load_atomic_csv, projected_csv,
-                      samples_csv)
-from cwkit.projections import Empirical, ks_distance, project
+from cwkit.io import (atomic_csv, ingest_samples, load_atomic_csv, mixed_moments_csv,
+                      projected_csv, samples_csv, traces_csv)
+from cwkit.projections import DistanceTrace, Empirical, Projected1D, ks_distance, project
 from cwkit.verdict import VerdictConfig, h2_check
 
 
@@ -258,6 +258,31 @@ def test_csv_writers_match_per_cell_format():
     proj = project(measure, Direction([1.0, 0.0, 0.0]))
     assert projected_csv(proj) == "value,weight\n" + rows(np.column_stack([proj.values,
                                                                           proj.weights]))
+
+
+_PTS = np.array([[0.0, -0.0], [1e16, 0.1], [-2.5, 1e-300]])
+_E1 = Direction([1.0, 0.0])
+
+
+@pytest.mark.parametrize("text, want", [
+    (samples_csv(Empirical(_PTS)),
+     "0,-0\n10000000000000000,0.10000000000000001\n-2.5,1e-300\n"),
+    (atomic_csv(Empirical(_PTS, np.array([0.5, 0.25, 0.25]))),
+     "x1,x2,weight\n0,-0,0.5\n10000000000000000,0.10000000000000001,0.25\n"
+     "-2.5,1e-300,0.25\n"),
+    (projected_csv(Projected1D(np.array([-1.0, 1 / 3]), np.array([0.1, 0.9]))),
+     "value,weight\n-1,0.10000000000000001\n0.33333333333333331,0.90000000000000002\n"),
+    (traces_csv([DistanceTrace(_E1, "ks", [10, 10_000_000], [0.5, 1 / 3]),
+                 DistanceTrace(_E1, "w1", [10, 10_000_000], [0.0, 2.5e-17])]),
+     "direction_id,n,distance\n0,10,0.5\n0,10000000,0.33333333333333331\n"
+     "1,10,0\n1,10000000,2.4999999999999999e-17\n"),
+    (traces_csv([]), "direction_id,n,distance\n"),
+    (mixed_moments_csv(((0, 0), (2, 1), (0, 12)), np.array([1.0, -0.0, 1e300 / 3])),
+     "alpha1,alpha2,value\n0,0,1\n2,1,-0\n0,12,3.3333333333333335e+299\n"),
+])
+def test_csv_writer_bytes(text, want):
+    # integer columns print as integers, every float with 17 significant digits
+    assert text == want
 
 
 class TestParseRegion:

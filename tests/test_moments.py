@@ -19,7 +19,7 @@ from cwkit.directions import Cap, sample_in_region
 
 
 def law(values, weights):
-    return Projected1D.from_raw(np.asarray(values, float), np.asarray(weights, float))
+    return Projected1D(np.asarray(values, float), np.asarray(weights, float))
 
 
 def random_atomic(rng, d, k):

@@ -20,7 +20,7 @@ def law(values, weights=None):
     values = np.asarray(values, dtype=float)
     if weights is None:
         weights = np.full(values.size, 1.0 / values.size)
-    return Projected1D.from_raw(values, np.asarray(weights, dtype=float))
+    return Projected1D(values, np.asarray(weights, dtype=float))
 
 
 class TestEmpirical:
@@ -371,15 +371,67 @@ def test_permuting_sample_rows_keeps_distances(sequence, target, seed):
         assert [bits(tr.distances) for tr in got] == [bits(tr.distances) for tr in want]
 
 def test_ks_merges_close_atoms_of_a_hand_built_law():
-    # a Projected1D built by hand may hold atoms within MERGE_TOL of each
-    # other. The pooled grid sums such a group's masses before the running
-    # sum, which rounds apart from adding them one by one: here the two
-    # orders give 0.4999999999999999 and 0.5
+    # atoms given by hand within MERGE_TOL of each other become one atom at
+    # the smaller value with their summed mass, as the pooled grid groups
+    # them: the mass is summed before the running sum, which rounds apart from
+    # adding the two one by one (0.4999999999999999 against 0.5 here)
     a = Projected1D(np.array([0.0, 1e-13, 1.0]), np.array([0.4, 0.1, 0.5]))
     b = Projected1D(np.array([-0.5, 0.5, 0.5 + 1e-13]), np.array([0.1, 0.2, 0.7]))
+    assert a.values.tolist() == [0.0, 1.0] and a.weights.tolist() == [0.4 + 0.1, 0.5]
+    assert b.values.tolist() == [-0.5, 0.5] and b.weights.tolist() == [0.1, 0.2 + 0.7]
     for x, y in ((a, b), (b, a), (a, a)):
         assert bits(ks_distance(x, y)) == bits(ref_ks(x, y))
         assert bits(wasserstein1(x, y)) == bits(ref_w1(x, y))
+
+
+# values on a small grid plus offsets just below and above MERGE_TOL, so
+# that atoms tie, merge and chain; dyadic weights k / 2**m sum exactly in
+# any order, so a merged atom's mass cannot depend on the input order
+@st.composite
+def hand_laws(draw):
+    n = draw(st.integers(1, 9))
+    base = draw(st.lists(st.sampled_from((-1.0, 0.0, 0.5, 1.0)), min_size=n, max_size=n))
+    off = draw(st.lists(st.sampled_from((0.0, 0.9e-12, 1.1e-12, 2.0e-12)),
+                        min_size=n, max_size=n))
+    counts = draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))
+    counts[-1] += (1 << (sum(counts) - 1).bit_length()) - sum(counts)  # a power of two in total
+    return (np.array(base) + np.array(off),
+            np.array(counts, dtype=float) / sum(counts))
+
+
+def _bit_law(p):
+    return bits(p.values), bits(p.weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hand_laws(), st.randoms(use_true_random=False))
+def test_constructor_builds_the_same_law_from_any_order(drawn, rnd):
+    values, weights = drawn
+    want = Projected1D(values, weights)
+    assert np.all(np.diff(want.values) > MERGE_TOL)
+    order = np.array(rnd.sample(range(values.size), values.size))
+    assert _bit_law(Projected1D(values[order], weights[order])) == _bit_law(want)
+    uniform = Projected1D(values, np.full(values.size, 1.0 / values.size))
+    cloud = Empirical(np.column_stack([values, np.zeros(values.size)]))
+    assert _bit_law(uniform) == _bit_law(project(cloud, Direction(np.array([1.0, 0.0]))))
+
+
+@pytest.mark.parametrize("values, weights, match", [
+    ([0.0, 1.0], [1.0], "matching 1-D arrays"),
+    ([], [], "matching 1-D arrays"),
+    ([[0.0, 1.0]], [[0.5, 0.5]], "matching 1-D arrays"),
+    ([0.0, np.nan], [0.5, 0.5], "^atoms must be finite$"),
+    ([-np.inf, 1.0], [0.5, 0.5], "^atoms must be finite$"),
+    ([0.0, 1.0], [0.5, np.nan], "^atoms must be finite$"),
+    ([0.0, 1.0], [np.inf, 0.5], "^atoms must be finite$"),
+    ([0.0, 1.0], [1.0, 0.0], "strictly positive"),
+    ([0.0, 1.0, 2.0], [0.6, 0.6, -0.2], "strictly positive"),
+    ([0.0, 1.0], [0.5, 0.5 + 10 * MASS_TOL], "not 1 within"),
+    ([0.0, 1.0], [0.25, 0.25], "not 1 within"),
+])
+def test_constructor_rejects(values, weights, match):
+    with pytest.raises(ValueError, match=match):
+        Projected1D(np.array(values, dtype=float), np.array(weights, dtype=float))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -531,6 +583,6 @@ class TestFarFromOrigin:
         w = rng.uniform(0.05, 1.0, values.size)
         w /= w.sum()
         order = rng.permutation(values.size)
-        measure = Projected1D.from_raw(values[order], w[order])
+        measure = Projected1D(values[order], w[order])
         assert bits(measure.values) == bits(values)
         assert bits(measure.weights) == bits(w)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -266,10 +267,15 @@ def test_config_rejects(field, value):
     ("reference_sample_size", 0), ("reference_sample_size", 1.5),
     ("reference_sample_size", True), ("max_draw_budget", 0),
     ("max_draw_budget", -3), ("max_draw_budget", 2.5),
+    ("n_directions", 10.5), ("n_directions", True), ("carleman_order", 12.5),
+    ("carleman_order", float("nan")), ("carleman_order", True), ("moment_order", 2.5),
+    ("moment_order", True),
 ])
 def test_config_names_bad_count(field, value):
     # caught when the config is built, not after the directions are drawn
-    with pytest.raises(ValueError, match=f"{field} must be .*integer >= 1, got {value!r}"):
+    least = 5 if field == "carleman_order" else 1
+    with pytest.raises(ValueError,
+                       match=f"{field} must be .*integer >= {least}, got {re.escape(repr(value))}$"):
         VerdictConfig(region=FullSphere(2), **{field: value})
 
 
