@@ -176,16 +176,21 @@ def _cmd_trace(cfg):
 def _cmd_carleman(cfg):
     order = int(cfg.get("carleman_order"))
     dist_spec = cfg.get("dist")
+    spec = cfg.get("direction", required=dist_spec is None)
+    u = parse_direction(spec) if spec is not None else None
     if dist_spec is not None:
-        dist = _parse_target(dist_spec, 2)
+        # an analytic law is built in the direction's dimension, 2 without one
+        dist = _parse_target(dist_spec, 2 if u is None else u.dim)
         if isinstance(dist, Empirical) and dist.weights is None:
             raise ValueError("--dist must name an analytic distribution; use --input for samples")
-        u = Direction(np.eye(dist.dim)[0])
         source = dist_spec
     else:
         dist = io.ingest_samples(cfg.get("input", required=True))
-        u = parse_direction(cfg.get("direction", required=True))
-        source = f"{cfg.get('input')} along {cfg.get('direction')}"
+        source = cfg.get("input")
+    if u is None:
+        u = Direction(np.eye(dist.dim)[0])
+    else:
+        source = f"{source} along {spec}"
     report = carleman_partial_sums(moment_sequence(dist, u, 2 * order), order)
     payload = {"source": source, "order": order, **report.to_dict()}
     io.write_json(cfg.out_dir / "carleman.json", payload)

@@ -36,6 +36,7 @@ _EVEN_TOL = 1e-12
 _BLOCK_BYTES = 256 * 1024
 
 CARLEMAN_SLOPE_TOL = 0.05
+#: bound on t_M / t_1: each t_m scales by 1/c when the data scale by c, so the ratio has no units
 CARLEMAN_CAUCHY_TOL = 1e-9
 
 
@@ -233,8 +234,9 @@ def carleman_partial_sums(even_moments, M):
     criterion; any finite-M call can only apply a heuristic. The one used
     here: regress log t_m on log m over the tail half of 1..M. Since
     sum m^{-p} diverges iff p <= 1, a slope >= -1 (minus 0.05 tolerance)
-    reads as 'diverging'; a steeper slope with a Cauchy tail (last increment
-    below 1e-9) reads as 'converging'; anything else is 'inconclusive'.
+    reads as 'diverging'; a steeper slope with a Cauchy tail (last term
+    below 1e-9 times the first, a ratio that does not depend on the data's
+    scale) reads as 'converging'; anything else is 'inconclusive'.
 
     Conventions: a zero even moment means compact support, hence 'diverging'
     outright. Non-finite input moments (without exact logs) give
@@ -275,7 +277,8 @@ def carleman_partial_sums(even_moments, M):
     slope = float(np.polyfit(np.log(tail), log_t[tail - 1], 1)[0])
     if slope >= -1.0 - CARLEMAN_SLOPE_TOL:
         verdict = "diverging"
-    elif terms[-1] < CARLEMAN_CAUCHY_TOL:
+    elif log_t[-1] - log_t[0] < np.log(CARLEMAN_CAUCHY_TOL):
+        # t_M / t_1 in logs, which neither overflow nor underflow
         verdict = "converging"
     else:
         verdict = "inconclusive"

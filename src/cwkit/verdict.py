@@ -5,7 +5,8 @@ the two hypotheses of the sharp Cramer-Wold theorem, and only these decide
 the verdict:
 
   h1: along every sampled direction, the projected sequence laws approach
-      the projected target (finite-sample rule on a distance trace);
+      the projected target (the last element's distance lies below a
+      tolerance);
   h2: along d extracted frame directions, the target projections pass the
       Carleman divergence diagnostic.
 
@@ -42,7 +43,8 @@ from .moments import carleman_partial_sums, jsonsafe, moment_sequence, multi_ind
 from .projections import METRICS, DistanceTrace, Empirical, _projection, distance_traces
 from .rng import STREAM_REFERENCE, substream
 
-H1_RULES = ("final_below", "monotone_trend")
+# the one h1 rule; its name stays a config value so that recorded configs replay
+H1_RULES = ("final_below",)
 
 
 def _default_h1_tolerance(n_min):
@@ -190,7 +192,6 @@ class H1Result:
     passed: bool
     reason: str
     final_distance: float
-    kendall_tau: float
     trace: DistanceTrace
 
     def to_dict(self):
@@ -199,26 +200,15 @@ class H1Result:
             "passed": self.passed,
             "reason": self.reason,
             "final_distance": self.final_distance,
-            "kendall_tau": None if np.isnan(self.kendall_tau) else self.kendall_tau,
         }
 
 
-def _kendall_tau_b(x, y):
-    # sum_{i<j} sign(dx) sign(dy) / sqrt(#dx != 0) / sqrt(#dy != 0), clipped
-    # to [-1, 1]; the full sign matrices hold each pair twice
-    sx = np.sign(np.subtract.outer(x, x))
-    sy = np.sign(np.subtract.outer(y, y))
-    tau = (np.sum(sx * sy) / 2 / np.sqrt(np.count_nonzero(sx) // 2)
-           / np.sqrt(np.count_nonzero(sy) // 2))
-    return float(np.clip(tau, -1.0, 1.0))
-
-
 def h1_check(traces, tolerance, rule="final_below"):
-    """Apply the per-direction convergence rule to each distance trace.
+    """Pass each direction whose last distance lies below tolerance.
 
-    final_below: last distance < tolerance. monotone_trend: additionally,
-    Kendall's tau-b of (sample size, distance) <= -0.5; a constant trace
-    has no trend and the final_below part alone decides.
+    h1 is the limit pi_u(P_n) => pi_u(P), so only the last element's
+    distance is read; the earlier ones stay in the trace as evidence.
+    final_below is the one rule.
     """
     if not traces:
         raise ValueError("traces must be nonempty")
@@ -227,18 +217,10 @@ def h1_check(traces, tolerance, rule="final_below"):
     results = []
     for tr in traces:
         final = float(tr.distances[-1])
-        tau = float("nan")
-        if rule == "monotone_trend" and np.ptp(tr.distances) > 0 and np.ptp(tr.sizes) > 0:
-            tau = _kendall_tau_b(tr.sizes, tr.distances)
-        trend_ok = np.isnan(tau) or tau <= -0.5
-        if final >= tolerance:
-            passed, reason = False, "final_distance_exceeds"
-        elif rule == "monotone_trend" and not trend_ok:
-            passed, reason = False, "trend_not_decreasing"
-        else:
-            passed, reason = True, "ok"
-        results.append(H1Result(direction=tr.direction, passed=passed, reason=reason,
-                                final_distance=final, kendall_tau=tau, trace=tr))
+        passed = bool(final < tolerance)
+        results.append(H1Result(direction=tr.direction, passed=passed,
+                                reason="ok" if passed else "final_distance_exceeds",
+                                final_distance=final, trace=tr))
     return results
 
 

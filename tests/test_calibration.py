@@ -6,7 +6,9 @@ mean shift must come back 'inconsistent' on every seed, so a rule that
 never says 'inconsistent' cannot pass the null check alone.
 
 Every case runs d = 2, elements of 300 and 3 000 points, 20 directions and
-a 5 000-point reference draw, over 10 seeds.
+a 5 000-point reference draw, over 10 seeds. One null case takes three
+close element sizes, 1 000, 2 000 and 4 000 points, whose distances need
+not fall from one element to the next: h1 reads the last one only.
 """
 
 import numpy as np
@@ -16,11 +18,12 @@ from cwkit import (FullSphere, Gaussian, ProductLognormal, VerdictConfig, run_ve
                    switching_pair)
 
 SIZES = (300, 3_000)
+CLOSE_SIZES = (1_000, 2_000, 4_000)
 SEEDS = range(10)
 
 
-def overall(law, target, seed):
-    sequence = [sample(law, n, seed=100 * seed + i) for i, n in enumerate(SIZES)]
+def overall(law, target, seed, sizes=SIZES):
+    sequence = [sample(law, n, seed=100 * seed + i) for i, n in enumerate(sizes)]
     config = VerdictConfig(region=FullSphere(2), n_directions=20, seed=seed,
                            reference_sample_size=5_000)
     return run_verdict(sequence, target, config).overall
@@ -43,6 +46,12 @@ def null_case(kind, seed):
 @pytest.mark.parametrize("kind", ["gaussian", "lognormal", "atomic", "sample"])
 def test_null_never_inconsistent(kind):
     outcomes = [overall(*null_case(kind, seed), seed) for seed in SEEDS]
+    assert "inconsistent" not in outcomes, outcomes
+
+
+def test_null_with_close_sizes_never_inconsistent():
+    law = Gaussian.standard(2)
+    outcomes = [overall(law, law, seed, CLOSE_SIZES) for seed in SEEDS]
     assert "inconsistent" not in outcomes, outcomes
 
 

@@ -21,6 +21,7 @@ from cwkit.directions import (DEFAULT_FRAME_TAU, Cap, Direction, FiniteSet, Fram
 from cwkit.errors import CwkitError, ParseError, RaggedRows
 from cwkit.io import (atomic_csv, ingest_samples, load_atomic_csv, mixed_moments_csv,
                       projected_csv, samples_csv, traces_csv)
+from cwkit.moments import carleman_partial_sums, moment_sequence
 from cwkit.projections import DistanceTrace, Empirical, Projected1D, ks_distance, project
 from cwkit.verdict import VerdictConfig, h2_check
 
@@ -406,6 +407,16 @@ class TestSubcommands:
         assert payload["verdict"] == "diverging"
         assert 20.0 <= payload["partial_sums"][-1] <= 24.0
 
+    def test_carleman_analytic_dist_in_the_direction_dimension(self, tmp_path):
+        out = tmp_path / "c"
+        assert main(["carleman", "--dist", "lognormal", "--direction", "1,1,1",
+                     "--carleman-order", "6", "--out", str(out)]) == 0
+        payload = json.loads((out / "carleman.json").read_text())
+        u = Direction.from_vector([1.0, 1.0, 1.0])
+        law = gallery.ProductLognormal.standard(3)
+        want = carleman_partial_sums(moment_sequence(law, u, 12), 6)
+        assert payload["terms"] == want.to_dict()["terms"]
+
     def test_counterexample(self, tmp_path):
         out = tmp_path / "ce"
         assert main(["counterexample", "--kernels", "1,0;0,1", "--out", str(out)]) == 0
@@ -659,6 +670,19 @@ class TestAtomicForms:
         terms = [(ATOM_WEIGHTS @ v ** (2 * m)) ** (-1.0 / (2 * m)) for m in range(1, 11)]
         assert payload["terms"] == pytest.approx(terms, rel=1e-12)
 
+    def test_carleman_dist_along_direction(self, tmp_path, atomic_file):
+        # --direction picks the scan's direction for --dist too, not only e_1
+        out = tmp_path / "c"
+        assert main(["carleman", "--dist", f"atomic:{atomic_file}", "--direction", "0,1",
+                     "--carleman-order", "6", "--out", str(out)]) == 0
+        payload = json.loads((out / "carleman.json").read_text())
+        e2 = Direction(np.array([0.0, 1.0]))
+        measure = load_atomic_csv(atomic_file)
+        report = carleman_partial_sums(moment_sequence(measure, e2, 12), 6).to_dict()
+        assert {key: payload[key] for key in report} == report
+        assert payload["source"] == f"atomic:{atomic_file} along 0,1"
+        assert payload["terms"][0] == pytest.approx(np.sqrt(1.0 / (ATOM_WEIGHTS @ ATOMS[:, 1] ** 2)))
+
     @pytest.mark.parametrize("command", ["gallery-sample", "carleman"])
     def test_sample_csv_as_dist_exit_two(self, tmp_path, capsys, gaussian_files, command):
         code = main([command, "--dist", str(gaussian_files[0]), "--out", str(tmp_path / "o")])
@@ -696,6 +720,19 @@ class TestErrorPaths:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
         assert "h1_tolerance" in err["message"]
+
+    def test_trend_rule_in_config_exit_two(self, tmp_path, capsys, gaussian_files):
+        # the trend rule is gone; a config that names it is refused, not read
+        # as final_below
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("h1_rule = monotone_trend\n")
+        code = main(["verdict", "--config", str(cfg), "--inputs", ",".join(map(str, gaussian_files)),
+                     "--target", "gaussian", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "h1_rule" in err["message"]
+        assert not (tmp_path / "o" / "verdict.json").exists()
 
     def test_reference_n_zero_exit_two(self, tmp_path, capsys, gaussian_files):
         code = main(["verdict", "--inputs", ",".join(map(str, gaussian_files)),
@@ -743,8 +780,7 @@ def test_import_leaves_scipy_stats_unloaded():
 
 def test_runs_without_scipy(tmp_path):
     # scipy is a test dependency only: with it unimportable, an analytic
-    # Gaussian verdict under the trend rule and the Gaussian Carleman
-    # subcommand still run
+    # Gaussian verdict and the Gaussian Carleman subcommand still run
     src = str(Path(cwkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = f"""
@@ -755,10 +791,9 @@ from cwkit import FullSphere, Gaussian, VerdictConfig, run_verdict, sample
 from cwkit.cli import main
 g = Gaussian(np.array([0.5, -1.0]), np.array([[2.0, 0.3], [0.3, 1.0]]))
 seq = [sample(g, n, seed=i) for i, n in enumerate((100, 1000, 5000))]
-config = VerdictConfig(region=FullSphere(2), n_directions=8, h1_rule="monotone_trend",
-                       reference_sample_size=5000, seed=3)
+config = VerdictConfig(region=FullSphere(2), n_directions=8, reference_sample_size=5000, seed=3)
 report = run_verdict(seq, g, config)
-assert any(np.isfinite(r.kendall_tau) for r in report.h1_results)
+assert len(report.h1_results) == 8
 print(report.overall)
 print(main(["carleman", "--dist", "gaussian", "--carleman-order", "30",
             "--out", {str(tmp_path / "carl")!r}]))

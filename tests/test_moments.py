@@ -13,9 +13,9 @@ from cwkit.moments import (MixedMoments, MomentSequence, carleman_partial_sums,
                            empirical_moments, homogeneous_dim, mixed_to_directional,
                            moment_sequence, multi_indices, multi_indices_upto, multinomial,
                            reconstruct_mixed, rm_residual)
-from cwkit.gallery import Gaussian, mixed_moments_of
+from cwkit.gallery import Gaussian, ProductLognormal, mixed_moments_of
 from cwkit.projections import Empirical, Projected1D
-from cwkit.directions import Cap, sample_in_region
+from cwkit.directions import Cap, FullSphere, sample_in_region
 
 
 def law(values, weights):
@@ -108,10 +108,11 @@ def gaussian_even_moments(M):
     return MomentSequence(values=vals, log_values=logs)
 
 
-def lognormal_even_moments(M):
-    """m_k = e^{k^2/2}: overflows float64 from k = 38 on, logs stay exact."""
+def lognormal_even_moments(M, scale=1.0):
+    """m_k = scale^k e^{k^2/2}: overflows float64 from k = 38 on at scale 1,
+    logs stay exact."""
     ks = np.arange(2 * M + 1)
-    logs = ks**2 / 2.0
+    logs = ks**2 / 2.0 + ks * np.log(scale)
     with np.errstate(over="ignore"):
         vals = np.exp(logs)
     return MomentSequence(values=vals, log_values=logs)
@@ -136,6 +137,9 @@ class TestCarleman:
         assert rep.verdict == "converging"
         assert rep.partial_sums[-1] == pytest.approx(1 / (np.e - 1), abs=1e-5)
         assert rep.terms.tolist() == pytest.approx(np.exp(-np.arange(1, 31)).tolist())
+        # the tail ratio t_30 / t_1 = e^{-29} does not depend on the scale
+        for scale in (1e-3, 1e4, 1e10):
+            assert carleman_partial_sums(lognormal_even_moments(30, scale), 30).verdict == "converging"
 
     def test_point_mass_compact_support_convention(self):
         ms = empirical_moments(law([0.0], [1.0]), 12)
@@ -157,6 +161,33 @@ class TestCarleman:
     def test_order_shortage_raises(self):
         with pytest.raises(OrderExceeded):
             carleman_partial_sums(gaussian_even_moments(5), 20)
+
+    @pytest.mark.parametrize("law, M, want", [
+        ("lognormal", 12, "inconclusive"), ("lognormal", 16, "inconclusive"),
+        ("atomic", 12, None)])
+    def test_scan_verdicts_do_not_depend_on_scale(self, law, M, want):
+        # every t_m scales by 1/c when the data scale by c, so no verdict may
+        # change with c. A lognormal scaled by c is lognormal with mu = log c;
+        # the exact measure is 1 000 N(0, I_3) draws plus one atom of mass 1e-9
+        # at 1e3 (at 1e10 after scaling by 1e7). An absolute Cauchy cut-off
+        # read both as converging once scaled up
+        dirs = sample_in_region(FullSphere(3), 6, seed=0)
+        points = np.vstack([np.random.default_rng(0).standard_normal((1000, 3)),
+                            [[1e3, 0.0, 0.0]]])
+        weights = np.append(np.full(1000, (1 - 1e-9) / 1000), 1e-9)
+
+        def verdicts(c):
+            p = (ProductLognormal(np.full(3, np.log(c)), np.ones(3)) if law == "lognormal"
+                 else Empirical(c * points, weights))
+            return [carleman_partial_sums(moment_sequence(p, u, 2 * M), M).verdict
+                    for u in dirs]
+
+        at_one = verdicts(1.0)
+        if want is not None:
+            # the lognormal's tail ratio t_M / t_1 is e^{1-M}
+            assert at_one == [want] * 6
+        for c in (1e-3, 1e3, 1e4, 1e7):
+            assert verdicts(c) == at_one, c
 
 
 # ---------------------------------------------------------------------------

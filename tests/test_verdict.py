@@ -13,8 +13,8 @@ from cwkit.directions import (Cap, Direction, FiniteSet, Frame, FullSphere,
 from cwkit.errors import DimensionMismatch, InsufficientRank
 from cwkit.gallery import Gaussian, ProductLognormal, sample, switching_pair
 from cwkit.projections import DistanceTrace, Empirical, ks_distance, project
-from cwkit.verdict import (VerdictConfig, _kendall_tau_b, aggregate_overall, h1_check,
-                           h2_check, moment_match, run_verdict, tightness_box)
+from cwkit.verdict import (VerdictConfig, aggregate_overall, h1_check, h2_check, moment_match,
+                           run_verdict, tightness_box)
 
 from test_projections import ref_ks
 
@@ -85,20 +85,27 @@ class TestTightnessBox:
 
 
 class TestH1Check:
-    def test_constant_zero_passes_both_rules(self):
-        tr = trace_of([0.0, 0.0, 0.0])
-        for rule in ("final_below", "monotone_trend"):
-            (res,) = h1_check([tr], tolerance=0.05, rule=rule)
-            assert res.passed
-            assert res.reason == "ok"
+    def test_constant_zero_passes(self):
+        (res,) = h1_check([trace_of([0.0, 0.0, 0.0])], tolerance=0.05)
+        assert res.passed
+        assert res.reason == "ok"
 
     def test_shrinking_trace_passes(self):
         tr = trace_of([1.0, 0.5, 0.25, 0.01], sizes=[10, 100, 1000, 10000])
         (res,) = h1_check([tr], tolerance=0.05, rule="final_below")
         assert res.passed
-        (res,) = h1_check([tr], tolerance=0.05, rule="monotone_trend")
-        assert res.passed
-        assert res.kendall_tau == -1.0
+
+    def test_only_the_last_distance_decides(self):
+        # h1 is a limit: rising or flat distances pass while the last one is
+        # below the band, and a shrinking trace fails while it is not
+        sizes = [1000, 2000, 4000]
+        for distances, passed in (([0.01, 0.02, 0.04], True), ([0.03, 0.03, 0.03], True),
+                                  ([0.9, 0.5, 0.05], False), ([0.01, 0.01, 0.06], False)):
+            (res,) = h1_check([trace_of(distances, sizes)], tolerance=0.05)
+            assert res.passed is passed
+            assert res.final_distance == distances[-1]
+            assert res.reason == ("ok" if passed else "final_distance_exceeds")
+            assert set(res.to_dict()) == {"direction", "passed", "reason", "final_distance"}
 
     def test_flat_trace_fails_with_reason(self):
         tr = trace_of([0.3, 0.3, 0.3])
@@ -106,30 +113,10 @@ class TestH1Check:
         assert not res.passed
         assert res.reason == "final_distance_exceeds"
 
-    def test_trend_failure_reason(self):
-        tr = trace_of([0.01, 0.02, 0.04, 0.049], sizes=[10, 100, 1000, 10000])
-        (res,) = h1_check([tr], tolerance=0.05, rule="monotone_trend")
-        assert not res.passed
-        assert res.reason == "trend_not_decreasing"
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_kendall_tau_b_bit_equal_to_scipy(seed):
-    # pins the pair count to the reference implementation on short traces
-    # with ties in both coordinates, as h1_check calls it
-    kendalltau = pytest.importorskip("scipy.stats").kendalltau
-    rng = np.random.default_rng(seed)
-    checked = 0
-    for _ in range(500):
-        n = int(rng.integers(2, 13))
-        sizes = np.sort(rng.integers(1, 6, n)) * 100
-        distances = rng.integers(0, int(rng.integers(1, 7)), n) / 7.0
-        if np.ptp(sizes) == 0 or np.ptp(distances) == 0:
-            continue
-        want = float(kendalltau(sizes, distances).statistic)
-        assert np.float64(_kendall_tau_b(sizes, distances)).tobytes() == np.float64(want).tobytes()
-        checked += 1
-    assert checked > 300
+    @pytest.mark.parametrize("rule", ["monotone_trend", "median"])
+    def test_other_rules_rejected(self, rule):
+        with pytest.raises(ValueError, match="rule must be one of"):
+            h1_check([trace_of([0.0, 0.0])], tolerance=0.05, rule=rule)
 
 
 class TestH2Check:
@@ -138,8 +125,8 @@ class TestH2Check:
         assert [r.verdict for r in reports] == ["diverging"] * 3
 
     def test_lognormal_axis_frame_converging(self):
-        # t_m = e^{-m}: the tail is Cauchy (< 1e-9) from m = 21 on, so the
-        # heuristic needs M = 30 to call it
+        # t_m = e^{-m}: the tail ratio t_M / t_1 = e^{1-M} is below 1e-9 from
+        # M = 22 on, so the heuristic needs M = 30 to call it
         reports = h2_check(ProductLognormal.standard(2), ident_frame(2), 30)
         assert [r.verdict for r in reports] == ["converging"] * 2
 
@@ -254,6 +241,7 @@ class TestAggregation:
     ("moment_se_multiplier", float("nan")),
     ("moment_se_multiplier", 0.0),
     ("moment_se_multiplier", -5.0),
+    ("h1_rule", "monotone_trend"),
 ])
 def test_config_rejects(field, value):
     # moment_order 2 with two tolerances is valid; each case breaks one field
@@ -436,7 +424,6 @@ class TestRunVerdict:
                 region=FullSphere(2) if trial % 2 else Cap(Direction(np.array([0.0, 1.0])), 2.5),
                 n_directions=int(rng.integers(2, 12)),
                 metric=("ks", "w1")[trial % 2],
-                h1_rule=("final_below", "monotone_trend")[(trial // 2) % 2],
                 h1_tolerance=float(rng.uniform(0.01, 0.4)),
                 carleman_order=int(rng.integers(5, 12)),
                 moment_order=int(rng.integers(1, 4)),
