@@ -38,8 +38,8 @@ from .directions import (Direction, extract_frame, parse_direction, parse_region
                          sample_in_region)
 from .errors import CwkitError, ParseError
 from .moments import carleman_partial_sums, moment_sequence, reconstruct_mixed
-from .projections import METRICS, Empirical, distance_trace, project
-from .verdict import H1_RULES, VerdictConfig, run_verdict, tightness_box
+from .projections import Empirical, distance_trace, project
+from .verdict import VerdictConfig, run_verdict, tightness_box
 
 ECHO_NAME = "config_echo.cfg"
 
@@ -285,20 +285,23 @@ _COMMANDS = {
     "counterexample": _cmd_counterexample,
 }
 
-_CHOICES = {"metric": METRICS, "h1_rule": H1_RULES}
+
+class _Parser(argparse.ArgumentParser):
+    # a usage error raises, so main reports it as one JSON object; the
+    # subcommand parsers are made of this class too
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="cwkit",
-                                     description="projection-based weak-convergence diagnostics")
+    parser = _Parser(prog="cwkit", description="projection-based weak-convergence diagnostics")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, defaults in DEFAULTS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None)
         p.add_argument("--out", type=str, default=None)
         for key in defaults:
-            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
-                           choices=_CHOICES.get(key))
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None)
     runner = sub.add_parser("run", help="replay a config echo")
     runner.add_argument("--config", type=str, required=True)
     runner.add_argument("--out", type=str, default=None)
@@ -335,9 +338,8 @@ def dispatch(command, cfg):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "run":
             file_opts = parse_config_file(args.config)
             command = file_opts.pop("command", None)

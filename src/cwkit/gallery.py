@@ -38,15 +38,9 @@ def _from_signed_log(sign, log_abs):
 
 def _projected_sequence(signed_logs):
     """MomentSequence from (sign, log|m_k|) for k = 0..K: values through
-    _from_signed_log, exact logs at even orders."""
-    vals = np.empty(len(signed_logs))
-    logs = np.full(len(signed_logs), np.nan)
-    for k, (sign, log_abs) in enumerate(signed_logs):
-        vals[k] = _from_signed_log(sign, log_abs)
-        if k % 2 == 0:
-            # even moments of a projection are strictly positive
-            logs[k] = log_abs
-    return MomentSequence(values=vals, log_values=logs)
+    _from_signed_log, and every order's exact log."""
+    return MomentSequence(values=np.array([_from_signed_log(*pair) for pair in signed_logs]),
+                          log_values=np.array([log_abs for _, log_abs in signed_logs]))
 
 
 @functools.lru_cache(maxsize=64)
@@ -87,10 +81,14 @@ class Gaussian:
         d = mean.size
         if cov.shape != (d, d):
             raise ValueError("cov must be d x d")
-        if not np.allclose(cov, cov.T, atol=1e-12):
+        # both checks are relative to the covariance's own scale, so
+        # N(0, c I) passes for every c > 0
+        if not np.allclose(cov, cov.T, atol=1e-12 * np.max(np.abs(cov))):
             raise ValueError("cov must be symmetric")
-        if float(np.linalg.eigvalsh(cov)[0]) <= 1e-10:
-            raise ValueError("cov must be positive definite (min eigenvalue > 1e-10)")
+        eig = np.linalg.eigvalsh(cov)
+        if eig[0] <= d * np.finfo(np.float64).eps * eig[-1]:
+            raise ValueError("cov must be positive definite "
+                             "(min eigenvalue > d * eps * max eigenvalue)")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", _freeze((cov + cov.T) / 2))
 
@@ -119,7 +117,7 @@ class Gaussian:
                 for k, log_abs in enumerate(logs[:max_order + 1])]
 
     def projected_even_moments(self, u, max_order):
-        """MomentSequence of the projection with exact log even moments."""
+        """MomentSequence of the projection, with the exact log of every moment."""
         return _projected_sequence(self._signed_log_moments(u, max_order))
 
     def mixed_moment_table(self, max_order):
@@ -209,7 +207,7 @@ class ProductLognormal:
         return out
 
     def projected_even_moments(self, u, max_order):
-        """MomentSequence of the projection with exact log even moments."""
+        """MomentSequence of the projection, with the exact log of every moment."""
         return _projected_sequence(self._signed_log_moments(u, max_order))
 
 

@@ -1,6 +1,11 @@
 """Moment machinery: Carleman partial sums, directional moments, and the
 reconstruction of mixed moments from directional ones.
 
+A 1-D law's moments come as one form, a ``MomentSequence`` of values with
+the exact log|m_k| of every order, whether from a sample, an exact measure
+or an analytic law. The Carleman scan reads the logs alone, so its answer
+does not change when a moment overflows float64 at a large data scale.
+
 The degree-m directional moment of a measure mu is a homogeneous polynomial
 in the direction u,
 
@@ -148,16 +153,16 @@ def homogeneous_dim(d, m):
 
 @dataclass(frozen=True, eq=False)
 class MomentSequence:
-    """Raw moments m_0..m_K of a 1-D law.
+    """Raw moments m_0..m_K of a 1-D law with their exact logarithms.
 
-    ``log_values`` optionally carries exact logarithms of the moments; it is
-    the source of truth when moments overflow float64 (analytic oracles for
-    heavy-tailed laws produce such sequences). Entries of ``values`` may be
-    inf in that case. Odd-order log entries may be nan.
+    ``log_values[k]`` is log|m_k| at every order, -inf for a zero moment. The
+    logs are the form the Carleman scan reads: ``values`` come out +-inf
+    where a moment overflows float64 (a heavy-tailed law, or data of a large
+    scale), the logs never do.
     """
 
     values: np.ndarray
-    log_values: np.ndarray | None = None
+    log_values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -168,12 +173,13 @@ class MomentSequence:
         ev = v[::2]
         if np.any(ev[np.isfinite(ev)] < -_EVEN_TOL):
             raise ValueError("even raw moments must be nonnegative")
+        lv = np.asarray(self.log_values, dtype=np.float64)
+        if lv.shape != v.shape:
+            raise ValueError("log_values must match values in shape")
+        if np.any(np.isnan(lv) | (lv == np.inf)):
+            raise ValueError("log_values must be log|m_k|: neither nan nor +inf")
         object.__setattr__(self, "values", _freeze(v))
-        if self.log_values is not None:
-            lv = np.asarray(self.log_values, dtype=np.float64)
-            if lv.shape != v.shape:
-                raise ValueError("log_values must match values in shape")
-            object.__setattr__(self, "log_values", _freeze(lv))
+        object.__setattr__(self, "log_values", _freeze(lv))
 
     @property
     def max_order(self):
@@ -181,22 +187,29 @@ class MomentSequence:
 
 
 def empirical_moments(proj, max_order):
-    """Weighted raw moments m_k = sum_i w_i v_i^k, each a pairwise sum as in
-    ``Empirical.expect``.
+    """Weighted raw moments m_k = sum_i w_i v_i^k of a 1-D law, with exact logs.
 
-    Never raises on overflow: entries that overflow float64 simply come out
-    non-finite, and carleman_partial_sums reports the first such even order.
+    The powers are taken of v / 2^e, with 2^e the power of two above max |v|
+    (``np.frexp``), so none overflows; each scaled moment is one pairwise
+    sum as in ``Empirical.expect``. Scaling by a power of two does not
+    round, so m_k = 2^(k e) times that sum is bit-equal to the sum of the
+    powers of v wherever that is finite, and +-inf where float64 overflows;
+    log|m_k| = k e log 2 + log|sum| stays finite (-inf for a zero moment).
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    vals = np.empty(max_order + 1)
-    vals[0] = 1.0
-    power = np.ones_like(proj.values)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, max_order + 1):
-            power = power * proj.values
-            vals[k] = float(np.sum(power * proj.weights))
-    return MomentSequence(values=vals)
+    _, e = np.frexp(np.max(np.abs(proj.values)))
+    scaled = np.ldexp(proj.values, -e)
+    sums = np.empty(max_order + 1)
+    sums[0] = 1.0
+    power = np.ones_like(scaled)
+    for k in range(1, max_order + 1):
+        power = power * scaled
+        sums[k] = float(np.sum(power * proj.weights))
+    orders = np.arange(max_order + 1)
+    with np.errstate(over="ignore", divide="ignore"):
+        return MomentSequence(values=np.ldexp(sums, orders * e),
+                              log_values=orders * e * math.log(2.0) + np.log(np.abs(sums)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,7 +241,8 @@ class CarlemanReport:
 
 
 def carleman_partial_sums(even_moments, M):
-    """Evaluate M terms t_m = (m_{2m})^{-1/(2m)} and classify the tail.
+    """Evaluate M terms t_m = (m_{2m})^{-1/(2m)} from the exact logs of the
+    even moments and classify the tail.
 
     The series diverges iff the law is moment-determinate by Carleman's
     criterion; any finite-M call can only apply a heuristic. The one used
@@ -236,39 +250,24 @@ def carleman_partial_sums(even_moments, M):
     sum m^{-p} diverges iff p <= 1, a slope >= -1 (minus 0.05 tolerance)
     reads as 'diverging'; a steeper slope with a Cauchy tail (last term
     below 1e-9 times the first, a ratio that does not depend on the data's
-    scale) reads as 'converging'; anything else is 'inconclusive'.
+    scale) reads as 'converging'; anything else is 'inconclusive'. Only
+    ``log_values`` is read, so a moment that overflows float64 changes
+    nothing.
 
-    Conventions: a zero even moment means compact support, hence 'diverging'
-    outright. Non-finite input moments (without exact logs) give
-    'inconclusive' with the reason in the note.
+    Convention: a zero even moment (log -inf) means a point mass at 0,
+    hence compact support and 'diverging' outright.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
     if even_moments.max_order < 2 * M:
         raise OrderExceeded(f"need moments up to order {2 * M}, have {even_moments.max_order}")
     orders = 2 * np.arange(1, M + 1)
-    vals = even_moments.values[orders]
-    logs = even_moments.log_values[orders] if even_moments.log_values is not None else None
-
-    usable_logs = logs is not None and bool(np.all(np.isfinite(logs)))
-    if not usable_logs and not np.all(np.isfinite(vals)):
-        k = int(orders[~np.isfinite(vals)][0])
-        nan = np.full(M, np.nan)
-        return CarlemanReport(nan, nan, "inconclusive", float("nan"),
-                              note=f"non-finite even moment at order {k}")
-
-    if not usable_logs and np.any(vals == 0.0):
-        # zero even moment: the law is a point mass at 0, trivially determinate
-        with np.errstate(divide="ignore"):
-            log_t = -np.log(vals) / orders
-        terms = np.exp(log_t)
-        return CarlemanReport(terms, np.cumsum(terms), "diverging", float("nan"),
-                              note="zero even moment: compact support")
-
-    log_m2m = logs if usable_logs else np.log(vals)
-    log_t = -log_m2m / orders
+    log_t = -even_moments.log_values[orders] / orders
     terms = np.exp(log_t)
     sums = np.cumsum(terms)
+    if np.any(np.isinf(log_t)):
+        return CarlemanReport(terms, sums, "diverging", float("nan"),
+                              note="zero even moment: compact support")
 
     tail = np.arange(M // 2 + 1, M + 1)
     if tail.size < 2:

@@ -734,6 +734,32 @@ class TestErrorPaths:
         assert "h1_rule" in err["message"]
         assert not (tmp_path / "o" / "verdict.json").exists()
 
+    @pytest.mark.parametrize("argv, needle", [
+        (["verdict", "--target", "gaussian", "--metric", "l2"], "metric"),
+        (["trace", "--target", "TARGET", "--direction", "1,0", "--metric", "l2"], "metric"),
+        (["verdict", "--target", "gaussian", "--h1-rule", "monotone_trend"], "h1_rule"),
+        (["verdict", "--target", "gaussian", "--no-such-flag", "1"], "--no-such-flag"),
+        (["verdict", "--target", "gaussian", "--directions"], "expected one argument"),
+        ([], "command"),
+    ], ids=["verdict-metric", "trace-metric", "h1-rule", "unknown-flag", "flag-without-value",
+            "no-command"])
+    def test_usage_errors_as_one_json_object(self, tmp_path, capsys, gaussian_files, argv, needle):
+        # a bad flag value is refused by the one validator of its field, and
+        # argparse's own usage errors come out as JSON too
+        out = tmp_path / "o"
+        if argv:
+            argv = [argv[0], "--inputs", ",".join(map(str, gaussian_files[:2])),
+                    *[str(gaussian_files[2]) if a == "TARGET" else a for a in argv[1:]],
+                    "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["error"] == "ValueError"
+        assert needle in payload["message"]
+        assert not (out / "verdict.json").exists()
+        assert not (out / "trace.csv").exists()
+
     def test_reference_n_zero_exit_two(self, tmp_path, capsys, gaussian_files):
         code = main(["verdict", "--inputs", ",".join(map(str, gaussian_files)),
                      "--target", "gaussian", "--reference-n", "0", "--out", str(tmp_path / "o")])

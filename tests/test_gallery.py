@@ -220,12 +220,12 @@ class TestGaussianOracle:
                 if a == 0.0 and k % 2:
                     assert (sign, log_abs) == (0.0, -math.inf)
                     assert seq.values[k] == 0.0
+                    assert seq.log_values[k] == -math.inf
                     continue
                 assert sign == ((-1.0) ** k if a < 0 else 1.0)
                 want = float(mpmath.log(abs(exact[k])))
                 assert abs(log_abs - want) <= 4 * np.finfo(float).eps * max(1.0, abs(want))
-                if k % 2 == 0:
-                    assert seq.log_values[k] == log_abs
+                assert seq.log_values[k] == log_abs
                 assert seq.values[k] == _from_signed_log(sign, log_abs)
 
     def test_asymmetric_cov_stored_symmetric(self):
@@ -238,6 +238,17 @@ class TestGaussianOracle:
         assert (chol @ chol.T)[0, 1] == pytest.approx(g.cov[0, 1], rel=1e-15)
         sym = np.array([[2.0, 0.6], [0.6, 1.0]])
         assert Gaussian(np.zeros(2), sym).cov.tobytes() == sym.tobytes()
+
+    @pytest.mark.parametrize("c", [1e-11, 1.0, 1e12])
+    def test_covariance_checks_relative_to_scale(self, c):
+        # N(0, c I) is N(0, I) rescaled, so each check reads cov / c
+        g = Gaussian(np.zeros(3), c * np.eye(3))
+        u = Direction.from_vector([1.0, 2.0, 2.0])
+        assert g.projected_even_moments(u, 2).values[2] == pytest.approx(c, rel=1e-14)
+        with pytest.raises(ValueError, match="positive definite"):
+            Gaussian(np.zeros(3), c * np.ones((3, 3)))
+        with pytest.raises(ValueError, match="symmetric"):
+            Gaussian(np.zeros(2), c * np.array([[1.0, 0.0], [0.01, 1.0]]))
 
 
 class TestLognormalOracle:
@@ -340,8 +351,7 @@ class TestLognormalGeneratingFunction:
         seq = ln.projected_even_moments(u, order)
         for m, (sign, log_abs) in enumerate(ref):
             assert seq.values[m] == _from_signed_log(sign, log_abs)
-            if m % 2 == 0:
-                assert seq.log_values[m] == log_abs
+            assert seq.log_values[m] == log_abs
 
     def test_nonstandard_law_correctly_rounded(self):
         ln = ProductLognormal(np.array([0.1, -0.2, 0.3]), np.array([0.5, 0.3, 0.7]))
@@ -351,8 +361,7 @@ class TestLognormalGeneratingFunction:
         seq = ln.projected_even_moments(u, 32)
         for m, (sign, log_abs) in enumerate(exact):
             assert seq.values[m] == _from_signed_log(sign, log_abs)
-            if m % 2 == 0:
-                assert seq.log_values[m] == log_abs
+            assert seq.log_values[m] == log_abs
 
     def test_directional_moment_is_entry_of_sequence(self):
         ln = ProductLognormal(np.array([0.2, 0.0, -0.1]), np.array([0.4, 1.0, 0.8]))

@@ -14,7 +14,7 @@ from cwkit.moments import (MixedMoments, MomentSequence, carleman_partial_sums,
                            moment_sequence, multi_indices, multi_indices_upto, multinomial,
                            reconstruct_mixed, rm_residual)
 from cwkit.gallery import Gaussian, ProductLognormal, mixed_moments_of
-from cwkit.projections import Empirical, Projected1D
+from cwkit.projections import Empirical, Projected1D, project
 from cwkit.directions import Cap, FullSphere, sample_in_region
 
 
@@ -74,6 +74,7 @@ class TestEmpiricalMoments:
     def test_point_mass_at_zero(self):
         ms = empirical_moments(law([0.0], [1.0]), 6)
         assert ms.values.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        assert ms.log_values.tolist() == [0.0] + [-np.inf] * 6
 
     def test_rademacher(self):
         ms = empirical_moments(law([-1.0, 1.0], [0.5, 0.5]), 7)
@@ -89,6 +90,30 @@ class TestEmpiricalMoments:
     def test_overflow_reported_not_raised(self):
         ms = empirical_moments(law([1e200, -1e200], [0.5, 0.5]), 4)
         assert np.flatnonzero(~np.isfinite(ms.values))[0] == 2
+        # the logs stay exact: log m_2k = 2k log 1e200, and m_1 = 0 exactly
+        assert ms.log_values[1] == -np.inf
+        assert ms.log_values[2::2] == pytest.approx([400 * np.log(10.0), 800 * np.log(10.0)],
+                                                    rel=1e-14)
+
+    @pytest.mark.parametrize("values, weights", [
+        (np.random.default_rng(3).standard_normal(1001), None),
+        (np.random.default_rng(4).uniform(-3.0, 5.0, 64),
+         np.random.default_rng(5).uniform(0.1, 1.0, 64)),
+        (np.array([-4.0, -0.75, 0.5, 1.25, 3.0]), np.array([0.1, 0.2, 0.3, 0.15, 0.25])),
+    ], ids=["sample", "weighted", "max-power-of-two"])
+    def test_finite_values_bit_equal_to_power_loop(self, values, weights):
+        # scaling by a power of two does not round: every finite moment equals
+        # the pairwise sum of the unscaled powers bit for bit
+        points = np.column_stack([values, np.zeros(values.size)])
+        source = Empirical(points, None if weights is None else weights / weights.sum())
+        proj = project(source, Direction(np.array([1.0, 0.0])))
+        ms = empirical_moments(proj, 40)
+        power = np.ones_like(proj.values)
+        for k in range(1, 41):
+            power = power * proj.values
+            assert ms.values[k] == float(np.sum(power * proj.weights)), k
+            assert ms.log_values[k] == pytest.approx(np.log(abs(ms.values[k])),
+                                                     rel=1e-14, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +129,7 @@ def gaussian_even_moments(M):
             vals[k] = float(mpmath.fac2(k - 1))
             logs[k] = float(mpmath.log(mpmath.fac2(k - 1)))
         else:
-            vals[k], logs[k] = 0.0, np.nan
+            vals[k], logs[k] = 0.0, -np.inf
     return MomentSequence(values=vals, log_values=logs)
 
 
@@ -145,14 +170,22 @@ class TestCarleman:
         ms = empirical_moments(law([0.0], [1.0]), 12)
         rep = carleman_partial_sums(ms, 6)
         assert rep.verdict == "diverging"
-        assert "compact support" in rep.note
+        assert rep.note == "zero even moment: compact support"
 
-    def test_nonfinite_inconclusive(self):
+    def test_sequence_without_exact_logs_refused(self):
         vals = np.ones(11)
+        with pytest.raises(TypeError):
+            MomentSequence(vals)
+        for bad in (np.nan, np.inf):
+            logs = np.zeros(11)
+            logs[5] = bad
+            with pytest.raises(ValueError, match="log_values"):
+                MomentSequence(vals, logs)
+        # an overflowed value is fine: its log carries it
         vals[10] = np.inf
-        rep = carleman_partial_sums(MomentSequence(vals), 5)
-        assert rep.verdict == "inconclusive"
-        assert "non-finite" in rep.note
+        logs = np.zeros(11)
+        logs[10] = 800.0
+        assert carleman_partial_sums(MomentSequence(vals, logs), 5).terms[-1] == np.exp(-80.0)
 
     def test_partial_sums_nondecreasing(self):
         rep = carleman_partial_sums(gaussian_even_moments(40), 40)
@@ -164,13 +197,15 @@ class TestCarleman:
 
     @pytest.mark.parametrize("law, M, want", [
         ("lognormal", 12, "inconclusive"), ("lognormal", 16, "inconclusive"),
-        ("atomic", 12, None)])
+        ("atomic", 12, None), ("atomic", 16, "diverging"), ("atomic", 30, "diverging")])
     def test_scan_verdicts_do_not_depend_on_scale(self, law, M, want):
         # every t_m scales by 1/c when the data scale by c, so no verdict may
         # change with c. A lognormal scaled by c is lognormal with mu = log c;
         # the exact measure is 1 000 N(0, I_3) draws plus one atom of mass 1e-9
         # at 1e3 (at 1e10 after scaling by 1e7). An absolute Cauchy cut-off
-        # read both as converging once scaled up
+        # read both as converging once scaled up. From c = 1e3 on (M = 30) and
+        # c = 1e7 (M = 16) the measure's top moment overflows float64, so the
+        # scan must read it through its exact log
         dirs = sample_in_region(FullSphere(3), 6, seed=0)
         points = np.vstack([np.random.default_rng(0).standard_normal((1000, 3)),
                             [[1e3, 0.0, 0.0]]])
@@ -184,9 +219,10 @@ class TestCarleman:
 
         at_one = verdicts(1.0)
         if want is not None:
-            # the lognormal's tail ratio t_M / t_1 is e^{1-M}
+            # the lognormal's tail ratio t_M / t_1 is e^{1-M}; the exact
+            # measure's terms level off near 1 / (1e3 |u_1|)
             assert at_one == [want] * 6
-        for c in (1e-3, 1e3, 1e4, 1e7):
+        for c in (1e-3, 1e3, 1e4, 1e7, 2.0**30):
             assert verdicts(c) == at_one, c
 
 
