@@ -3,8 +3,9 @@
 Given a sequence of samples and a target law, run_verdict checks the
 theorem's two hypotheses: per-direction convergence of projected laws over
 a sampled direction region (h1) and the Carleman condition along an
-extracted frame (h2). Only these decide the verdict; a tightness box and a
-mixed-moment comparison ride along in the report as diagnostics.
+extracted frame (h2), which the target law answers with a reason. Only
+these decide the verdict; a tightness box and a mixed-moment comparison
+ride along in the report as diagnostics.
 """
 
 import json
@@ -23,7 +24,8 @@ print("GAUSSIAN -> GAUSSIAN")
 print(f"  overall: {report.overall}")
 print(f"  h1: {sum(r.passed for r in report.h1_results)}/{len(report.h1_results)} "
       f"directions below tolerance {report.h1_tolerance:.3f}")
-print(f"  carleman verdicts: {[r.verdict for r in report.carleman_reports]}")
+for r in report.carleman_reports:
+    print(f"  h2 along a frame row: {r.verdict} ({r.reason})")
 print(f"  tightness half-widths: {np.round(report.tightness.half_widths, 3).tolist()}")
 print(f"  moment orders passed (diagnostic): {[r.passed for r in report.moment_table]}")
 

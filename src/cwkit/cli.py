@@ -14,6 +14,9 @@ or glob patterns; a pattern's matches come in natural order, digit runs
 compared as integers (elem2.csv before elem10.csv), since the last file is
 the element the verdict reads last.
 
+`cwkit carleman` writes the M-term Carleman scan of one law or data file as
+evidence; `cwkit verdict` answers h2 from its target law and reads no scan.
+
 Exit codes: 0 success (including inconclusive verdicts, which are flagged
 in the report), 1 for an inconsistent verdict, 2 for usage or data errors
 and for internal errors. Errors are emitted as one JSON object on stderr;

@@ -240,6 +240,21 @@ def mixed_moments_of(dist, max_order):
     return MixedMoments(dist.dim, max_order, dist.mixed_moment_table(max_order))
 
 
+def carleman_condition_of(dist):
+    """(verdict, reason): does sum_k m_2k^(-1/2k) of <u, X> diverge? The same along
+    every u: 'diverging' where Carleman's condition holds, 'converging' where it fails."""
+    if isinstance(dist, Gaussian):
+        return "diverging", "gaussian: m_2k = sigma_u^2k (2k-1)!!, so t_k decays like 1/sqrt(k)"
+    if isinstance(dist, Empirical):
+        if dist.weights is not None:
+            return "diverging", "exact finite measure: compact support"
+        return "diverging", "sample: its own law has compact support, not its population's"
+    if isinstance(dist, ProductLognormal):
+        # Heyde, JRSS B 1963; Lin, J. Stat. Distrib. Appl. 2017
+        return "converging", "product lognormal: t_k decays like exp(-k sigma_j^2) along every u"
+    raise TypeError(f"no Carleman answer for {type(dist).__name__}")
+
+
 def _orthogonal_unit(v):
     # deterministic unit vector exactly orthogonal to an integer vector
     v = np.asarray(v, dtype=np.float64)

@@ -7,8 +7,8 @@ the verdict:
   h1: along every sampled direction, the projected sequence laws approach
       the projected target (the last element's distance lies below a
       tolerance);
-  h2: along d extracted frame directions, the target projections pass the
-      Carleman divergence diagnostic.
+  h2: along d extracted frame directions, the target's projections satisfy
+      Carleman's condition, which the target law answers in closed form.
 
 Two diagnostics ride along in the report: a frame-aligned tightness box
 capturing all but epsilon of each element, and a mixed-moment match of the
@@ -21,9 +21,9 @@ The verdict can only fail to falsify convergence, never prove it; hence
 measure zero (finite direction sets) void the hypotheses: such runs are
 flagged and come back 'inconclusive' whatever the directional data says,
 which is the lesson of the switching counterexample. An unweighted sample
-target cannot certify h2: its empirical law has compact support, so its
-Carleman scans read 'diverging' whatever population it came from. Such
-runs carry the flag 'carleman_unverifiable_from_sample' and are at best
+target cannot certify h2: its empirical law has compact support, so it
+satisfies Carleman's condition whatever population it came from. Such runs
+carry the flag 'carleman_unverifiable_from_sample' and are at best
 'inconclusive'.
 """
 
@@ -39,7 +39,7 @@ from . import gallery
 from .directions import (DEFAULT_FRAME_TAU, FiniteSet, extract_frame, frame_constant,
                          sample_in_region)
 from .errors import BudgetExhausted, DimensionMismatch, InsufficientRank
-from .moments import carleman_partial_sums, jsonsafe, moment_sequence, multi_indices
+from .moments import jsonsafe, multi_indices
 from .projections import METRICS, DistanceTrace, Empirical, _projection, distance_traces
 from .rng import STREAM_REFERENCE, substream
 
@@ -62,7 +62,7 @@ class VerdictConfig:
     metric: str = "ks"
     h1_tolerance: float | None = None  # None: 1.36/sqrt(n_min) + 0.01
     h1_rule: str = "final_below"
-    carleman_order: int = 12
+    carleman_order: int = 12  # validated and echoed; no stage reads it
     moment_order: int = 4
     epsilon: float = 0.1
     seed: int = 0
@@ -224,16 +224,23 @@ def h1_check(traces, tolerance, rule="final_below"):
     return results
 
 
-def h2_check(target, frame, carleman_order):
-    """Carleman diagnostic of the target's projection along each frame row.
+@dataclass(frozen=True)
+class H2Result:
+    verdict: str
+    reason: str
 
-    Analytic targets use exact moment oracles, Empirical targets the exact
-    moments of their projections. An unweighted sample's scan reads the
-    sample's own compactly supported law, not the population it came from.
+    def to_dict(self):
+        return {"verdict": self.verdict, "reason": self.reason}
+
+
+def h2_check(target, frame, carleman_order):
+    """Carleman's condition along each frame row, from the target law alone
+    (``gallery.carleman_condition_of``), so every row reads the same. No
+    moment is computed and carleman_order is not read: the M-term scan is
+    evidence for ``cwkit carleman`` only.
     """
-    return [carleman_partial_sums(moment_sequence(target, u, 2 * carleman_order),
-                                  carleman_order)
-            for u in frame.directions]
+    verdict, reason = gallery.carleman_condition_of(target)
+    return [H2Result(verdict, reason) for _ in frame.directions]
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +348,9 @@ def aggregate_overall(h1_results, carleman_verdicts, flags):
     """Fold the theorem's two hypotheses into one verdict.
 
     zero_measure_region voids everything: inconclusive. Otherwise a failed
-    direction rule falsifies h1: inconsistent. Otherwise h2 must hold: a
-    Carleman scan that is not 'diverging', or a sample target that cannot
-    certify its scans (carleman_unverifiable_from_sample), leaves the
+    direction rule falsifies h1: inconsistent. Otherwise h2 must hold: an
+    h2 answer that is not 'diverging', or a sample target whose answer is
+    for its own law only (carleman_unverifiable_from_sample), leaves the
     projections unable to identify the law: inconclusive. All clear:
     consistent_with_convergence. Moments and tightness are not inputs.
     """
@@ -373,8 +380,8 @@ def run_verdict(sequence, target, config):
 
     Directions come from the configured region (a finite, measure-zero
     region contributes its directions verbatim and taints the run); the
-    frame is extracted from those same directions; the target's projections
-    feed the Carleman check; the last element faces the moment comparison.
+    frame is extracted from those same directions; the target law answers
+    h2 along it; the last element faces the moment comparison.
     """
     if not sequence:
         raise ValueError("sequence must be nonempty")

@@ -22,11 +22,15 @@ CLOSE_SIZES = (1_000, 2_000, 4_000)
 SEEDS = range(10)
 
 
-def overall(law, target, seed, sizes=SIZES):
+def verdict(law, target, seed, sizes=SIZES):
     sequence = [sample(law, n, seed=100 * seed + i) for i, n in enumerate(sizes)]
     config = VerdictConfig(region=FullSphere(2), n_directions=20, seed=seed,
                            reference_sample_size=5_000)
-    return run_verdict(sequence, target, config).overall
+    return run_verdict(sequence, target, config)
+
+
+def overall(law, target, seed, sizes=SIZES):
+    return verdict(law, target, seed, sizes).overall
 
 
 def null_case(kind, seed):
@@ -45,8 +49,12 @@ def null_case(kind, seed):
 
 @pytest.mark.parametrize("kind", ["gaussian", "lognormal", "atomic", "sample"])
 def test_null_never_inconsistent(kind):
-    outcomes = [overall(*null_case(kind, seed), seed) for seed in SEEDS]
+    reports = [verdict(*null_case(kind, seed), seed) for seed in SEEDS]
+    outcomes = [r.overall for r in reports]
     assert "inconsistent" not in outcomes, outcomes
+    # a lognormal fails Carleman's condition along every direction, on every seed
+    failed = ["carleman_condition_failed" in r.flags for r in reports]
+    assert failed == [kind == "lognormal"] * len(SEEDS)
 
 
 def test_null_with_close_sizes_never_inconsistent():

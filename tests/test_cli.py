@@ -16,14 +16,14 @@ from hypothesis import strategies as st
 import cwkit
 from cwkit import cli, gallery, io
 from cwkit.cli import main
-from cwkit.directions import (DEFAULT_FRAME_TAU, Cap, Direction, FiniteSet, Frame,
+from cwkit.directions import (DEFAULT_FRAME_TAU, Cap, Direction, FiniteSet,
                               FullSphere, UnionOfCaps, extract_frame, parse_region)
 from cwkit.errors import CwkitError, ParseError, RaggedRows
 from cwkit.io import (atomic_csv, ingest_samples, load_atomic_csv, mixed_moments_csv,
                       projected_csv, samples_csv, traces_csv)
 from cwkit.moments import carleman_partial_sums, moment_sequence
 from cwkit.projections import DistanceTrace, Empirical, Projected1D, ks_distance, project
-from cwkit.verdict import VerdictConfig, h2_check
+from cwkit.verdict import VerdictConfig
 
 
 def read_directions(path):
@@ -389,14 +389,14 @@ class TestSubcommands:
         assert payload["verdict"] == "converging"
         assert payload["partial_sums"][-1] == pytest.approx(0.581976706869, abs=1e-5)
 
-    def test_carleman_input_matches_h2_check(self, tmp_path, gaussian_files):
+    def test_carleman_input_matches_the_scan(self, tmp_path, gaussian_files):
         out = tmp_path / "c"
         assert main(["carleman", "--input", str(gaussian_files[2]), "--direction", "0.6,0.8",
                      "--carleman-order", "8", "--out", str(out)]) == 0
         payload = json.loads((out / "carleman.json").read_text())
         u = Direction.from_vector([0.6, 0.8])
-        frame = Frame([u, Direction(np.array([1.0, 0.0]))])
-        report = h2_check(ingest_samples(gaussian_files[2]), frame, 8)[0].to_dict()
+        sample_set = ingest_samples(gaussian_files[2])
+        report = carleman_partial_sums(moment_sequence(sample_set, u, 16), 8).to_dict()
         assert {key: payload[key] for key in report} == report
 
     def test_carleman_gaussian(self, tmp_path):
@@ -629,11 +629,11 @@ class TestAtomicForms:
         payload = json.loads((out / "verdict.json").read_text())
         assert payload["overall"] == "inconsistent"
         assert payload["h1"]["n_failed"] == 20
-        # exact target: no reference draw, and its Carleman scans certify h2;
-        # the moment gap to the Gaussian draws is only flagged
+        # exact target: no reference draw, and its compact support certifies
+        # h2; the moment gap to the Gaussian draws is only flagged
         assert payload["flags"] == ["moment_mismatch"]
-        assert [c["verdict"] for c in payload["carleman"]] == ["diverging", "diverging"]
-        assert all(c["note"] == "" for c in payload["carleman"])
+        assert payload["carleman"] == [{"verdict": "diverging",
+                                        "reason": "exact finite measure: compact support"}] * 2
         assert (payload["provenance"]["target_digest"]
                 == load_atomic_csv(atomic_file).digest())
 
@@ -832,3 +832,36 @@ print(main(["carleman", "--dist", "gaussian", "--carleman-order", "30",
     assert carleman_code == "0"
     payload = json.loads((tmp_path / "carl" / "carleman.json").read_text())
     assert payload["verdict"] == "diverging"
+
+
+def test_lognormal_verdict_runs_without_mpmath(tmp_path, gaussian_files):
+    # h2 is answered from the law, so a lognormal target needs no moment
+    # oracle: the library call and the CLI both run with mpmath unimportable
+    src = str(Path(cwkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    inputs = ",".join(str(p) for p in gaussian_files[1:])
+    code = f"""
+import sys
+sys.modules["mpmath"] = None
+from cwkit import FullSphere, ProductLognormal, VerdictConfig, run_verdict, sample
+from cwkit.cli import main
+ln = ProductLognormal.standard(3)
+seq = [sample(ln, n, seed=i) for i, n in enumerate((200, 2000))]
+config = VerdictConfig(region=FullSphere(3), n_directions=6, carleman_order=16,
+                       moment_order=2, reference_sample_size=2000)
+report = run_verdict(seq, ln, config)
+print(*(r.verdict for r in report.carleman_reports))
+print(*report.flags)
+print(main(["verdict", "--inputs", {inputs!r}, "--target", "lognormal", "--directions", "8",
+            "--reference-n", "2000", "--out", {str(tmp_path / "v")!r}]))
+"""
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    verdicts, flags, cli_code = done.stdout.splitlines()
+    assert verdicts.split() == ["converging"] * 3
+    assert "carleman_condition_failed" in flags.split()
+    assert int(cli_code) < 2
+    payload = json.loads((tmp_path / "v" / "verdict.json").read_text())
+    assert [c["verdict"] for c in payload["carleman"]] == ["converging"] * 2
+    assert "carleman_condition_failed" in payload["flags"]

@@ -125,21 +125,32 @@ class TestH2Check:
         assert [r.verdict for r in reports] == ["diverging"] * 3
 
     def test_lognormal_axis_frame_converging(self):
-        # t_m = e^{-m}: the tail ratio t_M / t_1 = e^{1-M} is below 1e-9 from
-        # M = 22 on, so the heuristic needs M = 30 to call it
         reports = h2_check(ProductLognormal.standard(2), ident_frame(2), 30)
         assert [r.verdict for r in reports] == ["converging"] * 2
+
+    @pytest.mark.parametrize("order", [6, 12, 16])
+    def test_lognormal_converging_at_any_order(self, order):
+        # the M-term scan does not read converging at these orders; the
+        # law's answer does not depend on M
+        frame = extract_frame(sample_in_region(FullSphere(3), 6, seed=0))
+        reports = h2_check(ProductLognormal.standard(3), frame, order)
+        assert [r.verdict for r in reports] == ["converging"] * 3
+        assert reports[0].reason.startswith("product lognormal")
+
+    def test_unknown_target_type_raises(self):
+        with pytest.raises(TypeError, match="no Carleman answer"):
+            h2_check(np.zeros((3, 2)), ident_frame(2), 6)
 
     def test_bounded_atomic_diverging(self):
         m = Empirical(np.array([[1.0, 0.0], [-1.0, 2.0]]), np.array([0.5, 0.5]))
         reports = h2_check(m, ident_frame(2), 10)
         assert all(r.verdict == "diverging" for r in reports)
 
-    def test_sample_target_scan_reads_the_sample(self):
-        # a lognormal sample has compact support, so its scans read diverging
-        # where the lognormal's own read inconclusive: they certify nothing
+    def test_sample_target_answers_for_the_sample(self):
+        # a lognormal sample has compact support, so it reads diverging where
+        # the lognormal itself reads converging: it certifies nothing
         ln = ProductLognormal.standard(2)
-        assert [r.verdict for r in h2_check(ln, ident_frame(2), 12)] == ["inconclusive"] * 2
+        assert [r.verdict for r in h2_check(ln, ident_frame(2), 12)] == ["converging"] * 2
         reports = h2_check(sample(ln, 2000, seed=5), ident_frame(2), 12)
         assert [r.verdict for r in reports] == ["diverging"] * 2
 
@@ -391,6 +402,29 @@ class TestRunVerdict:
         assert "carleman_condition_failed" in report.flags
         assert report.overall == "inconclusive"
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("far", [1e3, 1e6])
+    def test_far_atom_measure_consistent(self, far, seed):
+        # an exact measure has compact support however far its atoms lie,
+        # which an M-term scan of its moments misreads as inconclusive
+        rng = np.random.default_rng(seed)
+        atoms = np.vstack([rng.standard_normal((1000, 2)), [[far, far]]])
+        target = Empirical(atoms, np.append(np.full(1000, (1 - 1e-9) / 1000), 1e-9))
+        seq = [sample(target, n, seed=10 * seed + i) for i, n in enumerate((10**3, 10**4))]
+        report = run_verdict(seq, target, VerdictConfig(region=FullSphere(2), n_directions=20,
+                                                        seed=seed))
+        assert report.overall == "consistent_with_convergence"
+
+    def test_carleman_order_moves_no_verdict_byte(self):
+        ln = ProductLognormal.standard(2)
+        seq = [sample(ln, n, seed=70 + i) for i, n in enumerate((200, 2000))]
+        texts = [run_verdict(seq, ln, VerdictConfig(region=FullSphere(2), n_directions=8,
+                                                    carleman_order=order, moment_order=2,
+                                                    reference_sample_size=2000)).to_json()
+                 for order in (6, 30)]
+        assert texts[0] != texts[1]
+        assert texts[0].replace('"carleman_order": 6,', '"carleman_order": 30,') == texts[1]
+
     def test_dimension_mismatch(self):
         g, seq = gaussian_sequence()
         with pytest.raises(DimensionMismatch):
@@ -518,8 +552,7 @@ class TestSampleVersusMeasure:
         m_reports = h2_check(measure, ident_frame(2), 12)
         for s_rep, m_rep in zip(s_reports, m_reports):
             assert s_rep.verdict == m_rep.verdict
-            assert np.allclose(s_rep.terms, m_rep.terms, rtol=1e-12)
-        # the same scans certify h2 only when the cloud is declared the law
+        # the same answer certifies h2 only when the cloud is declared the law
         config = VerdictConfig(region=FullSphere(2), n_directions=10, seed=4)
         s_report = run_verdict([sample_set], sample_set, config)
         m_report = run_verdict([sample_set], measure, config)
@@ -543,3 +576,38 @@ class TestSampleVersusMeasure:
         assert sample_set.digest() == sha(shape, sample_set.points.tobytes(), b"cloud")
         assert measure.digest() == sha(shape, measure.points.tobytes(),
                                        measure.weights.tobytes())
+
+
+def _scaled_run(k, exact):
+    # data and target scaled by 2^k: every projection, quantile and draw of
+    # the target scales exactly, so nothing but the units may change
+    rng = np.random.default_rng(8)
+    if exact:
+        w = rng.uniform(0.1, 1.0, 400)
+        target = Empirical(np.ldexp(rng.standard_normal((400, 2)), k), w / w.sum())
+        seq = [sample(target, n, seed=i) for i, n in enumerate((300, 2000))]
+    else:
+        target = Gaussian(np.ldexp([0.1, 0.0], k), np.ldexp([[1.0, 0.3], [0.3, 1.0]], 2 * k))
+        seq = [Empirical(np.ldexp(rng.standard_normal((n, 2)), k)) for n in (300, 2000)]
+    config = VerdictConfig(region=FullSphere(2), n_directions=12, seed=4,
+                           h1_tolerance=None if exact else 0.04, reference_sample_size=2000)
+    return run_verdict(seq, target, config)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_scaling_by_a_power_of_two_keeps_the_verdict(exact):
+    # k stops at -4: MERGE_TOL (1e-12) and moment_match's 1e-9 SE floor are
+    # absolute. At these sizes the floor drops moment_mismatch from about
+    # 2^-15 on and the merge moves KS distances from about 2^-19; with a
+    # 50 000-point reference draw the merge starts near 2^-9
+    base = _scaled_run(0, exact)
+    for k in range(-4, 31):
+        report = _scaled_run(k, exact)
+        assert report.overall == base.overall
+        assert report.flags == base.flags
+        assert [r.passed for r in report.h1_results] == [r.passed for r in base.h1_results]
+        assert ([r.trace.distances.tobytes() for r in report.h1_results]
+                == [r.trace.distances.tobytes() for r in base.h1_results])
+        assert report.to_dict()["carleman"] == base.to_dict()["carleman"]
+        assert np.array_equal(report.tightness.half_widths,
+                              np.ldexp(base.tightness.half_widths, k))
