@@ -38,7 +38,7 @@ import numpy as np
 
 from . import gallery, io
 from .directions import (Direction, extract_frame, parse_direction, parse_region,
-                         sample_in_region)
+                         region_directions, sample_in_region)
 from .errors import CwkitError, ParseError
 from .moments import carleman_partial_sums, moment_sequence, reconstruct_mixed
 from .projections import Empirical, distance_trace, project
@@ -228,7 +228,7 @@ def _cmd_tightness(cfg):
     sequence = [io.ingest_samples(p) for p in paths]
     d = sequence[0].dim
     region = parse_region(cfg.get("region"), dim_hint=d)
-    dirs = sample_in_region(region, int(cfg.get("directions")), cfg.seed)
+    dirs = region_directions(region, int(cfg.get("directions")), cfg.seed)
     frame = extract_frame(dirs, float(cfg.get("frame_tau")))
     box = tightness_box(sequence, frame, float(cfg.get("epsilon")))
     payload = {

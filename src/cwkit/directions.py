@@ -297,6 +297,12 @@ def sample_in_region(region, count, seed, max_draw_budget=None):
     return [Direction(r) for r in accepted]
 
 
+def region_directions(region, count, seed, max_draw_budget=None):
+    """A FiniteSet's directions as given; ``count`` sampled from any other region."""
+    return (list(region.directions) if isinstance(region, FiniteSet)
+            else sample_in_region(region, count, seed, max_draw_budget))
+
+
 def region_measure_estimate(region, n, seed):
     """Monte-Carlo estimate of the region's normalized surface measure."""
     if isinstance(region, FiniteSet):

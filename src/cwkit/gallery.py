@@ -144,7 +144,7 @@ class ProductLognormal:
     """Independent coordinates X_i = exp(mu_i + sigma_i Z_i), sigma_i > 0.
 
     The directional oracle gives every order along a direction from one
-    truncated generating-function product, in arbitrary precision.
+    truncated generating-function product, in ``decimal`` with exact sums.
     """
 
     mu: np.ndarray
@@ -179,32 +179,33 @@ class ProductLognormal:
         return float(np.sum(alpha * self.mu + 0.5 * alpha**2 * self.sigma**2))
 
     def _signed_log_moments(self, u, max_order):
-        # (sign, log|E<u,X>^m|) for m = 0..max_order, with E<u,X>^m =
-        # m! [t^m] prod_j sum_a (u_j t)^a E[X_j^a] / a!. fdot sums the exact
-        # products and rounds once, so exact cancellations come out as 0.
-        # dps is sized to the largest order-max_order mixed moment; its log
-        # is convex in alpha, so it peaks at a vertex alpha = max_order e_j.
-        import mpmath  # imported here: only this oracle needs it
+        # (sign, log|E<u,X>^m|) for m = 0..max_order: E<u,X>^m = m! [t^m] prod_j sum_a (u_j t)^a
+        # g^a h^(a^2) / a!, with g = e^mu_j and h = e^(sigma_j^2 / 2), so term a is term a - 1
+        # times u_j g h^(2a - 1) / a. Each coefficient is the exact sum of its products, rounded
+        # once, so exact cancellations come out as 0. digits is sized to the largest order-k
+        # mixed moment: its log is convex in alpha, so it peaks at a vertex alpha = k e_j.
+        from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 
         k = max_order
         peak = max(k * mu + 0.5 * k * k * sigma * sigma
                    for mu, sigma in zip(self.mu.tolist(), self.sigma.tolist()))
         digits = 30 + int((peak + k * math.log(self.dim + 1) + k) / math.log(10.0)) + k
-        with mpmath.workdps(max(30, digits)):
-            series = [mpmath.mpf(1)] + [mpmath.mpf(0)] * k
+        exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+        series = [Decimal(1)] + [Decimal(0)] * k
+        with localcontext(Context(prec=max(30, digits), Emax=MAX_EMAX, Emin=MIN_EMIN)) as ctx:
+            exp = functools.cache(Decimal.exp)  # Decimal.exp is slow at this precision
             for uj, mu, sigma in zip(u.coords.tolist(), self.mu.tolist(), self.sigma.tolist()):
-                uj, mu, var = mpmath.mpf(uj), mpmath.mpf(mu), mpmath.mpf(sigma) ** 2
-                coord = [uj**a * mpmath.exp(a * mu + a * a * var / 2) / mpmath.factorial(a)
-                         for a in range(k + 1)]
-                series = [mpmath.fdot(series[:m + 1], coord[m::-1]) for m in range(k + 1)]
-            out = []
-            for m, coef in enumerate(series):
-                if coef == 0:
-                    out.append((0.0, -math.inf))
-                else:
-                    out.append((1.0 if coef > 0 else -1.0,
-                                float(mpmath.log(abs(coef) * mpmath.factorial(m)))))
-        return out
+                ug, h = Decimal(uj) * exp(Decimal(mu)), exp(Decimal(sigma) ** 2 / 2)
+                step, h2, coord = ug * h, h * h, [Decimal(1)]  # step = u_j g h^(2a - 1)
+                for a in range(1, k + 1):
+                    coord.append(coord[-1] * step / a)
+                    step *= h2
+                series = [ctx.plus(functools.reduce(exact.add, map(exact.multiply, series[:m + 1],
+                                                                   coord[m::-1])))
+                          for m in range(k + 1)]
+            ctx.prec = 40  # ample for a float; a zero compares as 0 and its log is -Infinity
+            return [(float(coef.compare(0)), float((coef.copy_abs() * math.factorial(m)).ln()))
+                    for m, coef in enumerate(series)]
 
     def projected_even_moments(self, u, max_order):
         """MomentSequence of the projection, with the exact log of every moment."""

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import gallery
 from .directions import (DEFAULT_FRAME_TAU, FiniteSet, extract_frame, frame_constant,
-                         sample_in_region)
+                         region_directions)
 from .errors import BudgetExhausted, DimensionMismatch, InsufficientRank
 from .moments import jsonsafe, multi_indices
 from .projections import METRICS, DistanceTrace, Empirical, _projection, distance_traces
@@ -394,17 +394,15 @@ def run_verdict(sequence, target, config):
 
     flags = []
     if isinstance(config.region, FiniteSet):
-        directions = list(config.region.directions)
         flags.append("zero_measure_region")
-    else:
-        if config.n_directions < d:
-            raise ValueError(f"n_directions must be >= dimension {d}")
-        try:
-            directions = sample_in_region(config.region, config.n_directions,
-                                          config.seed, config.max_draw_budget)
-        except BudgetExhausted as err:
-            raise BudgetExhausted(f"h1 direction sampling failed: {err}",
-                                  accepted=err.accepted, budget=err.budget) from None
+    elif config.n_directions < d:
+        raise ValueError(f"n_directions must be >= dimension {d}")
+    try:
+        directions = region_directions(config.region, config.n_directions,
+                                       config.seed, config.max_draw_budget)
+    except BudgetExhausted as err:
+        raise BudgetExhausted(f"h1 direction sampling failed: {err}",
+                              accepted=err.accepted, budget=err.budget) from None
     for u in directions:
         if u.dim != d:
             raise DimensionMismatch("region directions do not match the data dimension")

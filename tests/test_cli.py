@@ -497,6 +497,21 @@ class TestSubcommands:
         payload = json.loads((out2 / "tightness.json").read_text())
         assert min(payload["achieved_coverage"]) >= 0.8
 
+    @pytest.mark.parametrize("region", ["cap:1,0:1.2", "finite:1,0;0,1;1,1"])
+    def test_tightness_box_is_the_verdict_box(self, tmp_path, gaussian_files, region):
+        # both commands take their directions from the region by one rule: a
+        # finite set as given, any other region sampled
+        inputs = ",".join(str(p) for p in gaussian_files)
+        common = ["--inputs", inputs, "--region", region, "--directions", "12",
+                  "--seed", "5", "--epsilon", "0.2"]
+        assert main(["tightness", *common, "--out", str(tmp_path / "t")]) == 0
+        assert main(["verdict", *common, "--target", "gaussian", "--reference-n", "2000",
+                     "--out", str(tmp_path / "v")]) in (0, 1)
+        box = json.loads((tmp_path / "t" / "tightness.json").read_text())
+        report = json.loads((tmp_path / "v" / "verdict.json").read_text())
+        assert box["half_widths"] == report["tightness"]["half_widths"]
+        assert box["frame"] == report["frame"]["directions"]
+
 
 class TestVerdictCommand:
     def run_verdict_cli(self, tmp_path, gaussian_files, target, outname):
@@ -798,7 +813,7 @@ def test_import_leaves_scipy_stats_unloaded():
     src = str(Path(cwkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = ("import sys, cwkit.cli; print(sorted(m for m in "
-            "('scipy.stats', 'scipy.special', 'mpmath') if m in sys.modules))")
+            "('scipy.stats', 'scipy.special', 'mpmath', 'decimal') if m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
@@ -834,16 +849,17 @@ print(main(["carleman", "--dist", "gaussian", "--carleman-order", "30",
     assert payload["verdict"] == "diverging"
 
 
-def test_lognormal_verdict_runs_without_mpmath(tmp_path, gaussian_files):
-    # h2 is answered from the law, so a lognormal target needs no moment
-    # oracle: the library call and the CLI both run with mpmath unimportable
+def test_runtime_needs_no_mpmath(tmp_path, gaussian_files):
+    # mpmath is a test dependency only: with it unimportable, a lognormal
+    # verdict (h2 from the law), the lognormal Carleman scan along e1 and
+    # (1, -1) and the exact odd moments of the decimal oracle all run
     src = str(Path(cwkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     inputs = ",".join(str(p) for p in gaussian_files[1:])
     code = f"""
 import sys
 sys.modules["mpmath"] = None
-from cwkit import FullSphere, ProductLognormal, VerdictConfig, run_verdict, sample
+from cwkit import Direction, FullSphere, ProductLognormal, VerdictConfig, run_verdict, sample
 from cwkit.cli import main
 ln = ProductLognormal.standard(3)
 seq = [sample(ln, n, seed=i) for i, n in enumerate((200, 2000))]
@@ -854,14 +870,24 @@ print(*(r.verdict for r in report.carleman_reports))
 print(*report.flags)
 print(main(["verdict", "--inputs", {inputs!r}, "--target", "lognormal", "--directions", "8",
             "--reference-n", "2000", "--out", {str(tmp_path / "v")!r}]))
+print(main(["carleman", "--dist", "lognormal", "--carleman-order", "30",
+            "--out", {str(tmp_path / "e1")!r}]))
+print(main(["carleman", "--dist", "lognormal", "--direction", "1,-1", "--carleman-order", "16",
+            "--out", {str(tmp_path / "anti")!r}]))
+seq = ProductLognormal.standard(2).projected_even_moments(Direction.from_vector([1, -1]), 16)
+print(*seq.values[1::2].tolist())
 """
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    verdicts, flags, cli_code = done.stdout.splitlines()
+    verdicts, flags, cli_code, e1_code, anti_code, odd = done.stdout.splitlines()
     assert verdicts.split() == ["converging"] * 3
     assert "carleman_condition_failed" in flags.split()
     assert int(cli_code) < 2
     payload = json.loads((tmp_path / "v" / "verdict.json").read_text())
     assert [c["verdict"] for c in payload["carleman"]] == ["converging"] * 2
     assert "carleman_condition_failed" in payload["flags"]
+    assert (e1_code, anti_code) == ("0", "0")
+    assert json.loads((tmp_path / "e1" / "carleman.json").read_text())["verdict"] == "converging"
+    assert (tmp_path / "anti" / "carleman.json").exists()
+    assert [float(v) for v in odd.split()] == [0.0] * 8
