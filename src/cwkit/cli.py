@@ -202,7 +202,7 @@ def _cmd_carleman(cfg):
 
 def _cmd_reconstruct(cfg):
     path = cfg.get("input", required=True)
-    rows = io.ingest_samples(path).points  # reuse the CSV reader: u_1..u_d,value
+    rows = io.read_array(path)  # u_1..u_d,value
     if rows.shape[1] < 3:
         raise ValueError("reconstruct input needs d >= 2 direction columns plus a value column")
     d = rows.shape[1] - 1

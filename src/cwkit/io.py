@@ -153,12 +153,13 @@ def _bulk_csv(text):
     return arr if np.isfinite(arr).all() else None
 
 
-def ingest_samples(path):
-    """Read an unweighted Empirical (a sample) from CSV, with an optional
-    single header row, or from NDJSON.
+def read_array(path, weighted=False):
+    """The data rows of a file as one finite float array: CSV with an
+    optional single header row, or NDJSON.
 
     The suffix .ndjson or .jsonl (any case) means NDJSON; any other means
-    CSV. The file stem becomes the label.
+    CSV. With ``weighted`` each row ends in a weight, so a file narrower
+    than two columns is a ParseError, reported before a non-finite cell.
     """
     path = Path(path)
     fmt = "ndjson" if path.suffix.lower() in (".ndjson", ".jsonl") else "csv"
@@ -170,23 +171,25 @@ def ingest_samples(path):
     # itself. On the row loop, build the array while rows is alive: freeing the
     # row lists first cost the CLI's W1 kernel ~45x the page faults.
     text = _read_text(path)
-    points = _bulk_csv(text) if fmt == "csv" else None
-    if points is None:
+    arr = _bulk_csv(text) if fmt == "csv" else None
+    if arr is None or (weighted and arr.shape[1] < 2):
         rows = _read_rows(path, text, fmt)
-        points = _finite_array(path, text, fmt, rows)
-    return Empirical(points=points, label=path.stem)
+        if weighted and len(rows[0]) < 2:
+            raise ParseError(f"{path}: need at least one coordinate column plus a weight column")
+        arr = _finite_array(path, text, fmt, rows)
+    return arr
+
+
+def ingest_samples(path):
+    """Read an unweighted Empirical (a sample) from a ``read_array`` file; the
+    file stem becomes the label."""
+    return Empirical(points=read_array(path), label=Path(path).stem)
 
 
 def load_atomic_csv(path):
-    """Read a weighted Empirical from CSV rows of d coordinates plus a weight."""
-    path = Path(path)
-    text = _read_text(path)
-    arr = _bulk_csv(text)
-    if arr is None or arr.shape[1] < 2:
-        rows = _read_rows(path, text, "csv")
-        if len(rows[0]) < 2:
-            raise ParseError(f"{path}: need at least one coordinate column plus a weight column")
-        arr = _finite_array(path, text, "csv", rows)
+    """Read a weighted Empirical from a ``read_array`` file whose rows are d
+    coordinates plus a weight."""
+    arr = read_array(path, weighted=True)
     return Empirical(points=arr[:, :-1], weights=arr[:, -1])
 
 
@@ -221,7 +224,8 @@ def samples_csv(sample_set):
 
 
 def projected_csv(proj):
-    return "value,weight\n" + _csv_rows(np.column_stack([proj.values, proj.weights]))
+    masses = np.broadcast_to(proj.masses(), proj.values.shape)
+    return "value,weight\n" + _csv_rows(np.column_stack([proj.values, masses]))
 
 
 def atomic_csv(measure):

@@ -205,7 +205,7 @@ def empirical_moments(proj, max_order):
     power = np.ones_like(scaled)
     for k in range(1, max_order + 1):
         power = power * scaled
-        sums[k] = float(np.sum(power * proj.weights))
+        sums[k] = float(np.sum(power * proj.masses()))
     orders = np.arange(max_order + 1)
     with np.errstate(over="ignore", divide="ignore"):
         return MomentSequence(values=np.ldexp(sums, orders * e),

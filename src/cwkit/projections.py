@@ -11,14 +11,15 @@ a merged atom sits at its group's first (smallest) value with the group's
 summed mass. So every atom is a data value, atoms stay strictly increasing
 at any offset, and distances are computed exactly on that grid, unbinned.
 
-<u, x> is computed in one place, ``_projection``, for every stage, and one
-builder, ``_law``, turns values and their masses into a 1-D law for the h1
-pass and the ``Projected1D`` constructor alike; ``project`` is that
-constructor on a projected column. It sorts the values once: the h1 pass
-sorts a sample's column in place (its masses are all equal, so no
-permutation needs to follow), every other column by an argsort that carries
-its masses, stable only when values merge. The h1 pass builds no
-``Projected1D``: its laws go to the kernel as ``_law`` leaves them.
+<u, x> is computed in one place, ``_projection``, for every stage, and a
+1-D law is one record, ``Projected1D``: the kernel reads it, and one
+builder, ``_law``, fills it for the h1 pass and the constructor alike. The
+constructor builds from copies of its inputs; the h1 pass hands ``_law`` the
+fresh projected column itself. ``project`` is the constructor on a
+projected column. ``_law`` sorts the values once: a sample's column (mass
+1/n per value, ``weights=None``) in place, as no permutation needs to
+follow, every other column by an argsort that carries its masses, stable
+only when values merge.
 
 Both distances are symmetric, so each searches the law S of fewer atoms
 into the other law L once. KS builds no pooled grid: F_S - F_L takes its
@@ -44,8 +45,7 @@ matrix-vector products in the last bit, which would change verdict bytes.
 """
 
 import hashlib
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -100,11 +100,6 @@ class Empirical:
     def dim(self):
         return self.points.shape[1]
 
-    @property
-    def mass(self):
-        """Mass of each point: the weights, or 1/n per row for a sample."""
-        return np.full(self.n, 1.0 / self.n) if self.weights is None else self.weights
-
     def expect(self, values):
         """Integral of per-point values along the last axis: the sample mean,
         or the weighted sum. Each row of a 2-D block is integrated on its own,
@@ -135,9 +130,9 @@ AtomicMeasure = Empirical
 def _merge_sorted(values, weights):
     # group consecutive sorted values whose gap is <= MERGE_TOL; a group sits
     # at its first value with its summed mass, so atoms are data values more
-    # than MERGE_TOL apart
+    # than MERGE_TOL apart; weights may hold one row of masses per law
     starts = np.flatnonzero(np.concatenate(([True], np.diff(values) > MERGE_TOL)))
-    return values[starts], np.add.reduceat(weights, starts)
+    return values[starts], np.add.reduceat(weights, starts, axis=-1)
 
 
 def _unit_masses(w):
@@ -152,29 +147,35 @@ def _unit_masses(w):
 @dataclass(frozen=True, eq=False)
 class Projected1D:
     """A 1-D atomic law: strictly increasing values more than MERGE_TOL
-    apart, positive weights, mass 1.
+    apart, positive masses summing to 1, and ``cum``, the cumulative masses
+    ``_cum0`` gives. ``weights=None`` means mass 1/n on each of n values,
+    as for a sample; ``masses()`` reads either form.
 
     The constructor takes values in any order with their masses, checks
-    them and builds the law from copies through the same sort and merge as
-    the h1 pass: values at most MERGE_TOL apart become one atom at the
-    smallest of them, carrying their summed mass.
+    them and builds the law from copies through ``_law``, the h1 pass's sort
+    and merge: values at most MERGE_TOL apart become one atom at the
+    smallest of them, carrying their summed mass. Every array is read-only.
     """
 
     values: np.ndarray
-    weights: np.ndarray
+    weights: np.ndarray | None = None
+    cum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        w = np.asarray(self.weights, dtype=np.float64)
-        if v.ndim != 1 or v.shape != w.shape or v.size < 1:
+        v = np.array(self.values, dtype=np.float64)  # a copy: a sample's is sorted in place
+        w = None if self.weights is None else np.asarray(self.weights, dtype=np.float64)
+        if v.ndim != 1 or v.size < 1 or (w is not None and v.shape != w.shape):
             raise ValueError("values and weights must be matching 1-D arrays")
-        if not np.all(np.isfinite(w)):
+        if w is not None and not np.all(np.isfinite(w)):
             raise ValueError("atoms must be finite")
-        law = _law(v, w, None)  # weighted: its arrays are new, the inputs untouched
-        for name in ("values", "weights"):
-            arr = getattr(law, name)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        law = _law(v, w, {})  # w needs no copy: _law's argsort makes new arrays
+        for name in ("values", "weights", "cum"):
+            object.__setattr__(self, name, getattr(law, name))
+
+    def masses(self):
+        """The weights, or with ``weights=None`` the float 1/n, the value that
+        np.full(n, 1 / n) holds in every place."""
+        return 1.0 / self.values.size if self.weights is None else self.weights
 
 
 def _projection(source, u):
@@ -186,7 +187,7 @@ def _projection(source, u):
 
 def project(source, u):
     """Push an Empirical forward under x -> <u, x>."""
-    return Projected1D(_projection(source, u), source.mass)
+    return Projected1D(_projection(source, u), source.weights)
 
 
 def _cum0(weights):
@@ -203,27 +204,19 @@ def _spaced(values):
     return bool(np.all(np.diff(values) > MERGE_TOL))
 
 
-class _Law(NamedTuple):
-    """A 1-D law as the distance kernel reads it: strictly increasing values,
-    their masses, and the cumulative masses ``_cum0`` gives. ``weights`` is
-    None for n atoms of mass 1/n each."""
-
-    values: np.ndarray
-    weights: np.ndarray | None
-    cum: np.ndarray
-
-    @classmethod
-    def of(cls, p):
-        return cls(p.values, p.weights, _cum0(p.weights))
-
-    def masses(self):
-        # 1/n as one float is the value np.full(n, 1 / n) holds in every place
-        return 1.0 / self.values.size if self.weights is None else self.weights
+def _filled(values, weights, cum):
+    # the Projected1D of arrays _law made, taken as they are, read-only
+    law = object.__new__(Projected1D)
+    for name, arr in (("values", values), ("weights", weights), ("cum", cum)):
+        if arr is not None:
+            arr.flags.writeable = False
+        object.__setattr__(law, name, arr)
+    return law
 
 
 def _law(column, weights, uniform):
-    """The law of values whose rows carry ``weights``, or mass 1/n each when
-    ``weights`` is None (a sample's fresh projected column, sorted in place).
+    """The ``Projected1D`` of values whose rows carry ``weights``, or mass 1/n
+    each when ``weights`` is None (a sample's column, sorted in place).
 
     A sample's masses are all equal, so no permutation needs to follow its
     sort. Weighted values are sorted by numpy's default argsort, which
@@ -253,13 +246,13 @@ def _law(column, weights, uniform):
     if not spaced:
         masses = np.full(column.size, 1.0 / column.size) if weights is None else weights
         values, masses = _merge_sorted(column, masses)
-        return _Law(values, masses, _cum0(masses))
+        return _filled(values, masses, _cum0(masses))
     if weights is not None:
-        return _Law(column, weights, _cum0(weights))
+        return _filled(column, weights, _cum0(weights))
     n = column.size
     if n not in uniform:
         uniform[n] = _cum0(_unit_masses(np.full(n, 1.0 / n)))
-    return _Law(column, None, uniform[n])
+    return _filled(column, None, uniform[n])
 
 
 def _near_across(small, large, below):
@@ -288,9 +281,9 @@ def _pool(small, large, below):
     S goes before an equal atom of L. Only S is searched: L fills the free
     slots in order.
     """
-    # Index and gap arithmetic runs in place, here and in _w1: at these sizes
-    # each temporary is fresh memory from the OS, whose page faults cost
-    # about as much as the arithmetic itself.
+    # Index and gap arithmetic runs in place, here and in wasserstein1: at
+    # these sizes each temporary is fresh memory from the OS, whose page
+    # faults cost about as much as the arithmetic itself.
     n = small.values.size + large.values.size
     pos_s = np.arange(small.values.size)
     pos_s += below
@@ -311,17 +304,15 @@ def _grouped(small, large, pos_s, pos_l, values):
     before the running sum, which can round apart from the run ends that
     the fast paths read, so every pair with a near pooled pair comes here.
     """
-    ws = np.zeros(values.size)
-    ws[pos_s] = small.masses()
-    wl = np.zeros(values.size)
-    wl[pos_l] = large.masses()
-    starts = np.flatnonzero(np.concatenate(([True], np.diff(values) > MERGE_TOL)))
-    gaps = np.cumsum(np.add.reduceat(ws, starts)) - np.cumsum(np.add.reduceat(wl, starts))
-    return np.diff(values[starts]), gaps
+    w = np.zeros((2, values.size))
+    w[0, pos_s] = small.masses()
+    w[1, pos_l] = large.masses()
+    grid, (ws, wl) = _merge_sorted(values, w)
+    return np.diff(grid), np.cumsum(ws) - np.cumsum(wl)
 
 
-def _ks(a, b):
-    """KS distance.
+def ks_distance(a, b):
+    """Exact sup distance between the two right-continuous CDFs; in [0, 1].
 
     F_S - F_L is largest just after an atom of S and smallest just before
     one, or after the last atom: between two atoms of S, F_S stays and F_L
@@ -344,8 +335,9 @@ def _ks(a, b):
     return float(min(1.0, max(top, -bottom)))
 
 
-def _w1(a, b):
-    """W1 distance: |F_S - F_L| times each step, summed in pooled order.
+def wasserstein1(a, b):
+    """Exact 1-Wasserstein distance: |F_S - F_L| times each step of the pooled
+    grid, summed in pooled order.
 
     When no two pooled atoms lie within MERGE_TOL no pooled mass is built:
     np.cumsum adds in sequence and adding 0.0 changes nothing, so each law's
@@ -372,17 +364,7 @@ def _w1(a, b):
     return float(np.sum(steps))
 
 
-def ks_distance(a, b):
-    """Exact sup distance between the two right-continuous CDFs; in [0, 1]."""
-    return _ks(_Law.of(a), _Law.of(b))
-
-
-def wasserstein1(a, b):
-    """Exact 1-Wasserstein distance: integral of |F_a - F_b| over the grid."""
-    return _w1(_Law.of(a), _Law.of(b))
-
-
-_METRIC_FNS = {"ks": _ks, "w1": _w1}
+_METRIC_FNS = {"ks": ks_distance, "w1": wasserstein1}
 
 
 @dataclass(frozen=True, eq=False)

@@ -141,6 +141,12 @@ class TestIngest:
         ("column.csv", ingest_samples, "x\n1.5\n-2\n", [[1.5], [-2.0]]),
         # loadtxt strips \x1f from a cell as whitespace; float() does not
         ("us_in_cell.csv", ingest_samples, "\x1f1,2\n", (ParseError, 1, 1)),
+        # an atomic file takes the suffix rule too; the width error comes first
+        ("atomic.ndjson", load_atomic_csv, "[0, 0, 0.25]\n[1, 2.0, 0.75]\n",
+         [[0.0, 0.0, 0.25], [1.0, 2.0, 0.75]]),
+        ("bool_atomic.ndjson", load_atomic_csv, "[0, 0, 0.25]\n[true, 2, 0.75]\n",
+         (ParseError, 2, None)),
+        ("one_column_nan.ndjson", load_atomic_csv, "[1.0]\n[NaN]\n", (ParseError, None, None)),
     ])
     def test_reader_table(self, name, loader, text, expected, tmp_path):
         # exception type, row and column are the contract; wording may change
@@ -651,6 +657,20 @@ class TestAtomicForms:
                                         "reason": "exact finite measure: compact support"}] * 2
         assert (payload["provenance"]["target_digest"]
                 == load_atomic_csv(atomic_file).digest())
+
+    def test_ndjson_target_gives_the_csv_verdict(self, tmp_path, atomic_file, gaussian_files):
+        # the suffix alone picks an atomic file's format, as for every input file
+        ndjson = tmp_path / "measure.ndjson"
+        rows = np.column_stack([ATOMS, ATOM_WEIGHTS]).tolist()
+        ndjson.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        reports = []
+        for path in (atomic_file, ndjson):
+            out = tmp_path / path.suffix[1:]
+            assert main(["verdict", "--inputs", ",".join(str(p) for p in gaussian_files),
+                         "--target", f"atomic:{path}", "--directions", "20",
+                         "--seed", "11", "--out", str(out)]) == 1
+            reports.append((out / "verdict.json").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_verdict_on_atomic_draws(self, tmp_path, atomic_file, atomic_draws):
         # the draws tie at every tightness quantile

@@ -111,7 +111,7 @@ class TestEmpiricalMoments:
         power = np.ones_like(proj.values)
         for k in range(1, 41):
             power = power * proj.values
-            assert ms.values[k] == float(np.sum(power * proj.weights)), k
+            assert ms.values[k] == float(np.sum(power * proj.masses())), k
             assert ms.log_values[k] == pytest.approx(np.log(abs(ms.values[k])),
                                                      rel=1e-14, abs=1e-14)
 

@@ -16,6 +16,11 @@ def delta(*coords):
     return Empirical(np.array([coords], dtype=float), np.array([1.0]))
 
 
+def masses(p):
+    # a law's masses as one array, whether it holds weights or 1/n each
+    return np.broadcast_to(p.masses(), p.values.shape)
+
+
 def law(values, weights=None):
     values = np.asarray(values, dtype=float)
     if weights is None:
@@ -71,10 +76,9 @@ class TestEmpirical:
     def test_unweighted_accepts_duplicate_rows(self):
         s = Empirical(np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]]))
         assert s.n == 3 and s.weights is None
-        assert s.mass.tolist() == [1.0 / 3.0] * 3
         p = project(s, Direction(np.array([1.0, 0.0])))
         assert p.values.tolist() == [1.0, 3.0]
-        assert p.weights == pytest.approx([2.0 / 3.0, 1.0 / 3.0], abs=1e-15)
+        assert p.masses() == pytest.approx([2.0 / 3.0, 1.0 / 3.0], abs=1e-15)
 
     def test_old_names_are_the_same_type(self):
         assert SampleSet is Empirical and AtomicMeasure is Empirical
@@ -99,7 +103,8 @@ class TestProject:
         s = Empirical(np.array([[1.0, 2.0], [3.0, 4.0]]))
         p = project(s, Direction(np.array([1.0, 0.0])))
         assert p.values.tolist() == [1.0, 3.0]
-        assert p.weights.tolist() == [0.5, 0.5]
+        assert p.weights is None and p.masses() == 0.5
+        assert p.cum.tolist() == [0.0, 0.5, 1.0]
 
     def test_diagonal_projection(self):
         m = Empirical(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0.5, 0.5]))
@@ -134,7 +139,7 @@ class TestProject:
         pts = rng.standard_normal((rng.integers(1, 40), 2))
         u = Direction.from_vector(rng.standard_normal(2))
         p = project(Empirical(pts), u)
-        assert abs(p.weights.sum() - 1.0) <= 1e-12
+        assert abs(masses(p).sum() - 1.0) <= 1e-12
 
 
 class TestKS:
@@ -231,8 +236,8 @@ def ref_from_raw(values, weights):
 
 def ref_merged_cdfs(a, b):
     values = np.concatenate([a.values, b.values])
-    wa = np.concatenate([a.weights, np.zeros(b.values.size)])
-    wb = np.concatenate([np.zeros(a.values.size), b.weights])
+    wa = np.concatenate([masses(a), np.zeros(b.values.size)])
+    wb = np.concatenate([np.zeros(a.values.size), masses(b)])
     order = np.argsort(values, kind="stable")
     values, wa, wb = values[order], wa[order], wb[order]
     starts = np.flatnonzero(np.concatenate(([True], np.diff(values) > MERGE_TOL)))
@@ -287,9 +292,10 @@ def test_kernel_bit_equal_to_reference(m_a, m_b, coords):
     u = Direction(np.array(coords))
     a, b = project(m_a, u), project(m_b, u)
     for m, p in ((m_a, a), (m_b, b)):
-        ref_v, ref_w = ref_from_raw(m.points @ u.coords, m.mass)
+        mass = np.full(m.n, 1.0 / m.n) if m.weights is None else m.weights
+        ref_v, ref_w = ref_from_raw(m.points @ u.coords, mass)
         assert bits(p.values) == bits(ref_v)
-        assert bits(p.weights) == bits(ref_w)
+        assert bits(masses(p)) == bits(ref_w)
     for x, y in ((a, b), (b, a), (a, a)):
         assert bits(ks_distance(x, y)) == bits(ref_ks(x, y))
         assert bits(wasserstein1(x, y)) == bits(ref_w1(x, y))
@@ -400,7 +406,7 @@ def hand_laws(draw):
 
 
 def _bit_law(p):
-    return bits(p.values), bits(p.weights)
+    return bits(p.values), bits(masses(p)), bits(p.cum)
 
 
 @settings(max_examples=300, deadline=None)
@@ -412,6 +418,7 @@ def test_constructor_builds_the_same_law_from_any_order(drawn, rnd):
     order = np.array(rnd.sample(range(values.size), values.size))
     assert _bit_law(Projected1D(values[order], weights[order])) == _bit_law(want)
     uniform = Projected1D(values, np.full(values.size, 1.0 / values.size))
+    assert _bit_law(Projected1D(values)) == _bit_law(uniform)
     cloud = Empirical(np.column_stack([values, np.zeros(values.size)]))
     assert _bit_law(uniform) == _bit_law(project(cloud, Direction(np.array([1.0, 0.0]))))
 
@@ -512,7 +519,8 @@ class TestNoAliasing:
     def test_project_returns_read_only_arrays_of_its_own(self, weights):
         source = Empirical(np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 3.0]]), weights)
         p = project(source, Direction(np.array([1.0, 0.0])))
-        assert not (p.values.flags.writeable or p.weights.flags.writeable)
+        assert (p.weights is None) == (weights is None)
+        assert not any(a.flags.writeable for a in (p.values, p.weights, p.cum) if a is not None)
         assert not np.shares_memory(p.values, source.points)
         with pytest.raises(ValueError):
             p.values[0] = 9.0
