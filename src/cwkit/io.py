@@ -86,6 +86,9 @@ def _read_rows(path, text, fmt):
             # type, not isinstance: a JSON true is a bool, an int subclass
             if not isinstance(cells, list) or not all(type(x) in (int, float) for x in cells):
                 raise ParseError(f"{path}:{lineno}: expected an array of numbers", row=lineno)
+            if not cells:
+                raise ParseError(f"{path}:{lineno}: empty array: a row needs at least one number",
+                                 row=lineno)
         if rows and len(cells) != len(rows[0]):
             raise RaggedRows(f"{path}:{lineno}: expected {len(rows[0])} cells, got {len(cells)}",
                              row=lineno)

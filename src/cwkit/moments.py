@@ -315,11 +315,13 @@ def _monomial_moments(source, max_order):
     positions = np.frombuffer(walk, dtype=np.intc)[2::4]
     per_block = max(1, _BLOCK_BYTES // points.itemsize // n)
     block = np.empty((min(per_block, count), n))
+    # both in walk order until the loop ends; errs holds the centred sums of squares
     means = np.empty(count)
     errs = np.empty(count)
     steps = zip(*[iter(walk)] * 4)
     for start in range(0, count, per_block):
-        monos = block[:min(per_block, count - start)]
+        stop = min(start + per_block, count)
+        monos = block[:stop - start]
         for row in monos:
             prefix, power, _, keep = next(steps)
             # a prefix row is made on the stack, then copied into the block
@@ -332,18 +334,23 @@ def _monomial_moments(source, max_order):
                 out.fill(1.0)
             if keep >= 0:
                 np.copyto(row, out)
-        at = positions[start:start + len(monos)]
-        mean = source.expect(monos)
-        means[at] = mean
+        mean = means[start:stop]
+        mean[:] = source.expect(monos)
         if source.weights is None:
             monos -= mean[:, None]
             np.multiply(monos, monos, out=monos)
-            err = monos.sum(axis=-1)
-            err /= n
-            np.sqrt(err, out=err)
-            err /= np.sqrt(n)
-            errs[at] = err
-    return means, errs
+            np.add.reduce(monos, axis=-1, out=errs[start:stop])
+    # every work array and view of one is freed before the graded arrays are
+    # made, so they do not raise the table's memory peak
+    del pows, rows, block, monos, row, out
+    if source.weights is None:
+        # np.std's finish, then / sqrt(n): one pass each over the whole table
+        errs /= n
+        np.sqrt(errs, out=errs)
+        errs /= np.sqrt(n)
+    table, se = np.empty(count), np.empty(count)
+    table[positions], se[positions] = means, errs
+    return table, se
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,10 +395,14 @@ class MixedMoments:
         at x_j^{m-1}, and the row of x_j^m is made as x_j^{m-1} x_j, which is
         how the table would have made it. Rows go into blocks of about
         _BLOCK_BYTES (one row when n is larger), and each block is reduced
-        at once: one ``expect`` over its rows for the means, then the
-        standard errors in place in np.std's order of operations. Each value
-        lands at its alpha's graded position, so every value is bit-equal to
-        building and reducing the rows one alpha at a time."""
+        at once: one ``expect`` over its rows puts their means in walk
+        order, then, for a sample, one ``np.add.reduce`` of the centred
+        squares puts their sums beside them. After the last block every
+        standard error is finished at once, in np.std's order of operations
+        (/ n, sqrt) and / sqrt(n), and both arrays are put in graded order
+        once. Each step is elementwise or a row's own pairwise sum, so every
+        value is bit-equal to building and reducing the rows one alpha at a
+        time."""
         # the work arrays are freed before the tables are made, so their
         # memory is not held twice
         means, errs = _monomial_moments(source, max_order)

@@ -75,8 +75,8 @@ class Empirical:
     def __post_init__(self):
         p = np.asarray(self.points, dtype=np.float64)
         rows = "n" if self.weights is None else "k"
-        if p.ndim != 2 or p.shape[0] < 1:
-            raise ValueError(f"points must be a nonempty {rows} x d array")
+        if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
+            raise ValueError(f"points must be a nonempty {rows} x d array, d >= 1")
         if self.weights is None:
             if not np.all(np.isfinite(p)):
                 raise ValueError("points must be finite")
@@ -105,14 +105,17 @@ class Empirical:
         or the weighted sum. Each row of a 2-D block is integrated on its own,
         bit-equal to integrating it alone.
 
-        Every integral over a point cloud goes through here. Both cases use
-        numpy's pairwise summation, never a BLAS dot product: OpenBLAS splits
-        a long dot across threads and rounds it differently at each thread
-        count, so reports would depend on the machine's thread setting.
+        Every integral over a point cloud goes through here. Both cases are
+        one ``np.add.reduce``, numpy's pairwise summation, never a BLAS dot
+        product: OpenBLAS splits a long dot across threads and rounds it
+        differently at each thread count, so reports would depend on the
+        machine's thread setting. The mean is that sum divided by n, the
+        arithmetic of ``np.mean`` without its per-call wrapper, and so
+        bit-equal to it; a boolean mask sums as an exact integer count.
         """
         if self.weights is None:
-            return np.mean(values, axis=-1)
-        return np.sum(self.weights * values, axis=-1)
+            return np.add.reduce(values, axis=-1) / self.n
+        return np.add.reduce(self.weights * values, axis=-1)
 
     def digest(self):
         """SHA-256 of the points, then of the label (sample) or weights (measure)."""

@@ -423,6 +423,9 @@ def run_verdict(sequence, target, config):
     tol = config.h1_tolerance if config.h1_tolerance is not None else _default_h1_tolerance(n_min)
 
     traces = distance_traces(sequence, h1_target, directions, config.metric)
+    # an analytic target's reference draw is the call's largest array: free it
+    # before tightness and the moment tables reach the call's memory peak
+    del h1_target
     h1 = h1_check(traces, tol, config.h1_rule)
     carleman = h2_check(target, frame, config.carleman_order)
     box = tightness_box(sequence, frame, config.epsilon)

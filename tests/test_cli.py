@@ -91,6 +91,27 @@ class TestIngest:
         assert err.value.row == 2
         assert ":2:" in str(err.value)
 
+    @pytest.mark.parametrize("text, row", [("[]\n[]\n", 1), ("[1.0, 2.0]\n\n[]\n", 3)])
+    def test_ndjson_empty_row_rejected(self, text, row, tmp_path):
+        f = tmp_path / "empty.ndjson"
+        f.write_text(text)
+        with pytest.raises(ParseError) as err:
+            io.read_array(f)
+        assert err.value.row == row
+        assert f"{f}:{row}:" in str(err.value)
+
+    @pytest.mark.parametrize("command", [
+        ["verdict", "--target", "gaussian", "--inputs"],
+        ["project", "--direction", "1,0", "--input"],
+    ])
+    def test_cli_names_an_empty_ndjson_row(self, command, tmp_path, capsys):
+        f = tmp_path / "empty.ndjson"
+        f.write_text("[]\n[]\n")
+        assert main(command + [str(f), "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
+        assert f"{f}:1:" in err["message"]
+
     @pytest.mark.parametrize("header", ["x,y", "x1,x2,weight"])
     def test_csv_all_text_first_row_is_header(self, header, tmp_path):
         f = tmp_path / "pts.csv"

@@ -61,10 +61,15 @@ class TestEmpirical:
         m = Empirical(self.PTS, np.array([0.5, 0.25, 0.25 + 0.5 * MASS_TOL]))
         assert m.n == 3 and m.dim == 2
 
-    @pytest.mark.parametrize("points", [np.zeros((0, 2)), np.zeros(3), np.zeros((2, 2, 2))])
+    @pytest.mark.parametrize("points", [np.zeros((0, 2)), np.zeros(3), np.zeros((2, 2, 2)),
+                                        np.zeros((2, 0))])
     def test_unweighted_rejects_bad_shape(self, points):
         with pytest.raises(ValueError, match="nonempty"):
             Empirical(points)
+
+    def test_weighted_rejects_zero_dimensions(self):
+        with pytest.raises(ValueError, match="d >= 1"):
+            Empirical(np.zeros((1, 0)), np.array([1.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_unweighted_rejects_nonfinite(self, bad):
@@ -91,6 +96,46 @@ class TestEmpirical:
             m.points[0, 0] = 5.0
         with pytest.raises(ValueError):
             m.weights[0] = 0.5
+
+    @staticmethod
+    def heavy_rows(rng, shape):
+        # heavy tails and signed zeros, so a different summation order shows
+        x = rng.standard_normal(shape) * np.exp(2 * rng.standard_normal(shape))
+        x[..., ::7] = -0.0
+        return x
+
+    @pytest.mark.parametrize("n", [1, 7, 9, 128, 129, 1000, 40_000])
+    def test_sample_expect_is_np_mean(self, n):
+        rng = np.random.default_rng(n)
+        s = Empirical(rng.standard_normal((n, 2)))
+        values = self.heavy_rows(rng, n)
+        got = s.expect(values)
+        assert type(got) is type(np.mean(values))
+        assert np.asarray(got).tobytes() == np.mean(values).tobytes()
+        # the rows of a C-contiguous block, as the moment table reduces them
+        block = self.heavy_rows(rng, (5, n))
+        assert s.expect(block).tobytes() == np.mean(block, axis=-1).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 9, 1000, 40_000])
+    def test_sample_expect_of_a_mask_is_np_mean(self, n):
+        # the coverage of a tightness box is the mean of a boolean mask
+        rng = np.random.default_rng(n)
+        s = Empirical(rng.standard_normal((n, 2)))
+        mask = rng.uniform(size=n) < 0.83
+        got = s.expect(mask)
+        assert type(got) is type(np.mean(mask))
+        assert np.asarray(got).tobytes() == np.mean(mask).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 9, 1000, 40_000])
+    def test_weighted_expect_is_np_sum(self, n):
+        rng = np.random.default_rng(n)
+        w = rng.uniform(0.05, 1.0, n)
+        w /= w.sum()
+        m = Empirical(rng.standard_normal((n, 2)), w)
+        values = self.heavy_rows(rng, n)
+        assert np.asarray(m.expect(values)).tobytes() == np.sum(w * values).tobytes()
+        block = self.heavy_rows(rng, (5, n))
+        assert m.expect(block).tobytes() == np.sum(w * block, axis=-1).tobytes()
 
     def test_measure_digest_ignores_label(self):
         w = np.full(3, 1.0 / 3.0)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -324,6 +325,28 @@ class TestRunVerdict:
             u = r.trace.direction
             want = [ref_ks(project(elem, u), project(target, u)) for elem in seq]
             assert r.trace.distances.tobytes() == np.asarray(want).tobytes()
+
+    def test_reference_draw_freed_before_the_moment_tables(self, monkeypatch):
+        # the analytic target's reference draw is dead once the h1 pass is done
+        from cwkit import gallery, verdict
+        drawn = []
+
+        def sample_and_watch(*args, **kwargs):
+            reference = gallery_sample(*args, **kwargs)
+            drawn.append(weakref.ref(reference.points))
+            return reference
+
+        def moment_match_after_h1(*args, **kwargs):
+            assert len(drawn) == 1 and drawn[0]() is None
+            return match(*args, **kwargs)
+
+        gallery_sample, match = gallery.sample, verdict.moment_match
+        monkeypatch.setattr(gallery, "sample", sample_and_watch)
+        monkeypatch.setattr(verdict, "moment_match", moment_match_after_h1)
+        g, seq = gaussian_sequence()
+        report = run_verdict(seq, g, VerdictConfig(region=FullSphere(2), n_directions=6,
+                                                   reference_sample_size=2000, seed=7))
+        assert "analytic_target_sampled_for_h1" in report.flags and len(drawn) == 1
 
     def test_gaussian_consistent(self):
         g, seq = gaussian_sequence()
