@@ -21,15 +21,20 @@ projected column. ``_law`` sorts the values once: a sample's column (mass
 follow, every other column by an argsort that carries its masses, stable
 only when values merge.
 
-Both distances are symmetric, so each searches the law S of fewer atoms
-into the other law L once. KS builds no pooled grid: F_S - F_L takes its
-extremes at the ends of the runs that S's atoms form between L's, so it
-reads each law's own cumulative mass there. W1 turns the same search into
-pooled positions, because its sum runs in pooled order, and reads the same
-cumulative masses. When two pooled atoms lie within MERGE_TOL, both take one
-grouped fallback on the pooled grid. Every result is bit-identical to
-pooling both laws and sorting them together, so verdict reports do not
-change.
+Both distances are symmetric, so each ranks the law S of fewer atoms in the
+other law L once: for each atom of S, the number of L's atoms below it. For
+m atoms in S and n in L, m binary searches cost about m log2(n) steps;
+one stable argsort of S's values followed by L's, which numpy runs as one
+timsort merge of the two sorted runs, costs a few per atom of both. The
+merge ranks when m * bit_length(n) > 3 (m + n), the crossover measured at
+one core; both give the same integers, exact ties included. KS builds no
+pooled grid: F_S - F_L takes its extremes at the ends of the runs that S's
+atoms form between L's, so it reads each law's own cumulative mass there.
+W1 turns the same ranks into pooled positions, because its sum runs in
+pooled order, and reads the same cumulative masses. When two pooled atoms
+lie within MERGE_TOL, both take one grouped fallback on the pooled grid.
+Every result is bit-identical to pooling both laws and sorting them
+together, so verdict reports do not change.
 
 ``distance_traces`` makes all of a run's h1 distances in one pass. Along each
 direction it projects and accumulates the target once. A sample whose
@@ -268,11 +273,35 @@ def _near_across(small, large, below):
                 or (small[first:] - large[below[first:] - 1] <= MERGE_TOL).any())
 
 
+def _merges(m, n):
+    # whether m sorted values are ranked among n others by one merge rather
+    # than by m binary searches: those cost about m * log2(n) steps and the
+    # merge a few per value of both. Timed at one core, the merge won every
+    # time from m * bit_length(n) = 3 (m + n) on, went either way from
+    # 2.3 (m + n) to there, and took twice as long as the search at 1e3 in 1e4
+    return m * n.bit_length() > 3 * (m + n)
+
+
+def _merge_below(small, large):
+    # below[i] counts the values of large below small[i], as
+    # np.searchsorted(large, small) does: numpy's stable sort of two
+    # concatenated sorted runs is one timsort merge, and it places each value
+    # of the first run before every equal value (-0.0 and 0.0 alike) of the
+    # second. One expression, so that each temporary is freed once it is read
+    below = np.flatnonzero(np.argsort(np.concatenate((small, large)), kind="stable")
+                           < small.size)
+    below -= np.arange(small.size)
+    return below
+
+
 def _search(a, b):
     # both distances are symmetric, since F_S - F_L is exactly -(F_L - F_S);
-    # so the law S of fewer atoms is searched into the other, L, once:
-    # below[i] counts the atoms of L below the i-th atom of S
+    # so the law S of fewer atoms is ranked in the other, L, once, by merge or
+    # by search as _merges decides: below[i] counts the atoms of L below the
+    # i-th atom of S
     small, large = (a, b) if a.values.size <= b.values.size else (b, a)
+    if _merges(small.values.size, large.values.size):
+        return small, large, _merge_below(small.values, large.values)
     return small, large, np.searchsorted(large.values, small.values)
 
 

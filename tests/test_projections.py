@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from cwkit.directions import Direction, sample_uniform
 from cwkit.errors import DimensionMismatch
 from cwkit.projections import (MASS_TOL, MERGE_TOL, AtomicMeasure, Empirical, Projected1D,
-                               SampleSet, distance_trace, distance_traces, ks_distance, project,
-                               wasserstein1)
+                               SampleSet, _merge_below, _merges, _search, distance_trace,
+                               distance_traces, ks_distance, project, wasserstein1)
 
 SQ2 = np.sqrt(2.0) / 2.0
 
@@ -267,9 +267,9 @@ def test_zero_iff_equal_after_merge(a, b):
 
 # Reference kernel: pool both laws, sort them together with a stable argsort,
 # then group with reduceat, each group at its first value. The production
-# kernel sorts each projected law once and merges the two sorted laws by
-# searchsorted; it must reproduce this arithmetic bit for bit, because
-# verdict reports are compared byte for byte.
+# kernel sorts each projected law once and ranks the atoms of the smaller law
+# among the larger's, by one merge or by searchsorted; it must reproduce this
+# arithmetic bit for bit, because verdict reports are compared byte for byte.
 
 def ref_from_raw(values, weights):
     order = np.argsort(values, kind="stable")
@@ -530,19 +530,87 @@ def test_kernel_bit_equal_to_reference_without_ties(n_a, n_b, weighted):
         assert bits(wasserstein1(x, y)) == bits(ref_w1(x, y))
 
 
-@pytest.mark.parametrize("shift", [0.0, 0.5e-12])
-def test_kernel_bit_equal_to_reference_with_cross_tie(shift):
+@pytest.mark.parametrize("shift, n_b, merges", [
+    pytest.param(0.0, 1200, True, id="0.0"), pytest.param(0.5e-12, 1200, True, id="5e-13"),
+    pytest.param(0.0, 200, False, id="searched-0.0"),
+    pytest.param(0.5e-12, 200, False, id="searched-5e-13"),
+])
+def test_kernel_bit_equal_to_reference_with_cross_tie(shift, n_b, merges):
     # one b-atom equal to, or 0.5e-12 above, an a-atom: the pooled atoms are
-    # grouped, at the pooled positions the one search of the smaller law gives
+    # grouped, at the pooled positions the one ranking of the smaller law
+    # gives, by merge or by search
     rng = np.random.default_rng(5)
     a_vals = np.sort(rng.uniform(1.0, 2.0, 3000))
-    b_vals = np.sort(np.append(rng.uniform(1.0, 2.0, 1200), a_vals[1700] + shift))
+    b_vals = np.sort(np.append(rng.uniform(1.0, 2.0, n_b), a_vals[1700] + shift))
     w = rng.uniform(0.05, 1.0, b_vals.size)
     a, b = law(a_vals), law(b_vals, w / w.sum())
+    assert _merges(b.values.size, a.values.size) == merges
     for x, y in ((a, b), (b, a)):
         assert bits(ks_distance(x, y)) == bits(ref_ks(x, y))
         assert bits(wasserstein1(x, y)) == bits(ref_w1(x, y))
         assert ref_merged_cdfs(x, y)[0].size == a.values.size + b.values.size - 1
+
+
+def assert_ranks(small, large):
+    # the merge's and the search's counts of large's values below each of small's
+    want = np.searchsorted(large, small)
+    got = _merge_below(small, large)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(clouds(), clouds(), st.sampled_from([(1.0, 0.0), (-1.0, 0.0), (0.6, 0.8)]))
+def test_merge_ranks_equal_search_on_tied_laws(m_a, m_b, coords):
+    # few atoms, so _search would search: the merge is checked on its own on
+    # laws whose atoms tie exactly, meet as -0.0 and 0.0, and chain a-b-a
+    # within MERGE_TOL across the two laws
+    u = Direction(np.array(coords))
+    a, b = project(m_a, u), project(m_b, u)
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert_ranks(x.values, y.values)
+
+
+def _crossing_laws(m, n, weighted, seed):
+    # laws of m and of n atoms on one 1/1024 lattice: a third of the smaller
+    # law's atoms equal one of the larger's, -0.0 in the smaller meets 0.0 in
+    # the larger, and x, x + 1.2e-12 in the smaller chain through x + 0.6e-12
+    # in the larger, each pair within MERGE_TOL
+    rng = np.random.default_rng(seed)
+    ticks = rng.permutation(np.setdiff1d(np.arange(-4 * (m + n), 4 * (m + n)), [0]))
+    large = ticks[:n] / 1024.0
+    small = np.concatenate([rng.choice(large, m // 3, replace=False),
+                            ticks[n:n + m - m // 3] / 1024.0])
+    x = 1025 / 2048
+    small[-3:], large[-2:] = (-0.0, x, x + 1.2e-12), (0.0, x + 0.6e-12)
+    laws = []
+    for values in (small, large):
+        w = rng.uniform(0.05, 1.0, values.size) if weighted else None
+        laws.append(Projected1D(rng.permutation(values), None if w is None else w / w.sum()))
+    zero_s, zero_l = (p.values[p.values == 0.0] for p in laws)
+    assert zero_s.size == zero_l.size == 1 and np.signbit(zero_s) and not np.signbit(zero_l)
+    assert [p.values.size for p in laws] == [m, n]
+    return laws
+
+
+@pytest.mark.parametrize("m, n, weighted, merges", [
+    (1000, 10000, False, False), (10000, 50000, True, False), (20000, 100000, False, False),
+    (10000, 12000, True, True), (3000, 6000, False, True), (50000, 100000, False, True),
+    (50000, 100000, True, True),
+])
+def test_search_ranks_on_both_sides_of_the_crossover(m, n, weighted, merges):
+    # _search ranks the smaller law among the larger by merge or by search as
+    # _merges decides; either way it counts exactly what searchsorted counts,
+    # exact ties, signed zeros and chains within MERGE_TOL included, and the
+    # kernel stays bit-equal to the pooled reference
+    s, l = _crossing_laws(m, n, weighted, seed=m + n)
+    assert _merges(m, n) == merges
+    assert_ranks(s.values, l.values)
+    for x, y in ((s, l), (l, s)):
+        small, large, below = _search(x, y)
+        assert small is s and large is l
+        assert np.array_equal(below, np.searchsorted(l.values, s.values))
+        assert bits(ks_distance(x, y)) == bits(ref_ks(x, y))
+        assert bits(wasserstein1(x, y)) == bits(ref_w1(x, y))
 
 
 class TestNoAliasing:

@@ -634,3 +634,36 @@ def test_scaling_by_a_power_of_two_keeps_the_verdict(exact):
         assert report.to_dict()["carleman"] == base.to_dict()["carleman"]
         assert np.array_equal(report.tightness.half_widths,
                               np.ldexp(base.tightness.half_widths, k))
+
+
+def _rotated_run(rotation, shift):
+    # a Gaussian target, data drawn from it with the mean moved by `shift`
+    # along the cap's axis, and the cap, all mapped by one rotation R: points
+    # x -> R x, target N(R m, R S R'), cap axis R a
+    rng = np.random.default_rng(12)
+    mean = np.array([0.2, -0.1, 0.3])
+    cov = np.array([[1.0, 0.3, 0.0], [0.3, 0.8, 0.2], [0.0, 0.2, 0.5]])
+    axis = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    chol = np.linalg.cholesky(cov)
+    seq = [Empirical((mean + shift * axis + rng.standard_normal((n, 3)) @ chol.T) @ rotation.T)
+           for n in (400, 4000)]
+    target = Gaussian(rotation @ mean, rotation @ cov @ rotation.T)
+    region = Cap(axis=Direction.from_vector(rotation @ axis), half_angle=0.6)
+    config = VerdictConfig(region=region, n_directions=24, seed=5, reference_sample_size=4000)
+    return run_verdict(seq, target, config)
+
+
+@pytest.mark.parametrize("shift, overall", [
+    (0.0, "consistent_with_convergence"), (1.0, "inconsistent"),
+])
+def test_rotating_data_target_and_region_keeps_the_verdict(shift, overall):
+    # a rotation maps every projection onto another of the same law, so the
+    # verdict may not change; the directions drawn in the rotated cap are
+    # others, so only the decision is compared, not the distances
+    q, r = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+    rotation = q * np.sign(np.diag(r))
+    if np.linalg.det(rotation) < 0.0:
+        rotation[:, 0] = -rotation[:, 0]
+    assert not np.allclose(rotation, np.eye(3))
+    assert _rotated_run(np.eye(3), shift).overall == overall
+    assert _rotated_run(rotation, shift).overall == overall
