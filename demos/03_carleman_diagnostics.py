@@ -4,7 +4,7 @@ A 1-D law with finite moments of all orders is moment-determinate when
 sum_m (m_{2m})^{-1/(2m)} diverges. Finitely many terms can only support a
 heuristic verdict; this script shows the two canonical cases and where the
 diagnostic honestly refuses to decide. run_verdict does not run this scan:
-it answers h2 from the target law (gallery.carleman_condition_of).
+it answers h2 from the target law (target.carleman()).
 """
 
 import numpy as np

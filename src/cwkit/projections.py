@@ -76,6 +76,7 @@ class Empirical:
     points: np.ndarray
     weights: np.ndarray | None = None
     label: str = ""
+    kind = "atomic"
 
     def __post_init__(self):
         p = np.asarray(self.points, dtype=np.float64)
@@ -121,6 +122,18 @@ class Empirical:
         if self.weights is None:
             return np.add.reduce(values, axis=-1) / self.n
         return np.add.reduce(self.weights * values, axis=-1)
+
+    def draw(self, rng, n):
+        """n rows of an exact measure by one ``rng.choice``; a sample is not a law to draw from."""
+        if self.weights is None:
+            raise TypeError("an unweighted sample is not a law to draw from: give weights")
+        return self.points[rng.choice(self.n, size=n, p=self.weights)]
+
+    def carleman(self):
+        # the law of a point cloud has compact support, whatever population a sample came from
+        if self.weights is not None:
+            return "diverging", "exact finite measure: compact support"
+        return "diverging", "sample: its own law has compact support, not its population's"
 
     def digest(self):
         """SHA-256 of the points, then of the label (sample) or weights (measure)."""

@@ -28,7 +28,6 @@ carry the flag 'carleman_unverifiable_from_sample' and are at best
 """
 
 import dataclasses
-import hashlib
 import json
 import numbers
 from dataclasses import dataclass
@@ -235,11 +234,11 @@ class H2Result:
 
 def h2_check(target, frame, carleman_order):
     """Carleman's condition along each frame row, from the target law alone
-    (``gallery.carleman_condition_of``), so every row reads the same. No
-    moment is computed and carleman_order is not read: the M-term scan is
-    evidence for ``cwkit carleman`` only.
+    (``target.carleman()``), so every row reads the same. No moment is
+    computed and carleman_order is not read: the M-term scan is evidence for
+    ``cwkit carleman`` only.
     """
-    verdict, reason = gallery.carleman_condition_of(target)
+    verdict, reason = target.carleman()
     return [H2Result(verdict, reason) for _ in frame.directions]
 
 
@@ -364,17 +363,6 @@ def aggregate_overall(h1_results, carleman_verdicts, flags):
     return "consistent_with_convergence"
 
 
-def _digest_of(obj):
-    if isinstance(obj, Empirical):
-        return obj.digest()
-    h = hashlib.sha256()
-    h.update(type(obj).__name__.encode())
-    for arr in vars(obj).values():
-        if isinstance(arr, np.ndarray):
-            h.update(arr.tobytes())
-    return h.hexdigest()
-
-
 def run_verdict(sequence, target, config):
     """Execute the whole diagnostic. Deterministic given (inputs, seed).
 
@@ -443,8 +431,8 @@ def run_verdict(sequence, target, config):
     provenance = {
         "config": config.echo(),
         "resolved_h1_tolerance": float(tol),
-        "sequence_digests": [_digest_of(e) for e in sequence],
-        "target_digest": _digest_of(target),
+        "sequence_digests": [e.digest() for e in sequence],
+        "target_digest": target.digest(),
         "n_directions_used": len(directions),
     }
     return VerdictReport(

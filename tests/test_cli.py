@@ -739,6 +739,14 @@ class TestAtomicForms:
         assert payload["source"] == f"atomic:{atomic_file} along 0,1"
         assert payload["terms"][0] == pytest.approx(np.sqrt(1.0 / (ATOM_WEIGHTS @ ATOMS[:, 1] ** 2)))
 
+    def test_gallery_sample_dimension_zero_exit_two(self, tmp_path, capsys):
+        code = main(["gallery-sample", "--dist", "gaussian", "--dim", "0",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ValueError"
+        assert "mean must be a nonempty 1-D array" in payload["message"]
+
     @pytest.mark.parametrize("command", ["gallery-sample", "carleman"])
     def test_sample_csv_as_dist_exit_two(self, tmp_path, capsys, gaussian_files, command):
         code = main([command, "--dist", str(gaussian_files[0]), "--out", str(tmp_path / "o")])

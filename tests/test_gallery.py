@@ -58,6 +58,26 @@ class TestSampling:
         assert s.label == "atomic-n400-seed17"
         assert s.weights is None
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_gaussian_draw_is_one_normal_block(self, d):
+        # perfbench/checks.py rebuilds the h1 reference through this stream
+        cov = np.eye(d) + 0.4 * np.ones((d, d))
+        g = Gaussian(np.arange(d, dtype=np.float64), cov)
+        s = sample(g, 400, seed=17)
+        z = substream(17, STREAM_GALLERY).standard_normal((400, d))
+        assert s.points.tobytes() == (g.mean + z @ np.linalg.cholesky(g.cov).T).tobytes()
+        assert s.label == "gaussian-n400-seed17"
+        assert s.weights is None
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_lognormal_draw_is_one_normal_block(self, d):
+        ln = ProductLognormal(np.linspace(-0.5, 0.5, d), np.linspace(0.5, 1.5, d))
+        s = sample(ln, 400, seed=23)
+        z = substream(23, STREAM_GALLERY).standard_normal((400, d))
+        assert s.points.tobytes() == np.exp(ln.mu + ln.sigma * z).tobytes()
+        assert s.label == "lognormal-n400-seed23"
+        assert s.weights is None
+
     def test_unweighted_sample_rejected(self):
         with pytest.raises(TypeError):
             sample(Empirical(np.zeros((5, 2))), 10, seed=0)
@@ -249,6 +269,29 @@ class TestGaussianOracle:
             Gaussian(np.zeros(3), c * np.ones((3, 3)))
         with pytest.raises(ValueError, match="symmetric"):
             Gaussian(np.zeros(2), c * np.array([[1.0, 0.0], [0.01, 1.0]]))
+
+
+class TestLawParameters:
+    @pytest.mark.parametrize("law, expected", [
+        (Gaussian.standard(3), "2eaba8e10222ce69d2400aa992227c034ec53417762fd18e06dde38170163795"),
+        (ProductLognormal.standard(3),
+         "0ab44f0c8f565c61a91929b05abbd8abbb13b12fc9d5f086bbf25dd19807ffe8"),
+    ], ids=["gaussian", "lognormal"])
+    def test_digest_pinned(self, law, expected):
+        # recorded target_digests stay valid: class name, then each parameter array
+        assert law.digest() == expected
+
+    def test_gaussian_mean_must_be_1d(self):
+        with pytest.raises(ValueError, match="mean must be a nonempty 1-D array"):
+            Gaussian(np.zeros((1, 2)), np.eye(2))
+
+    def test_gaussian_dimension_zero_rejected(self):
+        with pytest.raises(ValueError, match="mean must be a nonempty 1-D array"):
+            Gaussian.standard(0)
+
+    def test_lognormal_dimension_zero_rejected(self):
+        with pytest.raises(ValueError, match="nonempty 1-D arrays"):
+            ProductLognormal.standard(0)
 
 
 class TestLognormalOracle:
