@@ -66,6 +66,13 @@ def _isserlis_plan(d, m):
     return plan
 
 
+def _finite(**params):
+    # a law's parameters are checked where they are given, not where drawn
+    for name, arr in params.items():
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} must be finite")
+
+
 class _AnalyticLaw:
     # what the analytic laws share; each subclass is a frozen dataclass of
     # parameter arrays with its own _signed_log_moments
@@ -106,6 +113,7 @@ class Gaussian(_AnalyticLaw):
             raise ValueError(f"mean must be a nonempty 1-D array, got shape {mean.shape}")
         if cov.shape != (d, d):
             raise ValueError("cov must be d x d")
+        _finite(mean=mean, cov=cov)
         # both checks are relative to the covariance's own scale, so
         # N(0, c I) passes for every c > 0
         if not np.allclose(cov, cov.T, atol=1e-12 * np.max(np.abs(cov))):
@@ -187,6 +195,7 @@ class ProductLognormal(_AnalyticLaw):
         if mu.shape != sigma.shape or mu.ndim != 1 or mu.size < 1:
             raise ValueError("mu and sigma must be matching nonempty 1-D arrays, "
                              f"got shapes {mu.shape} and {sigma.shape}")
+        _finite(mu=mu, sigma=sigma)
         if np.any(sigma <= 0.0):
             raise ValueError("sigma must be positive")
         object.__setattr__(self, "mu", mu)

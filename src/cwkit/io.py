@@ -122,7 +122,8 @@ def _finite_array(path, text, fmt, rows):
 # Characters on which loadtxt and the row loop part: line breaks of
 # str.splitlines that loadtxt strips from a cell as whitespace, and \x1f, which
 # loadtxt strips and float() does not. A lone \r, a break to str.splitlines, is
-# checked apart: both take \r\n as one break.
+# checked apart, by counting only in a text that holds a \r: both take \r\n as
+# one break.
 _LOADTXT_DIFFERS = "\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"
 
 
@@ -144,7 +145,8 @@ def _bulk_csv(text):
     parse a cell with CPython's string-to-double, and on the text left they
     split the same lines and strip the same whitespace.
     """
-    if any(c in text for c in _LOADTXT_DIFFERS) or text.count("\r") != text.count("\r\n"):
+    if any(c in text for c in _LOADTXT_DIFFERS) or (
+            "\r" in text and text.count("\r") != text.count("\r\n")):
         return None
     body = _csv_body(text)
     if not body or body.isspace():

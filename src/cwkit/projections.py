@@ -21,25 +21,32 @@ projected column. ``_law`` sorts the values once: a sample's column (mass
 follow, every other column by an argsort that carries its masses, stable
 only when values merge.
 
-Both distances are symmetric, so each ranks the law S of fewer atoms in the
-other law L once: for each atom of S, the number of L's atoms below it. For
-m atoms in S and n in L, m binary searches cost about m log2(n) steps;
-one stable argsort of S's values followed by L's, which numpy runs as one
-timsort merge of the two sorted runs, costs a few per atom of both. The
-merge ranks when m * bit_length(n) > 3 (m + n), the crossover measured at
-one core; both give the same integers, exact ties included. KS builds no
-pooled grid: F_S - F_L takes its extremes at the ends of the runs that S's
-atoms form between L's, so it reads each law's own cumulative mass there.
-W1 turns the same ranks into pooled positions, because its sum runs in
-pooled order, and reads the same cumulative masses. When two pooled atoms
-lie within MERGE_TOL, both take one grouped fallback on the pooled grid.
-Every result is bit-identical to pooling both laws and sorting them
-together, so verdict reports do not change.
+KS is symmetric, so it ranks the law S of fewer atoms in the other law L
+once: for each atom of S, the number of L's atoms below it. For m atoms in
+S and n in L, m binary searches cost about m log2(n) steps; one stable
+argsort of S's values followed by L's, which numpy runs as one timsort merge
+of the two sorted runs, costs a few per atom of both. The merge ranks when
+m * bit_length(n) > 3 (m + n), the crossover measured at one core; both give
+the same integers, exact ties included. KS builds no pooled grid: F_S - F_L
+takes its extremes at the ends of the runs that S's atoms form between L's,
+so it reads each law's own cumulative mass there. When two pooled atoms lie
+within MERGE_TOL, it takes one grouped fallback on the pooled grid. Every KS
+result is bit-identical to pooling both laws and sorting them together.
+
+W1 is the quantile integral, the integral over t in [0, 1] of
+|F_a^-1(t) - F_b^-1(t)| (Bobkov and Ledoux, Mem. AMS 2019). Both quantile
+functions are constant on each piece of [0, 1] between the two laws'
+cumulative masses, so the pieces and each law's atom on them depend on the
+masses alone: W1 ranks no values and builds no pooled grid. It is
+1-Lipschitz in the atoms, so two atoms of the two laws within MERGE_TOL move
+it by at most MERGE_TOL times their mass: it takes no grouped fallback and
+agrees with the pooled x-space sum to that and rounding, not bit for bit.
 
 ``distance_traces`` makes all of a run's h1 distances in one pass. Along each
 direction it projects and accumulates the target once. A sample whose
 projection merges no atoms has cumulative masses that depend on n alone;
-the pass builds them once per n and drops them when it returns.
+the pass builds them once per n, and W1's pieces for two such laws once per
+pair of sizes, and drops both when it returns.
 
 Directions still go one at a time. One GEMM over all directions was
 measured against the per-direction matrix-vector products it would replace
@@ -308,52 +315,38 @@ def _merge_below(small, large):
 
 
 def _search(a, b):
-    # both distances are symmetric, since F_S - F_L is exactly -(F_L - F_S);
-    # so the law S of fewer atoms is ranked in the other, L, once, by merge or
-    # by search as _merges decides: below[i] counts the atoms of L below the
-    # i-th atom of S
+    # KS is symmetric, since F_S - F_L is exactly -(F_L - F_S); so the law S
+    # of fewer atoms is ranked in the other, L, once, by merge or by search as
+    # _merges decides: below[i] counts the atoms of L below the i-th atom of S
     small, large = (a, b) if a.values.size <= b.values.size else (b, a)
     if _merges(small.values.size, large.values.size):
         return small, large, _merge_below(small.values, large.values)
     return small, large, np.searchsorted(large.values, small.values)
 
 
-def _pool(small, large, below):
-    """Pooled positions of both laws' atoms, and the pooled values.
-
-    Both laws are strictly increasing, so an atom's pooled position is its
-    own rank plus the number of the other law's atoms before it; an atom of
-    S goes before an equal atom of L. Only S is searched: L fills the free
-    slots in order.
-    """
-    # Index and gap arithmetic runs in place, here and in wasserstein1: at
-    # these sizes each temporary is fresh memory from the OS, whose page
-    # faults cost about as much as the arithmetic itself.
-    n = small.values.size + large.values.size
-    pos_s = np.arange(small.values.size)
-    pos_s += below
-    free = np.ones(n, dtype=bool)
-    free[pos_s] = False
-    pos_l = np.flatnonzero(free)
-    values = np.empty(n)
-    values[pos_s] = small.values
-    values[pos_l] = large.values
-    return pos_s, pos_l, values
-
-
-def _grouped(small, large, pos_s, pos_l, values):
-    """Steps of the pooled grid and F_S - F_L just after each of its points,
-    pooled atoms within MERGE_TOL grouped as within one law.
+def _grouped(small, large, below):
+    """F_S - F_L just after each point of the pooled grid, pooled atoms
+    within MERGE_TOL grouped as within one law.
 
     This is the pooled reference itself: each group's masses are summed
     before the running sum, which can round apart from the run ends that
-    the fast paths read, so every pair with a near pooled pair comes here.
+    the fast path reads, so every pair with a near pooled pair comes here.
+    An atom of S sits at its own rank plus ``below``, before an equal atom
+    of L; L fills the free slots in order.
     """
-    w = np.zeros((2, values.size))
+    n = small.values.size + large.values.size
+    pos_s = np.arange(small.values.size)
+    pos_s += below  # in place: a fresh temporary here costs page faults
+    free = np.ones(n, dtype=bool)
+    free[pos_s] = False
+    values = np.empty(n)
+    values[pos_s] = small.values
+    values[free] = large.values
+    w = np.zeros((2, n))
     w[0, pos_s] = small.masses()
-    w[1, pos_l] = large.masses()
-    grid, (ws, wl) = _merge_sorted(values, w)
-    return np.diff(grid), np.cumsum(ws) - np.cumsum(wl)
+    w[1, free] = large.masses()
+    ws, wl = _merge_sorted(values, w)[1]
+    return np.cumsum(ws) - np.cumsum(wl)
 
 
 def ks_distance(a, b):
@@ -368,7 +361,7 @@ def ks_distance(a, b):
     """
     small, large, below = _search(a, b)
     if _near_across(small.values, large.values, below):
-        gaps = _grouped(small, large, *_pool(small, large, below))[1]
+        gaps = _grouped(small, large, below)
         top, bottom = gaps.max(), gaps.min()
     else:
         cum_large = large.cum[below]  # F_L just before each atom of S
@@ -380,36 +373,42 @@ def ks_distance(a, b):
     return float(min(1.0, max(top, -bottom)))
 
 
+def _quantile_plan(cum_a, cum_b):
+    # the pieces [t_r, t_r+1) between both laws' interior cumulative masses,
+    # clipped into [0, 1] (masses sum to 1 only within MASS_TOL), and each law's
+    # atom on each: (ia, ib, dt). A stable argsort merges the two sorted runs;
+    # each t_r ends a run of equal masses, and the places up to it hold the 0,
+    # ia of a's masses (as searchsorted(side="right") counts) and ib of b's
+    grid = np.concatenate(([0.0], cum_a[1:-1], cum_b[1:-1], [1.0])).clip(0.0, 1.0)
+    order = np.argsort(grid, kind="stable")
+    grid = grid[order]
+    ends = np.flatnonzero(np.not_equal(grid[1:], grid[:-1]))
+    ia = np.cumsum(order <= cum_a.size - 2)[ends] - 1
+    return ia, ends - ia, np.diff(np.append(grid[ends], grid[-1]))
+
+
+def _w1(a, b, plans):
+    # two laws of mass 1/n each have the cumulative masses of their sizes, so
+    # their plan is kept in plans under (n_a, n_b); any other pair makes its own
+    key = (a.values.size, b.values.size)
+    if a.weights is not None or b.weights is not None:
+        plans = {}
+    if key not in plans:
+        plans[key] = _quantile_plan(a.cum, b.cum)
+    ia, ib, dt = plans[key]
+    gaps = a.values[ia]
+    gaps -= b.values[ib]
+    np.abs(gaps, out=gaps)
+    gaps *= dt
+    return float(np.sum(gaps))
+
+
 def wasserstein1(a, b):
-    """Exact 1-Wasserstein distance: |F_S - F_L| times each step of the pooled
-    grid, summed in pooled order.
-
-    When no two pooled atoms lie within MERGE_TOL no pooled mass is built:
-    np.cumsum adds in sequence and adding 0.0 changes nothing, so each law's
-    pooled cumulative mass is its own cumsum read at the number of its atoms
-    so far.
-    """
-    small, large, below = _search(a, b)
-    pos_s, pos_l, values = _pool(small, large, below)
-    steps = np.diff(values)
-    if (steps > MERGE_TOL).all():
-        dist = values  # the pooled values are spent: F_S - F_L takes their memory
-        gaps = large.cum[below]
-        np.subtract(small.cum[1:], gaps, out=gaps)
-        dist[pos_s] = gaps
-        s_before_l = np.arange(large.values.size)
-        np.subtract(pos_l, s_before_l, out=s_before_l)
-        gaps = small.cum[s_before_l]
-        gaps -= large.cum[1:]
-        dist[pos_l] = gaps
-    else:
-        steps, dist = _grouped(small, large, pos_s, pos_l, values)
-    np.abs(dist, out=dist)
-    np.multiply(dist[:-1], steps, out=steps)
-    return float(np.sum(steps))
-
-
-_METRIC_FNS = {"ks": ks_distance, "w1": wasserstein1}
+    """Exact 1-Wasserstein distance, the quantile integral: |x_a - x_b| times
+    the width of each piece of [0, 1] between the laws' cumulative masses, on
+    which their quantile functions are x_a and x_b, summed in grid order.
+    Swapping the laws changes no bit."""
+    return _w1(a, b, {})
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,17 +443,18 @@ class DistanceTrace:
 def distance_traces(sequence, target, directions, metric="ks"):
     """The distance trace of the sequence to the target along each direction.
 
-    One pass: along each direction the target is projected once, and the
-    cumulative masses of unmerged samples are built once per size n for the
-    whole pass, then dropped with it. Each distance equals ``ks_distance`` or
-    ``wasserstein1`` of the ``project``-ed laws, bit for bit.
+    One pass: along each direction the target is projected once; unmerged
+    samples' cumulative masses are built once per size n, and W1's plan of two
+    such laws once per (n_a, n_b), for the whole pass, then dropped with it.
+    Each distance equals ``ks_distance`` or ``wasserstein1`` of the
+    ``project``-ed laws, bit for bit.
     """
     if not sequence:
         raise ValueError("sequence must be nonempty")
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
-    fn = _METRIC_FNS[metric]
-    uniform = {}
+    uniform, plans = {}, {}
+    fn = ks_distance if metric == "ks" else lambda a, b: _w1(a, b, plans)
     sizes = np.asarray([elem.n for elem in sequence])
     traces = []
     for u in directions:

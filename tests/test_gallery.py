@@ -293,6 +293,28 @@ class TestLawParameters:
         with pytest.raises(ValueError, match="nonempty 1-D arrays"):
             ProductLognormal.standard(0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_gaussian_mean_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="^mean must be finite$"):
+            Gaussian(np.array([bad, 0.0]), np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_gaussian_cov_must_be_finite(self, bad):
+        cov = np.eye(2)
+        cov[1, 1] = bad
+        with pytest.raises(ValueError, match="^cov must be finite$"):
+            Gaussian(np.zeros(2), cov)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_lognormal_mu_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="^mu must be finite$"):
+            ProductLognormal(np.array([bad, 0.0]), np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_lognormal_sigma_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="^sigma must be finite$"):
+            ProductLognormal(np.zeros(2), np.array([1.0, bad]))
+
 
 class TestLognormalOracle:
     def test_single_coordinate_closed_form(self):

@@ -1,3 +1,6 @@
+from bisect import bisect_right
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +9,9 @@ from hypothesis import strategies as st
 from cwkit.directions import Direction, sample_uniform
 from cwkit.errors import DimensionMismatch
 from cwkit.projections import (MASS_TOL, MERGE_TOL, AtomicMeasure, Empirical, Projected1D,
-                               SampleSet, _merge_below, _merges, _search, distance_trace,
-                               distance_traces, ks_distance, project, wasserstein1)
+                               SampleSet, _merge_below, _merges, _quantile_plan, _search,
+                               distance_trace, distance_traces, ks_distance, project,
+                               wasserstein1)
 
 SQ2 = np.sqrt(2.0) / 2.0
 
@@ -265,11 +269,14 @@ def test_zero_iff_equal_after_merge(a, b):
         assert np.allclose(a.weights, b.weights, atol=1e-12)
 
 
-# Reference kernel: pool both laws, sort them together with a stable argsort,
-# then group with reduceat, each group at its first value. The production
-# kernel sorts each projected law once and ranks the atoms of the smaller law
-# among the larger's, by one merge or by searchsorted; it must reproduce this
-# arithmetic bit for bit, because verdict reports are compared byte for byte.
+# Reference kernels. KS: pool both laws, sort them together with a stable
+# argsort, then group with reduceat, each group at its first value. The
+# production KS sorts each projected law once and ranks the atoms of the
+# smaller law among the larger's, by one merge or by searchsorted; it must
+# reproduce this arithmetic bit for bit, because verdict reports are compared
+# byte for byte. W1 is the quantile integral, checked bit for bit against
+# ref_qw1, built apart from the kernel in plain Python; the pooled x-space
+# sum ref_w1 is the same distance up to rounding and MERGE_TOL groupings.
 
 def ref_from_raw(values, weights):
     order = np.argsort(values, kind="stable")
@@ -302,6 +309,34 @@ def ref_w1(a, b):
     if grid.size == 1:
         return 0.0
     return float(np.sum(np.abs(cum_a[:-1] - cum_b[:-1]) * np.diff(grid)))
+
+
+def ref_qw1(a, b):
+    # the grid: sorted(set(...)) of both laws' interior cumulative masses,
+    # clipped into [0, 1], with 0 and 1; each law's atom on a piece by bisect;
+    # the per-piece products summed by np.sum in grid order
+    inner_a, inner_b = a.cum[1:-1].tolist(), b.cum[1:-1].tolist()
+    grid = sorted({0.0, 1.0, *(min(max(t, 0.0), 1.0) for t in inner_a + inner_b)})
+    va, vb = a.values.tolist(), b.values.tolist()
+    return float(np.sum(np.array([
+        abs(va[bisect_right(inner_a, t)] - vb[bisect_right(inner_b, t)]) * (t_next - t)
+        for t, t_next in zip(grid, grid[1:])])))
+
+
+def exact_w1(a, b):
+    # the x-space integral of |F_a - F_b| in rationals: every float value and
+    # weight read exactly, a sample's masses exactly 1/n
+    def signed(p, sign):
+        n = p.values.size
+        w = [Fraction(1, n)] * n if p.weights is None else map(Fraction, p.weights.tolist())
+        return [(Fraction(x), sign * m) for x, m in zip(p.values.tolist(), w)]
+
+    pooled = sorted(signed(a, 1) + signed(b, -1))
+    total, gap = Fraction(0), Fraction(0)
+    for (x, dm), (x_next, _) in zip(pooled, pooled[1:]):
+        gap += dm
+        total += abs(gap) * (x_next - x)
+    return total
 
 
 def bits(x):
@@ -343,7 +378,10 @@ def test_kernel_bit_equal_to_reference(m_a, m_b, coords):
         assert bits(masses(p)) == bits(ref_w)
     for x, y in ((a, b), (b, a), (a, a)):
         assert bits(ks_distance(x, y)) == bits(ref_ks(x, y))
-        assert bits(wasserstein1(x, y)) == bits(ref_w1(x, y))
+        assert bits(wasserstein1(x, y)) == bits(ref_qw1(x, y))
+        # the a-b-a chains of atoms up to 2.5e-12 apart are the only place the
+        # quantile integral and the pooled, grouped sum part by more than rounding
+        assert abs(wasserstein1(x, y) - ref_w1(x, y)) <= 1e-11
 
 
 TRACE_DIRECTIONS = [(1.0, 0.0), (-1.0, 0.0), (0.6, 0.8), (0.0, 1.0), (-0.8, 0.6)]
@@ -357,7 +395,7 @@ def test_trace_pass_bit_equal_to_reference(sequence, target, coords):
     # cumulative masses of equal-size samples; each distance must still be the
     # pooled reference's, ties within MERGE_TOL across the laws included
     directions = [Direction(np.array(c)) for c in coords]
-    for metric, ref in (("ks", ref_ks), ("w1", ref_w1)):
+    for metric, ref in (("ks", ref_ks), ("w1", ref_qw1)):
         traces = distance_traces(sequence, target, directions, metric)
         assert [tr.direction for tr in traces] == directions
         for u, tr in zip(directions, traces):
@@ -432,7 +470,7 @@ def test_ks_merges_close_atoms_of_a_hand_built_law():
     assert b.values.tolist() == [-0.5, 0.5] and b.weights.tolist() == [0.1, 0.2 + 0.7]
     for x, y in ((a, b), (b, a), (a, a)):
         assert bits(ks_distance(x, y)) == bits(ref_ks(x, y))
-        assert bits(wasserstein1(x, y)) == bits(ref_w1(x, y))
+        assert bits(wasserstein1(x, y)) == bits(ref_qw1(x, y))
 
 
 # values on a small grid plus offsets just below and above MERGE_TOL, so
@@ -527,7 +565,7 @@ def test_kernel_bit_equal_to_reference_without_ties(n_a, n_b, weighted):
     assert np.diff(np.sort(np.concatenate([a.values, b.values]))).min() > MERGE_TOL
     for x, y in ((a, b), (b, a), (a, a)):
         assert bits(ks_distance(x, y)) == bits(ref_ks(x, y))
-        assert bits(wasserstein1(x, y)) == bits(ref_w1(x, y))
+        assert bits(wasserstein1(x, y)) == bits(ref_qw1(x, y))
 
 
 @pytest.mark.parametrize("shift, n_b, merges", [
@@ -547,7 +585,7 @@ def test_kernel_bit_equal_to_reference_with_cross_tie(shift, n_b, merges):
     assert _merges(b.values.size, a.values.size) == merges
     for x, y in ((a, b), (b, a)):
         assert bits(ks_distance(x, y)) == bits(ref_ks(x, y))
-        assert bits(wasserstein1(x, y)) == bits(ref_w1(x, y))
+        assert bits(wasserstein1(x, y)) == bits(ref_qw1(x, y))
         assert ref_merged_cdfs(x, y)[0].size == a.values.size + b.values.size - 1
 
 
@@ -610,7 +648,76 @@ def test_search_ranks_on_both_sides_of_the_crossover(m, n, weighted, merges):
         assert small is s and large is l
         assert np.array_equal(below, np.searchsorted(l.values, s.values))
         assert bits(ks_distance(x, y)) == bits(ref_ks(x, y))
-        assert bits(wasserstein1(x, y)) == bits(ref_w1(x, y))
+        assert bits(wasserstein1(x, y)) == bits(ref_qw1(x, y))
+
+
+@pytest.mark.parametrize("m, n, weighted", [
+    (50, 900, (False, False)), (900, 50, (False, False)), (333, 334, (False, False)),
+    (700, 700, (False, False)), (60, 400, (True, True)), (512, 97, (True, False)),
+    (300, 800, (False, True)),
+])
+def test_w1_equals_the_exact_rational_integral(m, n, weighted):
+    # the quantile integral on float cumulative masses against the exact
+    # integral of |F_a - F_b| over x
+    rng = np.random.default_rng(m * 1009 + n)
+    u = Direction.from_vector(rng.standard_normal(2))
+    a = project(_cloud(rng, m, weighted[0]), u)
+    b = project(_cloud(rng, n, weighted[1]), u)
+    want = exact_w1(a, b)
+    for x, y in ((a, b), (b, a)):
+        assert abs(Fraction(wasserstein1(x, y)) - want) <= Fraction(1e-12) * want
+
+
+@settings(max_examples=200, deadline=None)
+@given(clouds(), clouds(), st.sampled_from(TRACE_DIRECTIONS), st.integers(0, 2**32 - 1))
+def test_w1_is_bit_symmetric(m_a, m_b, coords, seed):
+    # |x_a - x_b| and |x_b - x_a| are one float and the grid is one union, so
+    # swapping the laws changes no bit, on tied laws and on larger draws alike
+    u = Direction(np.array(coords))
+    rng = np.random.default_rng(seed)
+    pairs = [(project(m_a, u), project(m_b, u)),
+             (project(_cloud(rng, int(rng.integers(1, 3000)), bool(seed % 2)), u),
+              project(_cloud(rng, int(rng.integers(1, 3000)), bool(seed % 3)), u))]
+    for a, b in pairs:
+        assert bits(wasserstein1(a, b)) == bits(wasserstein1(b, a))
+
+
+@pytest.mark.parametrize("target_weighted", [False, True])
+def test_w1_trace_pass_equals_each_pair(target_weighted):
+    # the pass keeps one plan per pair of sample sizes; a distance read from
+    # it equals distance_trace along that direction alone and wasserstein1 of
+    # the two projected laws, which builds its own plan, bit for bit
+    rng = np.random.default_rng(29)
+    sequence = [_cloud(rng, n, weighted) for n, weighted in
+                ((300, False), (1200, False), (300, False), (700, True), (1200, False))]
+    target = _cloud(rng, 900, target_weighted)
+    directions = sample_uniform(2, 6, seed=4)
+    for u, tr in zip(directions, distance_traces(sequence, target, directions, "w1")):
+        want = [wasserstein1(project(elem, u), project(target, u)) for elem in sequence]
+        assert bits(tr.distances) == bits(want)
+        assert bits(distance_trace(sequence, target, u, "w1").distances) == bits(want)
+
+
+@pytest.mark.parametrize("weights", [
+    [0.6, 0.4 + 1e-13, 5e-14],  # an interior cumulative mass above 1
+    [0.25, 0.25, 0.5 - 1e-13],
+    [0.3, 0.3, 0.4 + 1e-13],
+])
+def test_w1_on_masses_that_sum_to_one_within_tolerance(weights):
+    # masses sum to 1 +- 1e-13: the grid is clipped into [0, 1], so no piece
+    # has negative width and W1 is finite and nonnegative
+    a = Projected1D(np.array([0.0, 1.0, 2.0]), np.array(weights))
+    for b in (law([0.5, 1.5]), law([0.0, 1.0 + 1e-9, 3.0], [0.5, 0.25, 0.25 + 1e-13]), a):
+        for x, y in ((a, b), (b, a)):
+            ia, ib, dt = _quantile_plan(x.cum, y.cum)
+            assert np.all(dt > 0.0) and dt.sum() == pytest.approx(1.0, abs=1e-15)
+            inner = np.concatenate((x.cum[1:-1], y.cum[1:-1])).clip(0.0, 1.0).tolist()
+            starts = sorted({0.0, *inner} - {1.0})
+            assert np.array_equal(ia, np.searchsorted(x.cum[1:-1], starts, "right"))
+            assert np.array_equal(ib, np.searchsorted(y.cum[1:-1], starts, "right"))
+            w1 = wasserstein1(x, y)
+            assert np.isfinite(w1) and w1 >= 0.0
+            assert bits(w1) == bits(ref_qw1(x, y))
 
 
 class TestNoAliasing:
