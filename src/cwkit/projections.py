@@ -21,17 +21,11 @@ projected column. ``_law`` sorts the values once: a sample's column (mass
 follow, every other column by an argsort that carries its masses, stable
 only when values merge.
 
-KS is symmetric, so it ranks the law S of fewer atoms in the other law L
-once: for each atom of S, the number of L's atoms below it. For m atoms in
-S and n in L, m binary searches cost about m log2(n) steps; one stable
-argsort of S's values followed by L's, which numpy runs as one timsort merge
-of the two sorted runs, costs a few per atom of both. The merge ranks when
-m * bit_length(n) > 3 (m + n), the crossover measured at one core; both give
-the same integers, exact ties included. KS builds no pooled grid: F_S - F_L
-takes its extremes at the ends of the runs that S's atoms form between L's,
-so it reads each law's own cumulative mass there. When two pooled atoms lie
-within MERGE_TOL, it takes one grouped fallback on the pooled grid. Every KS
-result is bit-identical to pooling both laws and sorting them together.
+KS searches the atoms of the law S of fewer atoms in the other law, L, a large
+S only in the blocks of atoms that can hold the sup, and reads each law's own
+cumulative mass there, with no pooled grid; a pooled pair within MERGE_TOL
+takes one grouped fallback on that grid. Every KS result is bit-identical to
+pooling both laws and sorting them together (``ks_distance``).
 
 W1 is the quantile integral, the integral over t in [0, 1] of
 |F_a^-1(t) - F_b^-1(t)| (Bobkov and Ledoux, Mem. AMS 2019). Both quantile
@@ -66,6 +60,9 @@ from .errors import DimensionMismatch
 
 MERGE_TOL = 1e-12
 MASS_TOL = 1e-12
+# KS cuts the smaller law into blocks of _BLOCK atoms once it has _FEW_BLOCKS
+# of them; below that, timed at one core, a search of every atom was faster
+_BLOCK, _FEW_BLOCKS = 32, 96
 
 METRICS = ("ks", "w1")
 
@@ -175,9 +172,10 @@ def _unit_masses(w):
 @dataclass(frozen=True, eq=False)
 class Projected1D:
     """A 1-D atomic law: strictly increasing values more than MERGE_TOL
-    apart, positive masses summing to 1, and ``cum``, the cumulative masses
-    ``_cum0`` gives. ``weights=None`` means mass 1/n on each of n values,
-    as for a sample; ``masses()`` reads either form.
+    apart (``wide`` if all are more than 2 * MERGE_TOL apart), positive masses
+    summing to 1, and ``cum``, the cumulative masses ``_cum0`` gives.
+    ``weights=None`` means mass 1/n on each of n values, as for a sample;
+    ``masses()`` reads either form.
 
     The constructor takes values in any order with their masses, checks
     them and builds the law from copies through ``_law``, the h1 pass's sort
@@ -188,6 +186,7 @@ class Projected1D:
     values: np.ndarray
     weights: np.ndarray | None = None
     cum: np.ndarray = field(init=False, repr=False)
+    wide: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         v = np.array(self.values, dtype=np.float64)  # a copy: a sample's is sorted in place
@@ -197,7 +196,7 @@ class Projected1D:
         if w is not None and not np.all(np.isfinite(w)):
             raise ValueError("atoms must be finite")
         law = _law(v, w, {})  # w needs no copy: _law's argsort makes new arrays
-        for name in ("values", "weights", "cum"):
+        for name in ("values", "weights", "cum", "wide"):
             object.__setattr__(self, name, getattr(law, name))
 
     def masses(self):
@@ -227,18 +226,15 @@ def _cum0(weights):
     return cum
 
 
-def _spaced(values):
-    # whether sorted values lie more than MERGE_TOL apart, so none would merge
-    return bool(np.all(np.diff(values) > MERGE_TOL))
-
-
-def _filled(values, weights, cum):
-    # the Projected1D of arrays _law made, taken as they are, read-only
+def _filled(values, weights, cum, gap):
+    # the Projected1D of arrays _law made, as they are, read-only; gap: the
+    # least step between values (inf for one value, NaN after a NaN)
     law = object.__new__(Projected1D)
     for name, arr in (("values", values), ("weights", weights), ("cum", cum)):
         if arr is not None:
             arr.flags.writeable = False
         object.__setattr__(law, name, arr)
+    object.__setattr__(law, "wide", bool(gap > 2 * MERGE_TOL))
     return law
 
 
@@ -249,9 +245,10 @@ def _law(column, weights, uniform):
     A sample's masses are all equal, so no permutation needs to follow its
     sort. Weighted values are sorted by numpy's default argsort, which
     carries their weights and leaves the inputs as they are. Sorted values
-    that are not ``_spaced`` are sorted again by a stable argsort, because
-    the order among ties decides a merged atom's summed mass; spaced values
-    are distinct, so any sort gives the same permutation. The sorted ends
+    whose least step is at most MERGE_TOL are sorted again by a stable
+    argsort, because the order among ties decides a merged atom's summed
+    mass; spaced values are distinct, so any sort gives the same permutation.
+    The least step also shows whether the law is ``wide``. The sorted ends
     show whether the law is finite (NaN sorts last), then the weights pass
     the mass check. Values that merge become ``_merge_sorted``'s atoms.
     Otherwise no merge means strictly increasing values: weighted values keep
@@ -260,79 +257,45 @@ def _law(column, weights, uniform):
     """
     if weights is None:
         column.sort()
-        spaced = _spaced(column)
+        gap = np.diff(column).min(initial=np.inf)
     else:
         order = np.argsort(column)
-        spaced = _spaced(column[order])
-        if not spaced:
+        gap = np.diff(column[order]).min(initial=np.inf)
+        if not gap > MERGE_TOL:
             order = np.argsort(column, kind="stable")
         column, weights = column[order], weights[order]
     if not (np.isfinite(column[0]) and np.isfinite(column[-1])):
         raise ValueError("atoms must be finite")
     if weights is not None:
         _unit_masses(weights)
-    if not spaced:
+    if not gap > MERGE_TOL:
         masses = np.full(column.size, 1.0 / column.size) if weights is None else weights
         values, masses = _merge_sorted(column, masses)
-        return _filled(values, masses, _cum0(masses))
+        return _filled(values, masses, _cum0(masses), np.diff(values).min(initial=np.inf))
     if weights is not None:
-        return _filled(column, weights, _cum0(weights))
+        return _filled(column, weights, _cum0(weights), gap)
     n = column.size
     if n not in uniform:
         uniform[n] = _cum0(_unit_masses(np.full(n, 1.0 / n)))
-    return _filled(column, None, uniform[n])
+    return _filled(column, None, uniform[n], gap)
 
 
 def _near_across(small, large, below):
-    # whether an atom of small lies within MERGE_TOL of its nearest atom of
-    # large on either side; below[i] counts the atoms of large below small[i]
-    # and is nondecreasing
-    first = np.searchsorted(below, 0, "right")  # from here on, one lies below
-    last = np.searchsorted(below, large.size)  # up to here, one lies at or above
-    return bool((large[below[:last]] - small[:last] <= MERGE_TOL).any()
-                or (small[first:] - large[below[first:] - 1] <= MERGE_TOL).any())
-
-
-def _merges(m, n):
-    # whether m sorted values are ranked among n others by one merge rather
-    # than by m binary searches: those cost about m * log2(n) steps and the
-    # merge a few per value of both. Timed at one core, the merge won every
-    # time from m * bit_length(n) = 3 (m + n) on, went either way from
-    # 2.3 (m + n) to there, and took twice as long as the search at 1e3 in 1e4
-    return m * n.bit_length() > 3 * (m + n)
-
-
-def _merge_below(small, large):
-    # below[i] counts the values of large below small[i], as
-    # np.searchsorted(large, small) does: numpy's stable sort of two
-    # concatenated sorted runs is one timsort merge, and it places each value
-    # of the first run before every equal value (-0.0 and 0.0 alike) of the
-    # second. One expression, so that each temporary is freed once it is read
-    below = np.flatnonzero(np.argsort(np.concatenate((small, large)), kind="stable")
-                           < small.size)
-    below -= np.arange(small.size)
-    return below
-
-
-def _search(a, b):
-    # KS is symmetric, since F_S - F_L is exactly -(F_L - F_S); so the law S
-    # of fewer atoms is ranked in the other, L, once, by merge or by search as
-    # _merges decides: below[i] counts the atoms of L below the i-th atom of S
-    small, large = (a, b) if a.values.size <= b.values.size else (b, a)
-    if _merges(small.values.size, large.values.size):
-        return small, large, _merge_below(small.values, large.values)
-    return small, large, np.searchsorted(large.values, small.values)
+    # whether one of the given atoms of S lies within MERGE_TOL of its nearest
+    # atom of L; below[i] counts L's atoms below small[i], clipped at L's ends
+    right = np.abs(large.take(below, mode="clip") - small)
+    left = np.abs(large.take(below - 1, mode="clip") - small)
+    return bool(min(right.min(), left.min()) <= MERGE_TOL)
 
 
 def _grouped(small, large, below):
     """F_S - F_L just after each point of the pooled grid, pooled atoms
-    within MERGE_TOL grouped as within one law.
+    within MERGE_TOL grouped as within one law: the pooled reference itself.
 
-    This is the pooled reference itself: each group's masses are summed
-    before the running sum, which can round apart from the run ends that
-    the fast path reads, so every pair with a near pooled pair comes here.
-    An atom of S sits at its own rank plus ``below``, before an equal atom
-    of L; L fills the free slots in order.
+    A group's masses are summed before the running sum, which can round
+    apart from the run ends the searches read, so a near pooled pair at a
+    searched atom comes here. An atom of S sits at its own rank plus
+    ``below``, before an equal atom of L; L fills the free slots in order.
     """
     n = small.values.size + large.values.size
     pos_s = np.arange(small.values.size)
@@ -349,27 +312,64 @@ def _grouped(small, large, below):
     return np.cumsum(ws) - np.cumsum(wl)
 
 
+def _full(small, large):
+    # F_S - F_L's extremes from a search of every atom of S (or the grouped grid)
+    below = np.searchsorted(large.values, small.values)
+    if _near_across(small.values, large.values, below):
+        gaps = _grouped(small, large, below)
+        return gaps.max(), gaps.min()
+    cum_large = large.cum[below]  # F_L just before each atom of S
+    top = (small.cum[1:] - cum_large).max()
+    return top, min((small.cum[:-1] - cum_large).min(), small.cum[-1] - large.cum[-1])
+
+
+def _blocked(small, large):
+    # the same from the blocks that can hold the sup (see ks_distance), or
+    # None when an atom searched lies within MERGE_TOL of an atom of L
+    s, cs, cl = small.values, small.cum, large.cum
+    starts = np.arange(0, s.size, _BLOCK)
+    below = np.searchsorted(large.values, s[starts])
+    cum_large = cl[below]
+    best = max((cs[starts + 1] - cum_large).max(), (cum_large - cs[starts]).max(), cl[-1] - cs[-1])
+    bound = np.maximum(cs[np.minimum(starts + _BLOCK, s.size)] - cum_large,
+                       cl[np.append(below[1:], large.values.size)] - cs[starts])
+    # every atom of the blocks whose bound beats best; a short last block
+    # repeats its last atom, which moves no extreme
+    atoms = (np.flatnonzero(bound > best)[:, None] * _BLOCK + np.arange(_BLOCK)).ravel()
+    atoms = np.minimum(atoms, s.size - 1)
+    idx = np.concatenate((starts, atoms))
+    below = np.concatenate((below, np.searchsorted(large.values, s[atoms])))
+    if _near_across(s[idx], large.values, below):
+        return None
+    cum_large = cl[below]
+    return (cs[idx + 1] - cum_large).max(), min((cs[idx] - cum_large).min(), cs[-1] - cl[-1])
+
+
 def ks_distance(a, b):
     """Exact sup distance between the two right-continuous CDFs; in [0, 1].
 
+    KS is symmetric, so the law S of fewer atoms is ranked in the other, L.
     F_S - F_L is largest just after an atom of S and smallest just before
-    one, or after the last atom: between two atoms of S, F_S stays and F_L
-    grows. cumsum and subtraction are monotone in floating point too, so the
-    ends of these runs hold the exact extremes over the pooled grid, and the
-    one search of S into L finds them. Where a pooled pair lies within
-    MERGE_TOL, the grouped grid answers.
+    one, or after the last: between two atoms of S, F_S stays and F_L grows.
+    Both ``cum`` arrays, running sums of positive masses, are nondecreasing
+    in floating point too, and subtraction is monotone, so these run ends
+    hold the exact extremes over the pooled grid.
+
+    With both laws ``wide`` and S of ``_FEW_BLOCKS`` blocks or more, block
+    [i0, i1) of S holds gaps in [cs[i0] - cl[b1], cs[i1] - cl[b0]] only, b0
+    and b1 counting L's atoms below atoms i0 and i1 (all of L past the end).
+    Only blocks whose bound beats the best |gap| at the blocks' first atoms
+    and the end are searched: the same floats, so the same maximum. A near
+    pooled pair at a searched atom sends the pair to the full search and the
+    grouped grid. One elsewhere cannot move the result: a pooled group of
+    wide laws holds at most one atom of each, so grouped running sums equal
+    each law's own ``cum``, and stay within the block's bound.
     """
-    small, large, below = _search(a, b)
-    if _near_across(small.values, large.values, below):
-        gaps = _grouped(small, large, below)
-        top, bottom = gaps.max(), gaps.min()
-    else:
-        cum_large = large.cum[below]  # F_L just before each atom of S
-        top = (small.cum[1:] - cum_large).max()
-        bottom = min((small.cum[:-1] - cum_large).min(), small.cum[-1] - large.cum[-1])
-    # max |gap| as max(max, -min), with no array of absolute values;
-    # cumulative weights may end at 1 +- a few ulp, and the sup of a CDF gap
-    # cannot exceed 1
+    small, large = (a, b) if a.values.size <= b.values.size else (b, a)
+    blocked = small.values.size >= _FEW_BLOCKS * _BLOCK and small.wide and large.wide
+    top, bottom = (blocked and _blocked(small, large)) or _full(small, large)
+    # max |gap| as max(max, -min), with no array of absolute values; cumulative
+    # weights may end at 1 +- a few ulp, and the sup of a CDF gap cannot exceed 1
     return float(min(1.0, max(top, -bottom)))
 
 

@@ -1,17 +1,18 @@
 from bisect import bisect_right
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cwkit import projections
 from cwkit.directions import Direction, sample_uniform
 from cwkit.errors import DimensionMismatch
 from cwkit.projections import (MASS_TOL, MERGE_TOL, AtomicMeasure, Empirical, Projected1D,
-                               SampleSet, _merge_below, _merges, _quantile_plan, _search,
-                               distance_trace, distance_traces, ks_distance, project,
-                               wasserstein1)
+                               SampleSet, _quantile_plan, distance_trace, distance_traces,
+                               ks_distance, project, wasserstein1)
 
 SQ2 = np.sqrt(2.0) / 2.0
 
@@ -568,58 +569,65 @@ def test_kernel_bit_equal_to_reference_without_ties(n_a, n_b, weighted):
         assert bits(wasserstein1(x, y)) == bits(ref_qw1(x, y))
 
 
-@pytest.mark.parametrize("shift, n_b, merges", [
-    pytest.param(0.0, 1200, True, id="0.0"), pytest.param(0.5e-12, 1200, True, id="5e-13"),
-    pytest.param(0.0, 200, False, id="searched-0.0"),
-    pytest.param(0.5e-12, 200, False, id="searched-5e-13"),
+def ks_with_path(x, y):
+    # ks_distance(x, y), the kernel paths it called in order, and the atoms
+    # of S it checked for a near pair of L, all of them in one array
+    calls, checked = [], []
+
+    def spy(name):
+        fn = getattr(projections, name)
+
+        def called(*args):
+            calls.append(name)
+            if name == "_near_across":
+                checked.append(args[0])
+            return fn(*args)
+        return called
+
+    names = ("_blocked", "_full", "_grouped", "_near_across")
+    with mock.patch.multiple(projections, **{name: spy(name) for name in names}):
+        d = ks_distance(x, y)
+    return d, [c for c in calls if c != "_near_across"], np.concatenate([[], *checked])
+
+
+BLOCKED_FROM = projections._FEW_BLOCKS * projections._BLOCK  # atoms of S
+
+
+@pytest.mark.parametrize("shift, n_b", [
+    pytest.param(0.0, 1200, id="0.0"), pytest.param(0.5e-12, 1200, id="5e-13"),
+    pytest.param(0.0, 200, id="searched-0.0"), pytest.param(0.5e-12, 200, id="searched-5e-13"),
 ])
-def test_kernel_bit_equal_to_reference_with_cross_tie(shift, n_b, merges):
+def test_kernel_bit_equal_to_reference_with_cross_tie(shift, n_b):
     # one b-atom equal to, or 0.5e-12 above, an a-atom: the pooled atoms are
-    # grouped, at the pooled positions the one ranking of the smaller law
-    # gives, by merge or by search
+    # grouped, at the pooled positions the search of the smaller law gives;
+    # b has too few atoms for blocks, so every atom of it is searched
     rng = np.random.default_rng(5)
     a_vals = np.sort(rng.uniform(1.0, 2.0, 3000))
     b_vals = np.sort(np.append(rng.uniform(1.0, 2.0, n_b), a_vals[1700] + shift))
     w = rng.uniform(0.05, 1.0, b_vals.size)
     a, b = law(a_vals), law(b_vals, w / w.sum())
-    assert _merges(b.values.size, a.values.size) == merges
+    assert b.values.size < BLOCKED_FROM
     for x, y in ((a, b), (b, a)):
-        assert bits(ks_distance(x, y)) == bits(ref_ks(x, y))
+        d, path, _ = ks_with_path(x, y)
+        assert path == ["_full", "_grouped"]
+        assert bits(d) == bits(ref_ks(x, y))
         assert bits(wasserstein1(x, y)) == bits(ref_qw1(x, y))
         assert ref_merged_cdfs(x, y)[0].size == a.values.size + b.values.size - 1
 
 
-def assert_ranks(small, large):
-    # the merge's and the search's counts of large's values below each of small's
-    want = np.searchsorted(large, small)
-    got = _merge_below(small, large)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
-
-
-@settings(max_examples=200, deadline=None)
-@given(clouds(), clouds(), st.sampled_from([(1.0, 0.0), (-1.0, 0.0), (0.6, 0.8)]))
-def test_merge_ranks_equal_search_on_tied_laws(m_a, m_b, coords):
-    # few atoms, so _search would search: the merge is checked on its own on
-    # laws whose atoms tie exactly, meet as -0.0 and 0.0, and chain a-b-a
-    # within MERGE_TOL across the two laws
-    u = Direction(np.array(coords))
-    a, b = project(m_a, u), project(m_b, u)
-    for x, y in ((a, b), (b, a), (a, a)):
-        assert_ranks(x.values, y.values)
-
-
-def _crossing_laws(m, n, weighted, seed):
+def _crossing_laws(m, n, weighted, seed, wide):
     # laws of m and of n atoms on one 1/1024 lattice: a third of the smaller
     # law's atoms equal one of the larger's, -0.0 in the smaller meets 0.0 in
-    # the larger, and x, x + 1.2e-12 in the smaller chain through x + 0.6e-12
-    # in the larger, each pair within MERGE_TOL
+    # the larger, and x in the smaller lies 0.6e-12 below x + 0.6e-12 in the
+    # larger. Unless wide, x + 1.2e-12 in the smaller chains with both, each
+    # pair within MERGE_TOL; wide laws hold -x there instead
     rng = np.random.default_rng(seed)
     ticks = rng.permutation(np.setdiff1d(np.arange(-4 * (m + n), 4 * (m + n)), [0]))
     large = ticks[:n] / 1024.0
     small = np.concatenate([rng.choice(large, m // 3, replace=False),
                             ticks[n:n + m - m // 3] / 1024.0])
     x = 1025 / 2048
-    small[-3:], large[-2:] = (-0.0, x, x + 1.2e-12), (0.0, x + 0.6e-12)
+    small[-3:], large[-2:] = (-0.0, x, -x if wide else x + 1.2e-12), (0.0, x + 0.6e-12)
     laws = []
     for values in (small, large):
         w = rng.uniform(0.05, 1.0, values.size) if weighted else None
@@ -627,28 +635,164 @@ def _crossing_laws(m, n, weighted, seed):
     zero_s, zero_l = (p.values[p.values == 0.0] for p in laws)
     assert zero_s.size == zero_l.size == 1 and np.signbit(zero_s) and not np.signbit(zero_l)
     assert [p.values.size for p in laws] == [m, n]
+    assert [p.wide for p in laws] == [wide, True]
     return laws
 
 
-@pytest.mark.parametrize("m, n, weighted, merges", [
+@pytest.mark.parametrize("m, n, weighted, wide", [
     (1000, 10000, False, False), (10000, 50000, True, False), (20000, 100000, False, False),
     (10000, 12000, True, True), (3000, 6000, False, True), (50000, 100000, False, True),
     (50000, 100000, True, True),
 ])
-def test_search_ranks_on_both_sides_of_the_crossover(m, n, weighted, merges):
-    # _search ranks the smaller law among the larger by merge or by search as
-    # _merges decides; either way it counts exactly what searchsorted counts,
-    # exact ties, signed zeros and chains within MERGE_TOL included, and the
-    # kernel stays bit-equal to the pooled reference
-    s, l = _crossing_laws(m, n, weighted, seed=m + n)
-    assert _merges(m, n) == merges
-    assert_ranks(s.values, l.values)
+def test_search_ranks_on_both_sides_of_the_crossover(m, n, weighted, wide):
+    # the smaller law is searched block by block from BLOCKED_FROM atoms on,
+    # when both laws are wide; there the exact ties are found among the
+    # searched atoms, and the pair goes to the full search. Either way, exact
+    # ties, signed zeros and chains within MERGE_TOL included, the kernel
+    # stays bit-equal to the pooled reference
+    s, l = _crossing_laws(m, n, weighted, seed=m + n, wide=wide)
+    blocked = ["_blocked"] if wide and m >= BLOCKED_FROM else []
     for x, y in ((s, l), (l, s)):
-        small, large, below = _search(x, y)
-        assert small is s and large is l
-        assert np.array_equal(below, np.searchsorted(l.values, s.values))
-        assert bits(ks_distance(x, y)) == bits(ref_ks(x, y))
+        d, path, _ = ks_with_path(x, y)
+        assert path == [*blocked, "_full", "_grouped"]
+        assert bits(d) == bits(ref_ks(x, y))
         assert bits(wasserstein1(x, y)) == bits(ref_qw1(x, y))
+
+
+@st.composite
+def blocked_laws(draw):
+    # a law of 1.2 to 3 times BLOCKED_FROM atoms and one of up to 3 times
+    # that, Gaussian or lognormal (atoms up to |v| >= 8192, where MERGE_TOL
+    # is below one ulp), each a sample or weighted
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = int(draw(st.floats(1.2, 3.0)) * BLOCKED_FROM)
+    n = int(draw(st.floats(m / BLOCKED_FROM, 3.0)) * BLOCKED_FROM)
+    laws = []
+    for size, shift in ((m, 0.0), (n, draw(st.sampled_from((0.0, 0.02, 0.2))))):
+        if draw(st.booleans()):
+            values = shift + rng.standard_normal(size)
+        else:
+            values = np.exp(shift + 3.0 * rng.standard_normal(size)) * draw(
+                st.sampled_from((1.0, -1.0)))
+        w = rng.uniform(0.05, 1.0, size) if draw(st.booleans()) else None
+        laws.append(Projected1D(values, None if w is None else w / w.sum()))
+    return laws
+
+
+@settings(max_examples=40, deadline=None)
+@given(blocked_laws())
+def test_blocked_search_bit_equal_to_reference(laws):
+    s, l = laws
+    assert s.values.size >= BLOCKED_FROM
+    pooled = np.sort(np.concatenate([s.values, l.values]))
+    for x, y in ((s, l), (l, s)):
+        d, path, _ = ks_with_path(x, y)
+        assert bits(d) == bits(ref_ks(x, y))
+        if s.wide and l.wide and np.diff(pooled).min() > MERGE_TOL:
+            assert path == ["_blocked"]
+
+
+def _planted(pair, where, weighted):
+    # two Gaussian laws with one pooled pair planted at an atom of S: an atom
+    # of L equal to it, 0.5e-12 above it, or 0.0 against it made -0.0. The
+    # atom starts no block and lies 2.5 below the centre, where no block can
+    # hold the sup (where = "pruned"), or next to the sup ("searched"); or it
+    # is S's last atom, alone in its block, and holds the sup, as 30% of L's
+    # mass lies above S and the rest is narrower ("last"). Returns both laws
+    # and the planted atom
+    rng = np.random.default_rng(17)
+    s = np.sort(rng.standard_normal(20_001) - (where != "last") * 0.1)
+    if where == "last":
+        l = np.sort(np.append(0.7 * rng.standard_normal(28_000), s[-1] + 1.0 + rng.random(12_000)))
+    else:
+        l = np.sort(rng.standard_normal(40_000) + 0.1)
+    masses = [None, None]
+    if weighted:
+        masses = [w / w.sum() for w in (rng.uniform(0.05, 1.0, v.size) for v in (s, l))]
+    cs, cl = (Projected1D(v, w).cum for v, w in zip((s, l), masses))
+    below = np.searchsorted(l, s)
+    sup = np.maximum(cs[1:] - cl[below], cl[below] - cs[:-1]).argmax()
+    if where == "last":
+        k = s.size - 1
+        assert sup == k and k % projections._BLOCK == 0
+    else:
+        k = np.abs(s + 2.5).argmin() if where == "pruned" else sup
+        k += k % projections._BLOCK == 0  # a block's first atom is always searched
+    if pair == "signed-zero":
+        s, l = s - s[k], l - s[k]
+        s[k] = -0.0
+    l[np.abs(l - s[k]).argmin()] = s[k] + (0.5e-12 if pair == "5e-13" else 0.0)
+    assert np.all(np.diff(s) > 0.0) and np.all(np.diff(l) > 0.0)
+    return Projected1D(s, masses[0]), Projected1D(l, masses[1]), s[k]
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("where", ["pruned", "searched", "last"])
+@pytest.mark.parametrize("pair", ["tie", "signed-zero", "5e-13"])
+def test_blocked_search_with_a_planted_near_pair(pair, where, weighted):
+    # a near pair in a block whose bound cannot beat the best gap stays
+    # unsearched and leaves the blocked answer exact; one at a searched atom,
+    # a block's first atom included, sends the pair to the full search and
+    # the grouped grid
+    s, l, planted = _planted(pair, where, weighted)
+    assert s.wide and l.wide and s.values.size >= BLOCKED_FROM
+    assert ref_merged_cdfs(s, l)[0].size == s.values.size + l.values.size - 1
+    for x, y in ((s, l), (l, s)):
+        d, path, checked = ks_with_path(x, y)
+        assert bits(d) == bits(ref_ks(x, y))
+        if where == "pruned":
+            assert path == ["_blocked"]
+            assert planted not in checked
+        else:
+            assert path == ["_blocked", "_full", "_grouped"]
+
+
+def test_blocked_search_bounds_a_block_by_the_next_blocks_first_atom():
+    # S on 0..4095 and L two atoms in each gap, moved so that F_S - F_L is
+    # 32/m just after S's atom 31, the last of the first block, with no atom
+    # of L below it, and 31.5/m just after atom 64, the first of the third
+    # block: the first block is searched only if its bound reads F_S at the
+    # next block's first atom, 32/m, not at its own last atom, 31/m
+    m = 4096
+    s = np.arange(m, dtype=float)
+    grid = np.concatenate([s + 1 / 3, s + 2 / 3])
+    l = np.concatenate([grid[(grid > 32) & ((grid < 33) | (grid > 64))], [33.5],
+                        31 + np.arange(1, 9) / 16, 32 + np.arange(1, 57) / 64,
+                        64 + np.arange(1, 62) / 64])
+    a, b = law(s), law(l)
+    below = np.searchsorted(b.values, a.values)
+    gaps = np.maximum(a.cum[1:] - b.cum[below], b.cum[below] - a.cum[:-1]) * m
+    assert b.values.size == 2 * m and gaps.argmax() == 31 and gaps.max() == 32.0
+    assert gaps[::projections._BLOCK].max() == 31.5
+    for x, y in ((a, b), (b, a)):
+        d, path, _ = ks_with_path(x, y)
+        assert path == ["_blocked"]
+        assert bits(d) == bits(ref_ks(x, y)) == bits(32.0 / m)
+
+
+@pytest.mark.parametrize("chained", ["small", "large"])
+def test_blocked_search_not_taken_by_a_chained_law(chained):
+    # two atoms of one law 1.5e-12 apart, within 2 * MERGE_TOL, and an atom
+    # of the other between them: the three form one pooled group, whose
+    # running sums need not equal either law's own cum, so the law with the
+    # pair is not wide and every atom is searched
+    rng = np.random.default_rng(23)
+    s = np.sort(rng.standard_normal(20_000))
+    l = np.sort(0.2 + rng.standard_normal(40_000))
+    at = -2.5
+    if chained == "small":
+        s[np.abs(s - at).argmin()], l[np.abs(l - at).argmin()] = at, at + 0.75e-12
+        s = np.append(s, at + 1.5e-12)
+    else:
+        l[np.abs(l - at).argmin()], s[np.abs(s - at).argmin()] = at, at + 0.75e-12
+        l = np.append(l, at + 1.5e-12)
+    a, b = law(s), law(l)
+    assert [a.wide, b.wide] == [chained != "small", chained == "small"]
+    assert ref_merged_cdfs(a, b)[0].size == a.values.size + b.values.size - 2
+    for x, y in ((a, b), (b, a)):
+        d, path, _ = ks_with_path(x, y)
+        assert path == ["_full", "_grouped"]
+        assert bits(d) == bits(ref_ks(x, y))
 
 
 @pytest.mark.parametrize("m, n, weighted", [
