@@ -10,8 +10,7 @@ import numpy as np
 
 from cwkit import (Cap, Direction, Gaussian, MixedMoments, RankDeficient,
                    homogeneous_dim, mixed_moments_of, mixed_to_directional,
-                   multi_indices, multi_indices_upto, reconstruct_mixed, rm_residual,
-                   sample_in_region)
+                   multi_indices_upto, reconstruct_mixed, rm_residual, sample_in_region)
 
 d, m = 3, 4
 dim = homogeneous_dim(d, m)
@@ -19,18 +18,20 @@ print(f"degree {m} in {d} variables: {dim} mixed moments to recover")
 
 # --- forward map, then invert ------------------------------------------------
 rng = np.random.default_rng(1)
-truth = dict(zip(multi_indices(d, m), rng.uniform(-1, 1, dim)))
-table = {a: 0.0 for a in multi_indices_upto(d, m)}
-table[(0,) * d] = 1.0
-table.update(truth)
-mm = MixedMoments(dim=d, max_order=m, table=table)
+truth = rng.uniform(-1, 1, dim)  # the degree-m moments, in the order of multi_indices(d, m)
+# a table is one array over every |alpha| <= m in graded order: mu_0 = 1
+# first, lower orders zero here, and the degree-m moments last
+values = np.zeros(len(multi_indices_upto(d, m)))
+values[0] = 1.0
+values[-dim:] = truth
+mm = MixedMoments(dim=d, max_order=m, values=values)
 
 cap = Cap(Direction(np.array([1.0, 0.0, 0.0])), np.pi / 3)
 directions = sample_in_region(cap, dim + 5, seed=2)
 observations = [(u, mixed_to_directional(mm, u, m)) for u in directions]
 
 rec = reconstruct_mixed(observations, d, m)
-err = max(abs(rec.coefficients[i] - truth[a]) for i, a in enumerate(rec.exponents))
+err = np.max(np.abs(rec.coefficients - truth))  # rec.exponents are multi_indices(d, m)
 print(f"recovered all {dim} coefficients from {len(observations)} cap directions; "
       f"max abs error {err:.2e}")
 print(f"design condition number {rec.condition_number:.1f}, residual {rec.residual_norm:.1e}")

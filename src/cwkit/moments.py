@@ -19,14 +19,15 @@ rank-deficient, which is reported as such rather than silently solved.
 
 Multi-indices are plain int tuples, enumerated in graded lexicographic
 order everywhere (grades ascending; within a grade, lexicographically
-descending, e.g. d=2, m=2: (2,0), (1,1), (0,2)).
+descending, e.g. d=2, m=2: (2,0), (1,1), (0,2)). A mixed-moment table is
+one array in that order, from its build to the moment match.
 """
 
 import functools
 import itertools
 import math
-from array import array
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -79,10 +80,7 @@ def multi_indices(d, m):
 
 def multi_indices_upto(d, max_order):
     """Graded lexicographic enumeration of all |alpha| <= max_order."""
-    out = []
-    for m in range(max_order + 1):
-        out.extend(multi_indices(d, m))
-    return out
+    return [alpha for m in range(max_order + 1) for alpha in multi_indices(d, m)]
 
 
 def _top_power(m):
@@ -96,18 +94,18 @@ def _prefix_walk(d, m):
     """Depth-first order of every |alpha| <= m in which each alpha comes
     after its prefix, alpha with its last nonzero part dropped.
 
-    A flat array('i') of four entries per alpha: the row of its prefix, the
-    row of the power that multiplies it, alpha's position in
-    ``multi_indices_upto(d, m)``, and the stack row that keeps alpha's own
-    row for longer alphas; -1 means no row. Rows number the min(d, m) - 1
-    stack rows first, then the power table: x_j^k is row
+    A tuple of one record per alpha, (prefix, power, position, keep): the
+    row of its prefix, the row of the power that multiplies it, alpha's
+    position in ``multi_indices_upto(d, m)``, and the stack row that keeps
+    alpha's own row for longer alphas; -1 means no row. Rows number the
+    min(d, m) - 1 stack rows first, then the power table: x_j^k is row
     stack + j * top + k - 1, k <= top = _top_power(m). alpha = 0 comes first
     and has no rows (its row is all ones). An alpha with one nonzero part
     has no prefix and copies its power, except x_j^m, which multiplies
-    x_j^(m-1) by x_j. Shared by every caller: read it only."""
+    x_j^(m-1) by x_j."""
     position = {alpha: i for i, alpha in enumerate(multi_indices_upto(d, m))}
     stack_rows, top = max(min(d, m) - 1, 0), _top_power(m)
-    walk = array("i", (-1, -1, 0, -1))
+    walk = [(-1, -1, 0, -1)]
 
     def visit(alpha, depth, first, total):
         for j in range(first, d):
@@ -116,16 +114,22 @@ def _prefix_walk(d, m):
                 longer = alpha[:j] + (a,) + alpha[j + 1:]
                 keep = depth if j < d - 1 and total + a < m else -1
                 if depth:
-                    walk.extend((depth - 1, power + a, position[longer], keep))
+                    walk.append((depth - 1, power + a, position[longer], keep))
                 elif a > top:
-                    walk.extend((power + a - 1, power + 1, position[longer], keep))
+                    walk.append((power + a - 1, power + 1, position[longer], keep))
                 else:
-                    walk.extend((-1, power + a, position[longer], keep))
+                    walk.append((-1, power + a, position[longer], keep))
                 if keep >= 0:
                     visit(longer, depth + 1, j + 1, total + a)
 
     visit((0,) * d, 0, 0, 0)
-    return walk
+    return tuple(walk)
+
+
+def _order_slice(d, m):
+    # where the |alpha| = m entries sit in a graded table: after the
+    # C(d + m - 1, d) entries of lower order
+    return slice(math.comb(d + m - 1, d), math.comb(d + m, d))
 
 
 def multinomial(m, alpha):
@@ -297,8 +301,27 @@ def moment_sequence(source, u, max_order):
 
 
 def _monomial_moments(source, max_order):
-    # means and standard errors of the monomials x^alpha, |alpha| <= max_order,
-    # in graded order (see MixedMoments.from_sample)
+    """Means of the monomials x^alpha, |alpha| <= max_order, of an Empirical
+    in graded order, with a sample's standard errors std(x^alpha) / sqrt(n)
+    from the same monomials (None for a weighted measure).
+
+    The monomial rows are built in the order of ``_prefix_walk``, each
+    as one product: the row of alpha with its last nonzero part dropped
+    (kept on a stack of at most min(d, m) - 1 rows) times the power
+    x_j^{alpha_j} from a table of powers. That is the product
+    x_0^{alpha_0} x_1^{alpha_1} ... taken left to right, so every row is
+    bit-equal to multiplying it up one factor at a time; the table stops
+    at x_j^{m-1}, and the row of x_j^m is made as x_j^{m-1} x_j, which is
+    how the table would have made it. Rows go into blocks of about
+    _BLOCK_BYTES (one row when n is larger), and each block is reduced
+    at once: one ``expect`` over its rows puts their means in walk
+    order, then, for a sample, one ``np.add.reduce`` of the centred
+    squares puts their sums beside them. After the last block every
+    standard error is finished at once, in np.std's order of operations
+    (/ n, sqrt) and / sqrt(n), and both arrays are put in graded order
+    once. Each step is elementwise or a row's own pairwise sum, so every
+    value is bit-equal to building and reducing the rows one alpha at a
+    time."""
     points, dim, n = source.points, source.dim, source.n
     top = _top_power(max_order)
     # power table: x_j^k for k = 1..top, one contiguous row each
@@ -311,19 +334,16 @@ def _monomial_moments(source, max_order):
     # costs less than an array's
     rows = list(np.empty((max(min(dim, max_order) - 1, 0), n))) + list(pows.reshape(-1, n))
     walk = _prefix_walk(dim, max_order)
-    count = len(walk) // 4
-    positions = np.frombuffer(walk, dtype=np.intc)[2::4]
+    count = len(walk)
     per_block = max(1, _BLOCK_BYTES // points.itemsize // n)
     block = np.empty((min(per_block, count), n))
     # both in walk order until the loop ends; errs holds the centred sums of squares
-    means = np.empty(count)
-    errs = np.empty(count)
-    steps = zip(*[iter(walk)] * 4)
+    means, errs = np.empty(count), np.empty(count)
+    steps = iter(walk)
     for start in range(0, count, per_block):
         stop = min(start + per_block, count)
         monos = block[:stop - start]
-        for row in monos:
-            prefix, power, _, keep = next(steps)
+        for row, (prefix, power, _, keep) in zip(monos, steps):
             # a prefix row is made on the stack, then copied into the block
             out = rows[keep] if keep >= 0 else row
             if prefix >= 0:
@@ -348,68 +368,54 @@ def _monomial_moments(source, max_order):
         errs /= n
         np.sqrt(errs, out=errs)
         errs /= np.sqrt(n)
-    table, se = np.empty(count), np.empty(count)
-    table[positions], se[positions] = means, errs
-    return table, se
+    positions = np.array([position for _, _, position, _ in walk])
+    values, se = np.empty(count), np.empty(count)
+    values[positions], se[positions] = means, errs
+    return values, se if source.weights is None else None
 
 
 @dataclass(frozen=True, eq=False)
 class MixedMoments:
-    """Complete table of mixed moments mu_alpha for all |alpha| <= max_order,
-    with the Monte-Carlo standard error ``se`` of each mu_alpha estimated from
-    a sample (empty for exact sources)."""
+    """Complete table of mixed moments mu_alpha for all |alpha| <= max_order:
+    ``values``, one read-only array in the order of
+    ``multi_indices_upto(dim, max_order)``, and ``se``, the Monte-Carlo
+    standard error of each mu_alpha estimated from a sample, in the same
+    order (None for exact sources)."""
 
     dim: int
     max_order: int
-    table: dict
-    se: dict = field(init=False, default_factory=dict)
+    values: np.ndarray
+    se: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
-        expected = multi_indices_upto(self.dim, self.max_order)
-        missing = [a for a in expected if a not in self.table]
-        if missing:
-            raise ValueError(f"table incomplete: missing {missing[:3]}...")
-        zero = (0,) * self.dim
-        if abs(self.table[zero] - 1.0) > 1e-9:
+        values = _freeze(self.values)
+        size = len(multi_indices_upto(self.dim, self.max_order))  # C(dim + max_order, dim)
+        if values.shape != (size,):
+            raise ValueError(f"need the {size} moments of |alpha| <= max_order in graded order")
+        if not abs(values[0] - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError("mu_0 must equal 1")
-        object.__setattr__(self, "table", {a: float(v) for a, v in self.table.items()})
+        object.__setattr__(self, "values", values)
+
+    @property
+    def table(self):
+        """A read-only {alpha: mu_alpha} view of ``values``, built on each access."""
+        alphas = multi_indices_upto(self.dim, self.max_order)
+        return MappingProxyType(dict(zip(alphas, self.values.tolist())))
 
     def order_values(self, m):
-        """Values at |alpha| = m, aligned with multi_indices(dim, m)."""
-        if m > self.max_order:
-            raise OrderExceeded(f"order {m} exceeds max_order={self.max_order}")
-        return np.array([self.table[a] for a in multi_indices(self.dim, m)])
+        """Values at |alpha| = m, aligned with multi_indices(dim, m): a read-only slice."""
+        if not 0 <= m <= self.max_order:
+            raise OrderExceeded(f"order {m} is not in 0..max_order={self.max_order}")
+        return self.values[_order_slice(self.dim, m)]
 
     @classmethod
     def from_sample(cls, source, max_order):
         """Mixed moments of an Empirical: empirical for a sample, exact for
-        a weighted measure, with a sample's standard errors std(x^alpha) /
-        sqrt(n) from the same monomials.
-
-        The monomial rows are built in the order of ``_prefix_walk``, each
-        as one product: the row of alpha with its last nonzero part dropped
-        (kept on a stack of at most min(d, m) - 1 rows) times the power
-        x_j^{alpha_j} from a table of powers. That is the product
-        x_0^{alpha_0} x_1^{alpha_1} ... taken left to right, so every row is
-        bit-equal to multiplying it up one factor at a time; the table stops
-        at x_j^{m-1}, and the row of x_j^m is made as x_j^{m-1} x_j, which is
-        how the table would have made it. Rows go into blocks of about
-        _BLOCK_BYTES (one row when n is larger), and each block is reduced
-        at once: one ``expect`` over its rows puts their means in walk
-        order, then, for a sample, one ``np.add.reduce`` of the centred
-        squares puts their sums beside them. After the last block every
-        standard error is finished at once, in np.std's order of operations
-        (/ n, sqrt) and / sqrt(n), and both arrays are put in graded order
-        once. Each step is elementwise or a row's own pairwise sum, so every
-        value is bit-equal to building and reducing the rows one alpha at a
-        time."""
-        # the work arrays are freed before the tables are made, so their
-        # memory is not held twice
-        means, errs = _monomial_moments(source, max_order)
-        alphas = multi_indices_upto(source.dim, max_order)
-        mm = cls(dim=source.dim, max_order=max_order, table=dict(zip(alphas, means.tolist())))
-        if source.weights is None:
-            object.__setattr__(mm, "se", dict(zip(alphas, errs.tolist())))
+        a weighted measure, with a sample's standard errors (see
+        ``_monomial_moments``)."""
+        values, se = _monomial_moments(source, max_order)
+        mm = cls(source.dim, max_order, values)
+        object.__setattr__(mm, "se", se if se is None else _freeze(se))
         return mm
 
     from_atomic = from_sample  # older name for weighted sources

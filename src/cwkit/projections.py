@@ -40,7 +40,9 @@ agrees with the pooled x-space sum to that and rounding, not bit for bit.
 direction it projects and accumulates the target once. A sample whose
 projection merges no atoms has cumulative masses that depend on n alone;
 the pass builds them once per n, and W1's pieces for two such laws once per
-pair of sizes, and drops both when it returns.
+pair of sizes, and drops both when it returns. An exact measure whose
+masses all equal 1/n is the same law as the sample of its atoms, and the
+pass reads it as one.
 
 Directions still go one at a time. One GEMM over all directions was
 measured against the per-direction matrix-vector products it would replace
@@ -446,6 +448,7 @@ def distance_traces(sequence, target, directions, metric="ks"):
     One pass: along each direction the target is projected once; unmerged
     samples' cumulative masses are built once per size n, and W1's plan of two
     such laws once per (n_a, n_b), for the whole pass, then dropped with it.
+    An exact measure whose masses all equal 1/n takes the sample's path.
     Each distance equals ``ks_distance`` or ``wasserstein1`` of the
     ``project``-ed laws, bit for bit.
     """
@@ -456,11 +459,14 @@ def distance_traces(sequence, target, directions, metric="ks"):
     uniform, plans = {}, {}
     fn = ks_distance if metric == "ks" else lambda a, b: _w1(a, b, plans)
     sizes = np.asarray([elem.n for elem in sequence])
+    # masses all exactly 1/n: the sample of the same atoms, bit for bit
+    weights = [None if w is not None and np.all(w == 1.0 / w.size) else w
+               for w in [target.weights] + [elem.weights for elem in sequence]]
     traces = []
     for u in directions:
-        proj_target = _law(_projection(target, u), target.weights, uniform)
-        dists = [fn(_law(_projection(elem, u), elem.weights, uniform), proj_target)
-                 for elem in sequence]
+        proj_target = _law(_projection(target, u), weights[0], uniform)
+        dists = [fn(_law(_projection(elem, u), w, uniform), proj_target)
+                 for elem, w in zip(sequence, weights[1:])]
         traces.append(DistanceTrace(direction=u, metric=metric, sizes=sizes,
                                     distances=np.asarray(dists)))
     return traces

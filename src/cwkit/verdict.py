@@ -38,7 +38,7 @@ from . import gallery
 from .directions import (DEFAULT_FRAME_TAU, FiniteSet, extract_frame, frame_constant,
                          region_directions)
 from .errors import BudgetExhausted, DimensionMismatch, InsufficientRank
-from .moments import jsonsafe, multi_indices
+from .moments import _order_slice, jsonsafe, multi_indices
 from .projections import METRICS, DistanceTrace, Empirical, _projection, distance_traces
 from .rng import STREAM_REFERENCE, substream
 
@@ -280,21 +280,20 @@ def moment_match(target, q_source, max_order, per_order_tolerances=None,
     q_mm = gallery.mixed_moments_of(q_source, max_order)
     if p_mm.dim != q_mm.dim:
         raise DimensionMismatch(f"target dim {p_mm.dim} != candidate dim {q_mm.dim}")
+    q_se = np.zeros(q_mm.values.size) if q_mm.se is None else q_mm.se
     rows = []
     for m in range(1, max_order + 1):
-        alphas = multi_indices(p_mm.dim, m)
-        disc = np.array([abs(p_mm.table[a] - q_mm.table[a]) for a in alphas])
+        order = _order_slice(p_mm.dim, m)
+        disc = np.abs(p_mm.values[order] - q_mm.values[order])
         if per_order_tolerances is not None:
-            tols = np.full(len(alphas), float(per_order_tolerances[m - 1]))
+            tols = np.full(disc.size, float(per_order_tolerances[m - 1]))
         else:
-            tols = np.array([max(se_multiplier * q_mm.se.get(a, 0.0), 1e-9)
-                             for a in alphas])
-        ratios = disc / tols
-        worst = int(np.argmax(ratios))
+            tols = np.maximum(se_multiplier * q_se[order], 1e-9)
+        worst = int(np.argmax(disc / tols))
         rows.append(MomentMatchRow(
             order=m,
             max_abs_discrepancy=float(disc.max()),
-            worst_alpha=alphas[worst],
+            worst_alpha=multi_indices(p_mm.dim, m)[worst],
             tolerance=float(tols[worst]),
             passed=bool(np.all(disc <= tols)),
         ))

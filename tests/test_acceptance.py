@@ -44,7 +44,7 @@ def test_criterion_1_moment_round_trip():
             table = {a: 0.0 for a in multi_indices_upto(d, m)}
             table[(0,) * d] = 1.0
             table.update(target)
-            mm = MixedMoments(dim=d, max_order=m, table=table)
+            mm = MixedMoments(dim=d, max_order=m, values=list(table.values()))
             dirs = sample_in_region(cap, dim + 5, seed=77 * d + m)
             obs = [(u, mixed_to_directional(mm, u, m)) for u in dirs]
             rec = reconstruct_mixed(obs, d, m)

@@ -462,7 +462,7 @@ class TestSubcommands:
         table[(2, 0)] = 0.25
         table[(1, 1)] = -0.5
         table[(0, 2)] = 1.5
-        mm = MixedMoments(dim=2, max_order=2, table=table)
+        mm = MixedMoments(dim=2, max_order=2, values=list(table.values()))
         obs = tmp_path / "obs.csv"
         lines = []
         for u in sample_uniform(2, 8, seed=3):

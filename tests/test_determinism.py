@@ -35,12 +35,12 @@ for r in report.h1_results:
 rng = np.random.default_rng(4)
 w = rng.uniform(0.5, 1.5, 30_000)
 measure = Empirical(rng.standard_normal((30_000, 2)), w / w.sum())
-table = MixedMoments.from_sample(measure, 4).table
-print([float(v).hex() for v in table.values()])
+table = MixedMoments.from_sample(measure, 4)
+print([float(v).hex() for v in table.values])
 
 sample = MixedMoments.from_sample(Empirical(rng.standard_normal((30_000, 2))), 4)
-print([float(v).hex() for v in sample.table.values()])
-print([float(v).hex() for v in sample.se.values()])
+print([float(v).hex() for v in sample.values])
+print([float(v).hex() for v in sample.se])
 """
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

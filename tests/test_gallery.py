@@ -15,6 +15,12 @@ from cwkit.projections import Empirical, ks_distance, project
 from cwkit.rng import STREAM_GALLERY, substream
 
 
+def table_of(law, max_order):
+    # {alpha: value} of a law's graded mixed-moment array
+    values = law.mixed_moment_table(max_order)
+    return dict(zip(multi_indices_upto(law.dim, max_order), values.tolist(), strict=True))
+
+
 def e1(d=2):
     v = np.zeros(d)
     v[0] = 1.0
@@ -111,20 +117,20 @@ def random_gaussian(seed, d):
 
 class TestGaussianOracle:
     def test_isserlis_base_cases(self):
-        t = Gaussian.standard(2).mixed_moment_table(4)
+        t = table_of(Gaussian.standard(2), 4)
         assert t[(2, 0)] == pytest.approx(1.0, abs=1e-14)
         assert t[(1, 1)] == pytest.approx(0.0, abs=1e-14)
         assert t[(4, 0)] == pytest.approx(3.0, abs=1e-12)
 
     def test_pair_count_double_factorial(self):
-        t = Gaussian.standard(2).mixed_moment_table(8)
+        t = table_of(Gaussian.standard(2), 8)
         for m in (1, 2, 3, 4):
             assert t[(2 * m, 0)] == pytest.approx(float(mpmath.fac2(2 * m - 1)), rel=1e-12)
 
     def test_against_monte_carlo(self):
         cov = np.array([[1.0, 0.3], [0.3, 0.5]])
         g = Gaussian(np.array([0.2, -0.1]), cov)
-        t = g.mixed_moment_table(4)
+        t = table_of(g, 4)
         s = sample(g, 10**6, seed=9)
         for alpha in [(1, 0), (1, 1), (2, 0), (2, 2), (3, 1), (4, 0)]:
             mono = s.points[:, 0] ** alpha[0] * s.points[:, 1] ** alpha[1]
@@ -135,14 +141,14 @@ class TestGaussianOracle:
         # E[x^alpha] = prod (alpha_i - 1)!! for the standard law, 0 when some
         # alpha_i is odd; past the old pairing sum's order cap of 8
         start = time.process_time()
-        table = Gaussian.standard(8).mixed_moment_table(12)
-        print(f"d = 8, order 12: {len(table)} entries in {time.process_time() - start:.3f} s CPU")
+        values = Gaussian.standard(8).mixed_moment_table(12)
+        print(f"d = 8, order 12: {len(values)} entries in {time.process_time() - start:.3f} s CPU")
         alphas = multi_indices_upto(8, 12)
-        assert list(table) == alphas
+        assert values.shape == (len(alphas),)
         expected = [0.0 if any(a % 2 for a in alpha)
                     else float(math.prod(math.prod(range(a - 1, 0, -2)) for a in alpha))
                     for alpha in alphas]
-        assert np.array(list(table.values())).tobytes() == np.array(expected).tobytes()
+        assert values.tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_law_matches_pairing_sum(self, seed):
@@ -152,7 +158,7 @@ class TestGaussianOracle:
         cov = [[Fraction(x) for x in row] for row in g.cov.tolist()]
         abs_mean = [abs(x) for x in mean]
         abs_cov = [[abs(x) for x in row] for row in cov]
-        table = g.mixed_moment_table(8)
+        table = table_of(g, 8)
         for alpha in multi_indices_upto(3, 8):
             idx = tuple(i for i, a in enumerate(alpha) for _ in range(a))
             exact = pairing_sum(mean, cov, idx)
@@ -179,12 +185,22 @@ class TestGaussianOracle:
         return table
 
     @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("d, order", [(3, 8), (8, 6)])
+    @pytest.mark.parametrize("d, order", [(3, 8), (8, 6), (1, 7), (2, 1), (4, 0)])
     def test_random_law_bit_equal_to_dict_recursion(self, seed, d, order):
         g = random_gaussian(seed, d)
-        table = g.mixed_moment_table(order)
+        table = table_of(g, order)
         expected = self.dict_reference(g, order)
         assert list(table) == list(expected)
+        assert np.array(list(table.values())).tobytes() == np.array(list(expected.values())).tobytes()
+
+    def test_signed_zeros_bit_equal_to_dict_recursion(self):
+        # zero and -0.0 means with uncorrelated coordinates give -0.0 entries,
+        # which the grade-at-a-time recursion must keep as the scalar one does
+        cov = np.array([[1.0, 0.0, -0.3], [0.0, 2.0, 0.0], [-0.3, 0.0, 0.5]])
+        g = Gaussian(np.array([-0.0, 0.0, -0.5]), cov)
+        table = table_of(g, 7)
+        expected = self.dict_reference(g, 7)
+        assert any(math.copysign(1.0, v) < 0 for v in expected.values() if v == 0.0)
         assert np.array(list(table.values())).tobytes() == np.array(list(expected.values())).tobytes()
 
     def test_table_and_closed_form_directional_moments_agree(self):
@@ -253,7 +269,7 @@ class TestGaussianOracle:
         # sampler must then see the one symmetrised law
         g = Gaussian(np.zeros(2), np.array([[1.0, 0.3], [0.300001, 1.0]]))
         assert g.cov.tobytes() == g.cov.T.tobytes()
-        assert g.mixed_moment_table(2)[(1, 1)] == g.cov[0, 1]
+        assert table_of(g, 2)[(1, 1)] == g.cov[0, 1]
         chol = np.linalg.cholesky(g.cov)
         assert (chol @ chol.T)[0, 1] == pytest.approx(g.cov[0, 1], rel=1e-15)
         sym = np.array([[2.0, 0.6], [0.6, 1.0]])
@@ -318,7 +334,7 @@ class TestLawParameters:
 
 class TestLognormalOracle:
     def test_single_coordinate_closed_form(self):
-        t = ProductLognormal.standard(3).mixed_moment_table(2)
+        t = table_of(ProductLognormal.standard(3), 2)
         assert t[(2, 0, 0)] == pytest.approx(math.e**2, rel=1e-12)
         assert t[(1, 1, 0)] == pytest.approx(math.e, rel=1e-12)
 
@@ -326,7 +342,7 @@ class TestLognormalOracle:
         # independent float evaluation at orders where nothing overflows
         ln = ProductLognormal(np.array([0.1, -0.2]), np.array([0.5, 0.3]))
         u = Direction.from_vector([1.0, 2.0])
-        table = ln.mixed_moment_table(4)
+        table = table_of(ln, 4)
         for m in (1, 2, 3, 4):
             brute = 0.0
             for alpha in multi_indices(2, m):

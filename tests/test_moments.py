@@ -261,9 +261,9 @@ class TestMixedToDirectional:
             assert mixed_to_directional(mm, u, 1) == pytest.approx(float(mean @ u.coords), abs=1e-14)
 
     def test_isotropic_second_order(self):
-        mm = MixedMoments(dim=2, max_order=2,
-                          table={(0, 0): 1.0, (1, 0): 0.0, (0, 1): 0.0,
-                                 (2, 0): 1.0, (1, 1): 0.0, (0, 2): 1.0})
+        table = {(0, 0): 1.0, (1, 0): 0.0, (0, 1): 0.0, (2, 0): 1.0, (1, 1): 0.0, (0, 2): 1.0}
+        assert list(table) == multi_indices_upto(2, 2)
+        mm = MixedMoments(dim=2, max_order=2, values=list(table.values()))
         for u in sample_uniform(2, 6, seed=1):
             assert mixed_to_directional(mm, u, 2) == pytest.approx(1.0, abs=1e-12)
 
@@ -279,7 +279,7 @@ class TestMixedToDirectional:
             assert via_mm == pytest.approx(direct, abs=1e-12)
 
     def test_order_exceeded(self):
-        mm = MixedMoments(dim=2, max_order=1, table={(0, 0): 1.0, (1, 0): 0.0, (0, 1): 0.0})
+        mm = MixedMoments(dim=2, max_order=1, values=[1.0, 0.0, 0.0])
         with pytest.raises(OrderExceeded):
             mixed_to_directional(mm, Direction(np.array([1.0, 0.0])), 2)
 
@@ -290,14 +290,15 @@ class TestStandardErrors:
         # from exponent 3 on the two round differently in the last bits
         pts = np.random.default_rng(8).standard_normal((2000, 4))
         mm = MixedMoments.from_sample(Empirical(pts), 6)
-        assert set(mm.se) == set(multi_indices_upto(4, 6))
-        for alpha in multi_indices_upto(4, 6):
+        alphas = multi_indices_upto(4, 6)
+        assert mm.se.shape == (len(alphas),)
+        for alpha, se in zip(alphas, mm.se.tolist()):
             mono = np.ones(pts.shape[0])
             for j, a in enumerate(alpha):
                 if a:
                     mono = mono * pts[:, j] ** a
             expected = np.std(mono) / np.sqrt(pts.shape[0])
-            assert abs(mm.se[alpha] - expected) <= 1e-12 * expected
+            assert abs(se - expected) <= 1e-12 * expected
 
     @staticmethod
     def loop_reference(source, max_order):
@@ -345,18 +346,21 @@ class TestStandardErrors:
             source = Empirical(pts)
         mm = MixedMoments.from_sample(source, order)
         table, se = self.loop_reference(source, order)
-        assert list(mm.table) == list(table) and list(mm.se) == list(se)
+        mm_se = ({} if mm.se is None
+                 else dict(zip(multi_indices_upto(d, order), mm.se.tolist(), strict=True)))
+        assert list(mm.table) == list(table) and list(mm_se) == list(se)
         assert np.array(list(mm.table.values())).tobytes() == np.array(list(table.values())).tobytes()
-        assert np.array(list(mm.se.values())).tobytes() == np.array(list(se.values())).tobytes()
+        assert mm.values.tobytes() == np.array(list(table.values())).tobytes()
+        assert np.array(list(mm_se.values())).tobytes() == np.array(list(se.values())).tobytes()
 
     def test_exact_sources_have_none(self):
         rng = np.random.default_rng(3)
-        assert MixedMoments.from_sample(random_atomic(rng, 3, 5), 4).se == {}
-        assert mixed_moments_of(Gaussian.standard(2), 4).se == {}
-        table = {(0, 0): 1.0, (1, 0): 0.0, (0, 1): 0.0}
-        assert MixedMoments(dim=2, max_order=1, table=table).se == {}
+        assert MixedMoments.from_sample(random_atomic(rng, 3, 5), 4).se is None
+        assert mixed_moments_of(Gaussian.standard(2), 4).se is None
+        values = [1.0, 0.0, 0.0]
+        assert MixedMoments(dim=2, max_order=1, values=values).se is None
         with pytest.raises(TypeError):
-            MixedMoments(dim=2, max_order=1, table=table, se={})
+            MixedMoments(dim=2, max_order=1, values=values, se=None)
 
 
 class TestReconstruct:
@@ -371,7 +375,7 @@ class TestReconstruct:
         full = {a: 0.0 for a in multi_indices_upto(d, m)}
         full[(0,) * d] = 1.0
         full.update(table)
-        mm = MixedMoments(dim=d, max_order=m, table=full)
+        mm = MixedMoments(dim=d, max_order=m, values=list(full.values()))
         dirs = self.cap_directions(d, dim + 5, seed=100 * d + m)
         obs = [(u, mixed_to_directional(mm, u, m)) for u in dirs]
         rec = reconstruct_mixed(obs, d, m)

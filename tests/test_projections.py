@@ -644,7 +644,7 @@ def _crossing_laws(m, n, weighted, seed, wide):
     (10000, 12000, True, True), (3000, 6000, False, True), (50000, 100000, False, True),
     (50000, 100000, True, True),
 ])
-def test_search_ranks_on_both_sides_of_the_crossover(m, n, weighted, wide):
+def test_ties_signed_zeros_and_chains_bit_equal_on_blocked_and_full_paths(m, n, weighted, wide):
     # the smaller law is searched block by block from BLOCKED_FROM atoms on,
     # when both laws are wide; there the exact ties are found among the
     # searched atoms, and the pair goes to the full search. Either way, exact
@@ -840,6 +840,75 @@ def test_w1_trace_pass_equals_each_pair(target_weighted):
         want = [wasserstein1(project(elem, u), project(target, u)) for elem in sequence]
         assert bits(tr.distances) == bits(want)
         assert bits(distance_trace(sequence, target, u, "w1").distances) == bits(want)
+
+
+def _traces_with_spies(sequence, target, directions, metric):
+    # distance_traces' traces, the sizes of the cumulative masses of each
+    # quantile plan it built, and whether each law it made was handed weights
+    plans, weighted = [], []
+
+    def plan(cum_a, cum_b):
+        plans.append((cum_a.size, cum_b.size))
+        return _quantile_plan(cum_a, cum_b)
+
+    def law_of(column, weights, uniform):
+        weighted.append(weights is not None)
+        return law_fn(column, weights, uniform)
+
+    law_fn = projections._law
+    with mock.patch.multiple(projections, _quantile_plan=plan, _law=law_of):
+        traces = distance_traces(sequence, target, directions, metric)
+    return [bits(tr.distances) for tr in traces], plans, weighted
+
+
+def _equal_masses(cloud):
+    # the exact measure of mass 1/n on each row of a cloud of distinct rows
+    return Empirical(cloud.points, np.full(cloud.n, 1.0 / cloud.n))
+
+
+@pytest.mark.parametrize("metric", ["ks", "w1"])
+def test_equal_mass_measures_take_the_sample_path(metric):
+    # an exact measure whose masses all equal 1/n is read as the sample of its
+    # atoms: the same distances bit for bit, no law of it handed weights, and
+    # for W1 one quantile plan per pair of sizes for the whole pass
+    rng = np.random.default_rng(31)
+    sequence = [_cloud(rng, n, False) for n in (300, 1200, 300, 2000)]
+    target = _cloud(rng, 900, False)
+    directions = sample_uniform(2, 5, seed=6)
+    want, want_plans, _ = _traces_with_spies(sequence, target, directions, metric)
+    for seq, tgt in (([_equal_masses(e) for e in sequence], _equal_masses(target)),
+                     (sequence, _equal_masses(target)),
+                     ([sequence[0], _equal_masses(sequence[1]), *sequence[2:]], target)):
+        got, plans, weighted = _traces_with_spies(seq, tgt, directions, metric)
+        assert got == want
+        assert not any(weighted)
+        assert sorted(plans) == sorted(want_plans)
+        assert len(plans) == len(set(plans)) == (3 if metric == "w1" else 0)
+
+
+@pytest.mark.parametrize("metric", ["ks", "w1"])
+def test_unequal_masses_take_the_weighted_path(metric):
+    # masses one ulp off 1/n, and masses that merely sum to 1, leave the
+    # measure weighted: each of its laws is handed its weights, and W1 builds
+    # a plan for every pair that holds it
+    rng = np.random.default_rng(37)
+    sequence = [_cloud(rng, n, False) for n in (300, 1200)]
+    cloud = _cloud(rng, 900, False)
+    nudged = np.full(cloud.n, 1.0 / cloud.n)
+    nudged[0] = np.nextafter(nudged[0], 1.0)
+    nudged[1] = np.nextafter(nudged[1], 0.0)
+    directions = sample_uniform(2, 4, seed=8)
+    w = rng.uniform(0.5, 1.5, cloud.n)
+    for weights in (nudged, w / w.sum()):
+        target = Empirical(cloud.points, weights)
+        assert not np.all(target.weights == 1.0 / cloud.n)
+        got, plans, weighted = _traces_with_spies(sequence, target, directions, metric)
+        assert weighted == [True, False, False] * len(directions)
+        assert len(plans) == (len(directions) * len(sequence) if metric == "w1" else 0)
+        for u, tr in zip(directions, got):
+            t = project(target, u)
+            fn = ks_distance if metric == "ks" else wasserstein1
+            assert tr == bits([fn(project(elem, u), t) for elem in sequence])
 
 
 @pytest.mark.parametrize("weights", [

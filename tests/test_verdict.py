@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from cwkit.directions import (Cap, Direction, FiniteSet, Frame, FullSphere,
                               extract_frame, parse_region, sample_in_region, sample_uniform)
 from cwkit.errors import DimensionMismatch, InsufficientRank
-from cwkit.gallery import Gaussian, ProductLognormal, sample, switching_pair
+from cwkit.gallery import Gaussian, ProductLognormal, mixed_moments_of, sample, switching_pair
+from cwkit.moments import MixedMoments, multi_indices, multi_indices_upto
 from cwkit.projections import DistanceTrace, Empirical, ks_distance, project
 from cwkit.verdict import (VerdictConfig, aggregate_overall, h1_check, h2_check, moment_match,
                            run_verdict, tightness_box)
@@ -187,6 +188,90 @@ class TestMomentMatch:
         assert rows[0].passed and rows[1].passed
         rows = moment_match(p, q, 2, per_order_tolerances=(0.01, 0.4))
         assert not rows[1].passed
+
+
+def dict_moment_match(target, q_source, max_order, per_order_tolerances=None,
+                      se_multiplier=5.0):
+    # the comparison over {alpha: value} tables, one lookup per alpha, with
+    # the candidate's standard errors keyed alike (none for an exact source)
+    p_mm = mixed_moments_of(target, max_order)
+    q_mm = mixed_moments_of(q_source, max_order)
+    p_table, q_table = dict(p_mm.table), dict(q_mm.table)
+    alphas = multi_indices_upto(q_mm.dim, max_order)
+    q_se = {} if q_mm.se is None else dict(zip(alphas, q_mm.se.tolist(), strict=True))
+    rows = []
+    for m in range(1, max_order + 1):
+        order = multi_indices(p_mm.dim, m)
+        disc = np.array([abs(p_table[a] - q_table[a]) for a in order])
+        if per_order_tolerances is not None:
+            tols = np.full(len(order), float(per_order_tolerances[m - 1]))
+        else:
+            tols = np.array([max(se_multiplier * q_se.get(a, 0.0), 1e-9) for a in order])
+        worst = int(np.argmax(disc / tols))
+        rows.append((m, float(disc.max()).hex(), order[worst], float(tols[worst]).hex(),
+                     bool(np.all(disc <= tols))))
+    return rows
+
+
+def _moment_match_sources(case):
+    # (target, candidate, max_order) for each kind of target and candidate
+    rng = np.random.default_rng(41)
+    g8 = Gaussian(rng.normal(0.0, 0.3, 8), np.eye(8) + 0.2)
+    g3 = Gaussian(np.array([0.5, -0.2, 0.1]), np.array([[1.0, 0.3, 0.0],
+                                                         [0.3, 0.8, -0.2],
+                                                         [0.0, -0.2, 1.5]]))
+    ln = ProductLognormal(np.array([0.1, -0.2, 0.0]), np.array([0.4, 0.3, 0.5]))
+    w = rng.uniform(0.2, 1.0, 400)
+    weighted = Empirical(rng.standard_normal((400, 3)), w / w.sum())
+    if case == "gaussian-d8":
+        return g8, sample(g8, 2000, seed=3), 6
+    if case == "gaussian":
+        return g3, sample(g3, 5000, seed=4), 5
+    if case == "lognormal":
+        return ln, sample(ln, 5000, seed=5), 4
+    if case == "sample":
+        return sample(g3, 3000, seed=6), sample(g3, 4000, seed=7), 4
+    if case == "weighted-target":
+        return weighted, sample(g3, 4000, seed=8), 4
+    return g3, weighted, 4  # an exact candidate: no standard errors
+
+
+class TestMomentMatchArrays:
+    @pytest.mark.parametrize("case", ["gaussian-d8", "gaussian", "lognormal", "sample",
+                                      "weighted-target", "weighted-candidate"])
+    @pytest.mark.parametrize("tolerances", ["se", "se-x0.5", "explicit"])
+    def test_rows_bit_equal_to_dict_reference(self, case, tolerances):
+        target, candidate, order = _moment_match_sources(case)
+        kwargs = {"se": {}, "se-x0.5": {"se_multiplier": 0.5},
+                  "explicit": {"per_order_tolerances": [0.05 * m for m in range(1, order + 1)]}}
+        got = [(r.order, r.max_abs_discrepancy.hex(), r.worst_alpha, r.tolerance.hex(), r.passed)
+               for r in moment_match(target, candidate, order, **kwargs[tolerances])]
+        assert got == dict_moment_match(target, candidate, order, **kwargs[tolerances])
+        assert len(got) == order
+
+    def test_table_is_a_read_only_view_of_the_values(self):
+        mm = mixed_moments_of(sample(Gaussian.standard(3), 500, seed=2), 4)
+        alphas = multi_indices_upto(3, 4)
+        assert list(mm.table) == alphas
+        assert list(mm.table.values()) == mm.values.tolist()
+        with pytest.raises(TypeError):
+            mm.table[alphas[0]] = 2.0
+        with pytest.raises(ValueError):
+            mm.values[0] = 2.0
+        for m in range(5):
+            assert mm.order_values(m).tolist() == [mm.table[a] for a in multi_indices(3, m)]
+            assert np.shares_memory(mm.order_values(m), mm.values)
+
+    @pytest.mark.parametrize("values, match", [
+        ([1.0, 0.0], "need the 3 moments"),
+        ([1.0, 0.0, 0.0, 0.0], "need the 3 moments"),
+        ([[1.0, 0.0, 0.0]], "need the 3 moments"),
+        ([0.5, 0.0, 0.0], "mu_0 must equal 1"),
+        ([float("nan"), 0.0, 0.0], "mu_0 must equal 1"),
+    ])
+    def test_values_checked(self, values, match):
+        with pytest.raises(ValueError, match=match):
+            MixedMoments(dim=2, max_order=1, values=values)
 
 
 class TestAggregation:
