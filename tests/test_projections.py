@@ -644,7 +644,7 @@ def _crossing_laws(m, n, weighted, seed, wide):
     (10000, 12000, True, True), (3000, 6000, False, True), (50000, 100000, False, True),
     (50000, 100000, True, True),
 ])
-def test_ties_signed_zeros_and_chains_bit_equal_on_blocked_and_full_paths(m, n, weighted, wide):
+def test_search_ranks_on_both_sides_of_the_crossover(m, n, weighted, wide):
     # the smaller law is searched block by block from BLOCKED_FROM atoms on,
     # when both laws are wide; there the exact ties are found among the
     # searched atoms, and the pair goes to the full search. Either way, exact
