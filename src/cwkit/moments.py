@@ -20,7 +20,8 @@ rank-deficient, which is reported as such rather than silently solved.
 Multi-indices are plain int tuples, enumerated in graded lexicographic
 order everywhere (grades ascending; within a grade, lexicographically
 descending, e.g. d=2, m=2: (2,0), (1,1), (0,2)). A mixed-moment table is
-one array in that order, from its build to the moment match.
+one array in that order, from its build to the moment match; a point
+cloud's rows are each an earlier row times one coordinate.
 """
 
 import functools
@@ -83,46 +84,38 @@ def multi_indices_upto(d, max_order):
     return [alpha for m in range(max_order + 1) for alpha in multi_indices(d, m)]
 
 
-def _top_power(m):
-    # the highest power _monomial_moments keeps in its table: x_j^m is used
-    # by the one row alpha = m e_j alone, which is made as x_j^(m-1) x_j
-    return m - 1 if m > 1 else m
+#: parent code in a _factor_walk record: the row made just before
+_PREV = -2
 
 
 @functools.lru_cache(maxsize=64)
-def _prefix_walk(d, m):
-    """Depth-first order of every |alpha| <= m in which each alpha comes
-    after its prefix, alpha with its last nonzero part dropped.
+def _factor_walk(d, m):
+    """Depth-first order of every |alpha| <= m in the tree where alpha != 0
+    is a child of alpha - e_j, j its last nonzero coordinate.
 
-    A tuple of one record per alpha, (prefix, power, position, keep): the
-    row of its prefix, the row of the power that multiplies it, alpha's
-    position in ``multi_indices_upto(d, m)``, and the stack row that keeps
-    alpha's own row for longer alphas; -1 means no row. Rows number the
-    min(d, m) - 1 stack rows first, then the power table: x_j^k is row
-    stack + j * top + k - 1, k <= top = _top_power(m). alpha = 0 comes first
-    and has no rows (its row is all ones). An alpha with one nonzero part
-    has no prefix and copies its power, except x_j^m, which multiplies
-    x_j^(m-1) by x_j."""
+    A tuple of one record per alpha, (parent, j, position, keep): the row
+    that x_j multiplies (-1 for none, _PREV for the row made just before),
+    alpha's position in ``multi_indices_upto(d, m)``, and the row that keeps
+    alpha for its later children (-1 for none). Rows number the d coordinate
+    rows, then m - 2 stack rows (none at d = 1). alpha = 0 (j = -1) is all
+    ones and e_j is x_j, read as row j by its children. A first child,
+    alpha + e_j, comes right after alpha; only a row of order 2 to m - 1
+    with a later child, alpha + e_k for k > j, is kept, on the stack row of
+    its order."""
     position = {alpha: i for i, alpha in enumerate(multi_indices_upto(d, m))}
-    stack_rows, top = max(min(d, m) - 1, 0), _top_power(m)
     walk = [(-1, -1, 0, -1)]
 
-    def visit(alpha, depth, first, total):
+    def visit(alpha, parent, total, first):
         for j in range(first, d):
-            power = stack_rows + j * top - 1  # + k: the row of x_j^k
-            for a in range(1, m - total + 1):
-                longer = alpha[:j] + (a,) + alpha[j + 1:]
-                keep = depth if j < d - 1 and total + a < m else -1
-                if depth:
-                    walk.append((depth - 1, power + a, position[longer], keep))
-                elif a > top:
-                    walk.append((power + a - 1, power + 1, position[longer], keep))
-                else:
-                    walk.append((-1, power + a, position[longer], keep))
-                if keep >= 0:
-                    visit(longer, depth + 1, j + 1, total + a)
+            child = alpha[:j] + (alpha[j] + 1,) + alpha[j + 1:]
+            row = _PREV if j == first and total > 1 else parent
+            keep = d + total - 1 if 0 < total < m - 1 and j < d - 1 else -1
+            walk.append((row, j, position[child], keep))
+            if total + 1 < m:
+                visit(child, j if total == 0 else keep, total + 1, j)
 
-    visit((0,) * d, 0, 0, 0)
+    if m > 0:
+        visit((0,) * d, -1, 0, 0)
     return tuple(walk)
 
 
@@ -305,65 +298,64 @@ def _monomial_moments(source, max_order):
     in graded order, with a sample's standard errors std(x^alpha) / sqrt(n)
     from the same monomials (None for a weighted measure).
 
-    The monomial rows are built in the order of ``_prefix_walk``, each
-    as one product: the row of alpha with its last nonzero part dropped
-    (kept on a stack of at most min(d, m) - 1 rows) times the power
-    x_j^{alpha_j} from a table of powers. That is the product
-    x_0^{alpha_0} x_1^{alpha_1} ... taken left to right, so every row is
-    bit-equal to multiplying it up one factor at a time; the table stops
-    at x_j^{m-1}, and the row of x_j^m is made as x_j^{m-1} x_j, which is
-    how the table would have made it. Rows go into blocks of about
-    _BLOCK_BYTES (one row when n is larger), and each block is reduced
-    at once: one ``expect`` over its rows puts their means in walk
-    order, then, for a sample, one ``np.add.reduce`` of the centred
-    squares puts their sums beside them. After the last block every
-    standard error is finished at once, in np.std's order of operations
-    (/ n, sqrt) and / sqrt(n), and both arrays are put in graded order
-    once. Each step is elementwise or a row's own pairwise sum, so every
-    value is bit-equal to building and reducing the rows one alpha at a
-    time."""
+    The monomial rows are built in the order of ``_factor_walk``, each as
+    one product: the row of alpha - e_j (the row before, a coordinate row
+    or a stack row) times the coordinate row x_j, j alpha's last nonzero
+    coordinate. That multiplies x^alpha up one factor at a time in
+    coordinate order. Rows go into blocks of about _BLOCK_BYTES (one row
+    when n is larger), and each block is reduced at once: one ``expect``
+    over its rows puts their means in walk order, then, for a sample, the
+    block is centred into a second block, so the next block's first row
+    can still read this block's last, and one ``np.add.reduce`` of the
+    squares puts their sums beside them. Coordinate rows, stack and blocks
+    are one allocation. After the last block every standard error is
+    finished at once, in np.std's order of operations (/ n, sqrt) and
+    / sqrt(n), and both arrays are put in graded order once. Each step is
+    elementwise or a row's own pairwise sum, so every value is bit-equal
+    to building and reducing the rows one alpha at a time."""
     points, dim, n = source.points, source.dim, source.n
-    top = _top_power(max_order)
-    # power table: x_j^k for k = 1..top, one contiguous row each
-    pows = np.empty((dim, top, n))
-    if top:
-        pows[:, 0] = points.T
-    for k in range(1, top):
-        np.multiply(pows[:, k - 1], points.T, out=pows[:, k])
-    # the stack, then the powers, as one list of row views: a list index
-    # costs less than an array's
-    rows = list(np.empty((max(min(dim, max_order) - 1, 0), n))) + list(pows.reshape(-1, n))
-    walk = _prefix_walk(dim, max_order)
+    sample = source.weights is None
+    walk = _factor_walk(dim, max_order)
     count = len(walk)
-    per_block = max(1, _BLOCK_BYTES // points.itemsize // n)
-    block = np.empty((min(per_block, count), n))
+    per_block = min(max(1, _BLOCK_BYTES // points.itemsize // n), count)
+    stack = max(max_order - 2, 0) if dim > 1 else 0  # at d = 1 no row has a later child
+    work = np.empty((dim + stack + per_block * (1 + sample), n))
+    work[:dim] = points.T
+    # coordinate rows, then stack rows, as a list of row views: a list index
+    # costs less than an array's
+    rows = list(work[:dim + stack])
+    block = work[dim + stack:dim + stack + per_block]
+    centred = work[dim + stack + per_block:]
     # both in walk order until the loop ends; errs holds the centred sums of squares
     means, errs = np.empty(count), np.empty(count)
     steps = iter(walk)
+    row = squares = None
     for start in range(0, count, per_block):
         stop = min(start + per_block, count)
         monos = block[:stop - start]
-        for row, (prefix, power, _, keep) in zip(monos, steps):
-            # a prefix row is made on the stack, then copied into the block
-            out = rows[keep] if keep >= 0 else row
-            if prefix >= 0:
-                np.multiply(rows[prefix], rows[power], out=out)
-            elif power >= 0:
-                np.copyto(out, rows[power])
+        for out, (parent, factor, _, keep) in zip(monos, steps):
+            if parent >= 0:
+                np.multiply(rows[parent], rows[factor], out=out)
+            elif parent == _PREV:
+                np.multiply(row, rows[factor], out=out)
+            elif factor >= 0:
+                np.copyto(out, rows[factor])
             else:
                 out.fill(1.0)
             if keep >= 0:
-                np.copyto(row, out)
+                np.copyto(rows[keep], out)
+            row = out
         mean = means[start:stop]
         mean[:] = source.expect(monos)
-        if source.weights is None:
-            monos -= mean[:, None]
-            np.multiply(monos, monos, out=monos)
-            np.add.reduce(monos, axis=-1, out=errs[start:stop])
-    # every work array and view of one is freed before the graded arrays are
-    # made, so they do not raise the table's memory peak
-    del pows, rows, block, monos, row, out
-    if source.weights is None:
+        if sample:
+            squares = centred[:stop - start]
+            np.subtract(monos, mean[:, None], out=squares)
+            np.multiply(squares, squares, out=squares)
+            np.add.reduce(squares, axis=-1, out=errs[start:stop])
+    # the workspace and every view of it are freed before the graded arrays
+    # are made, so they do not raise the table's memory peak
+    del work, rows, block, centred, squares, monos, out, row
+    if sample:
         # np.std's finish, then / sqrt(n): one pass each over the whole table
         errs /= n
         np.sqrt(errs, out=errs)
@@ -371,7 +363,7 @@ def _monomial_moments(source, max_order):
     positions = np.array([position for _, _, position, _ in walk])
     values, se = np.empty(count), np.empty(count)
     values[positions], se[positions] = means, errs
-    return values, se if source.weights is None else None
+    return values, se if sample else None
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,6 @@
 import math
 import time
+from contextlib import nullcontext
 from fractions import Fraction
 
 import mpmath
@@ -19,6 +20,12 @@ def table_of(law, max_order):
     # {alpha: value} of a law's graded mixed-moment array
     values = law.mixed_moment_table(max_order)
     return dict(zip(multi_indices_upto(law.dim, max_order), values.tolist(), strict=True))
+
+
+def log_mixed_moment(ln, alpha):
+    # log E[x^alpha] of a product lognormal, one alpha at a time
+    alpha = np.asarray(alpha, dtype=np.float64)
+    return float(np.sum(alpha * ln.mu + 0.5 * alpha**2 * ln.sigma**2))
 
 
 def e1(d=2):
@@ -338,6 +345,20 @@ class TestLognormalOracle:
         assert t[(2, 0, 0)] == pytest.approx(math.e**2, rel=1e-12)
         assert t[(1, 1, 0)] == pytest.approx(math.e, rel=1e-12)
 
+    @pytest.mark.parametrize("d, order, sigma", [(3, 4, 0.8), (8, 6, 1.1), (2, 30, 1.5)])
+    def test_table_bit_equal_to_per_alpha_loop(self, d, order, sigma):
+        # one exp over the graded exponent rows gives the bytes of one
+        # scalar exp per alpha; at (2, 30) both overflow at the top orders and warn
+        rng = np.random.default_rng(d + order)
+        ln = ProductLognormal(rng.uniform(-0.5, 0.5, d), sigma * rng.uniform(0.9, 1.0, d))
+        overflow = pytest.warns(RuntimeWarning, match="overflow") if order == 30 else nullcontext()
+        with overflow:
+            loop = np.array([np.exp(log_mixed_moment(ln, a)) for a in multi_indices_upto(d, order)])
+        with overflow:
+            values = ln.mixed_moment_table(order)
+        assert values.tobytes() == loop.tobytes()
+        assert np.isinf(values[-1]) == (order == 30)
+
     def test_directional_moment_vs_float_expansion(self):
         # independent float evaluation at orders where nothing overflows
         ln = ProductLognormal(np.array([0.1, -0.2]), np.array([0.5, 0.3]))
@@ -383,12 +404,12 @@ def ref_signed_log(ln, u, m):
     if m == 0:
         return 1.0, 0.0
     alphas = multi_indices(ln.dim, m)
-    peak = max(ln._log_mixed_moment(a) for a in alphas)
+    peak = max(log_mixed_moment(ln, a) for a in alphas)
     digits = 30 + int((peak + m * math.log(ln.dim + 1) + m) / math.log(10.0)) + m
     with mpmath.workdps(max(30, digits)):
         total = mpmath.mpf(0)
         for a in alphas:
-            term = mpmath.mpf(multinomial(m, a)) * mpmath.exp(mpmath.mpf(ln._log_mixed_moment(a)))
+            term = mpmath.mpf(multinomial(m, a)) * mpmath.exp(mpmath.mpf(log_mixed_moment(ln, a)))
             for uj, aj in zip(u.coords, a):
                 if aj:
                     term *= mpmath.mpf(uj) ** aj

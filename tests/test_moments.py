@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product as cartesian
 
 import mpmath
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from cwkit.directions import Direction, Frame, extract_frame, frame_constant, sample_uniform
 from cwkit.errors import OrderExceeded, RankDeficient
-from cwkit.moments import (MixedMoments, MomentSequence, carleman_partial_sums,
+from cwkit.moments import (_BLOCK_BYTES, MixedMoments, MomentSequence, carleman_partial_sums,
                            empirical_moments, homogeneous_dim, mixed_to_directional,
                            moment_sequence, multi_indices, multi_indices_upto, multinomial,
                            reconstruct_mixed, rm_residual)
@@ -286,8 +287,9 @@ class TestMixedToDirectional:
 
 class TestStandardErrors:
     def test_sample_se_matches_power_monomials(self):
-        # the table multiplies powers up one by one, the reference uses **:
-        # from exponent 3 on the two round differently in the last bits
+        # the table multiplies one coordinate factor at a time, the reference
+        # takes each coordinate's power with **: from exponent 3 on, or with
+        # two coordinates, the two round differently in the last bits
         pts = np.random.default_rng(8).standard_normal((2000, 4))
         mm = MixedMoments.from_sample(Empirical(pts), 6)
         alphas = multi_indices_upto(4, 6)
@@ -303,7 +305,7 @@ class TestStandardErrors:
     @staticmethod
     def loop_reference(source, max_order):
         # a power table of shape (n, order + 1, d) and a fresh monomial array
-        # per alpha, multiplied up one factor at a time, reduced by numpy alone
+        # per alpha, multiplied up one power at a time, reduced by numpy alone
         points, dim, n = source.points, source.dim, source.n
         pows = np.ones((n, max_order + 1, dim))
         for k in range(1, max_order + 1):
@@ -321,19 +323,28 @@ class TestStandardErrors:
                 table[alpha] = float(np.sum(source.weights * mono))
         return table, se
 
-    @pytest.mark.parametrize("d, order, n, weighted", [
-        (1, 0, 1, False), (1, 9, 300, False), (3, 7, 500, True),
-        (4, 6, 2000, False), (8, 6, 400, False), (8, 4, 300, True),
-        # n above one 256 KiB block, so one row per block
-        (2, 4, 40_000, False), (3, 4, 40_000, True),
-        # 56 alphas in blocks of 3 rows, the last block short
-        (3, 5, 10_000, False),
-        # prefix chains five parts deep, one row per block
-        (5, 5, 30_000, False),
-        # fewer orders than coordinates, weighted
-        (8, 3, 200, True),
-    ])
-    def test_table_bit_equal_to_loop(self, d, order, n, weighted):
+    @staticmethod
+    def factor_reference(source, max_order):
+        # a fresh monomial array per alpha, multiplied by x_j one factor at a
+        # time in coordinate order, reduced by numpy alone; also E|x^alpha|
+        points, dim, n = source.points, source.dim, source.n
+        weights = np.full(n, 1.0 / n) if source.weights is None else source.weights
+        table, se, size = {}, {}, {}
+        for alpha in multi_indices_upto(dim, max_order):
+            mono = np.ones(n)
+            for j, a in enumerate(alpha):
+                for _ in range(a):
+                    mono = mono * points[:, j]
+            if source.weights is None:
+                table[alpha] = float(np.mean(mono))
+                se[alpha] = float(np.std(mono) / np.sqrt(n))
+            else:
+                table[alpha] = float(np.sum(source.weights * mono))
+            size[alpha] = float(weights @ np.abs(mono))
+        return table, se, size
+
+    @staticmethod
+    def heavy_source(d, order, n, weighted):
         rng = np.random.default_rng(100 * d + order)
         # heavy tails, signed zeros and exact integers next to Gaussian draws
         pts = rng.standard_normal((n, d)) * np.exp(rng.standard_normal((n, d)))
@@ -341,17 +352,73 @@ class TestStandardErrors:
         pts[1::5, -1] = np.round(pts[1::5, -1])
         if weighted:
             w = rng.uniform(0.05, 1.0, n)
-            source = Empirical(pts, w / w.sum())
-        else:
-            source = Empirical(pts)
+            return Empirical(pts, w / w.sum())
+        return Empirical(pts)
+
+    @pytest.mark.parametrize("d, order, n, weighted", [
+        (1, 0, 1, False), (1, 9, 300, False), (3, 7, 500, True),
+        (4, 6, 2000, False), (8, 6, 400, False), (8, 4, 300, True),
+        # no monomial beyond alpha = 0, and none beyond the coordinates
+        (3, 0, 50, False), (3, 0, 50, True), (4, 1, 60, False), (4, 1, 60, True),
+        # two orders: no stack row; one coordinate: chains of first children only
+        (5, 2, 70, False), (1, 6, 40_000, False),
+        # n above one 256 KiB block, so one row per block
+        (2, 4, 40_000, False), (3, 4, 40_000, True),
+        # 56 alphas in blocks of 3 rows, the last block short
+        (3, 5, 10_000, False),
+        # chains five factors deep, one row per block
+        (5, 5, 30_000, False),
+        # fewer orders than coordinates, weighted
+        (8, 3, 200, True),
+    ])
+    def test_table_bit_equal_to_loop(self, d, order, n, weighted):
+        source = self.heavy_source(d, order, n, weighted)
         mm = MixedMoments.from_sample(source, order)
-        table, se = self.loop_reference(source, order)
+        table, se, _ = self.factor_reference(source, order)
         mm_se = ({} if mm.se is None
                  else dict(zip(multi_indices_upto(d, order), mm.se.tolist(), strict=True)))
         assert list(mm.table) == list(table) and list(mm_se) == list(se)
         assert np.array(list(mm.table.values())).tobytes() == np.array(list(table.values())).tobytes()
         assert mm.values.tobytes() == np.array(list(table.values())).tobytes()
         assert np.array(list(mm_se.values())).tobytes() == np.array(list(se.values())).tobytes()
+
+    @pytest.mark.parametrize("d, order, n, weighted", [
+        (1, 9, 300, False), (3, 7, 500, True), (4, 6, 2000, False),
+        (8, 6, 400, False), (8, 4, 300, True), (3, 5, 10_000, False),
+    ])
+    def test_table_near_power_loop(self, d, order, n, weighted):
+        # the table and a product of whole powers differ in rounding alone
+        source = self.heavy_source(d, order, n, weighted)
+        mm = MixedMoments.from_sample(source, order)
+        table, se = self.loop_reference(source, order)
+        _, _, size = self.factor_reference(source, order)
+        values, sizes = np.array(list(table.values())), np.array(list(size.values()))
+        assert np.all(np.abs(mm.values - values) <= 1e-13 * sizes)
+        if not weighted:
+            errs = np.array(list(se.values()))
+            assert np.all(np.abs(mm.se - errs) <= 1e-13 * errs)
+
+    @pytest.mark.parametrize("d, order, n, weighted", [
+        (3, 4, 100_000, False), (3, 4, 100_000, True),
+        (8, 6, 10_000, False), (8, 6, 10_000, True),
+    ])
+    def test_working_set(self, d, order, n, weighted):
+        # the coordinate rows, the stack and the block (twice: a sample
+        # centres it into a second block, a measure's expect multiplies it
+        # by the weights) bound the table's memory peak
+        rng = np.random.default_rng(d)
+        pts = rng.standard_normal((n, d))
+        w = rng.uniform(0.05, 1.0, n)
+        source = Empirical(pts, w / w.sum()) if weighted else Empirical(pts)
+        MixedMoments.from_sample(Empirical(pts[:2]), order)  # the walk, cached
+        per_block = max(1, _BLOCK_BYTES // 8 // n)
+        tracemalloc.start()
+        try:
+            MixedMoments.from_sample(source, order)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (d + order - 1 + 2 * per_block) * n * 8 + 64 * 1024
 
     def test_exact_sources_have_none(self):
         rng = np.random.default_rng(3)
