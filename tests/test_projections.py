@@ -590,17 +590,23 @@ def ks_with_path(x, y):
     return d, [c for c in calls if c != "_near_across"], np.concatenate([[], *checked])
 
 
-BLOCKED_FROM = projections._FEW_BLOCKS * projections._BLOCK  # atoms of S
+# the sizes of S at which the rule's block length steps, to 4, 8, 16 and 32
+# atoms; below the first, every atom of S is searched
+STEPS = [n for n in range(1, 40_000)
+         if projections._block_size(n) != projections._block_size(n - 1)]
+BLOCKED_FROM = STEPS[0]  # atoms of S
 
 
 @pytest.mark.parametrize("shift, n_b", [
-    pytest.param(0.0, 1200, id="0.0"), pytest.param(0.5e-12, 1200, id="5e-13"),
+    pytest.param(0.0, BLOCKED_FROM - 2, id="0.0"),
+    pytest.param(0.5e-12, BLOCKED_FROM - 2, id="5e-13"),
     pytest.param(0.0, 200, id="searched-0.0"), pytest.param(0.5e-12, 200, id="searched-5e-13"),
 ])
 def test_kernel_bit_equal_to_reference_with_cross_tie(shift, n_b):
     # one b-atom equal to, or 0.5e-12 above, an a-atom: the pooled atoms are
     # grouped, at the pooled positions the search of the smaller law gives;
-    # b has too few atoms for blocks, so every atom of it is searched
+    # b has too few atoms for blocks, one below the rule's first step or
+    # fewer, so every atom of it is searched
     rng = np.random.default_rng(5)
     a_vals = np.sort(rng.uniform(1.0, 2.0, 3000))
     b_vals = np.sort(np.append(rng.uniform(1.0, 2.0, n_b), a_vals[1700] + shift))
@@ -661,12 +667,13 @@ def test_search_ranks_on_both_sides_of_the_crossover(m, n, weighted, wide):
 
 @st.composite
 def blocked_laws(draw):
-    # a law of 1.2 to 3 times BLOCKED_FROM atoms and one of up to 3 times
-    # that, Gaussian or lognormal (atoms up to |v| >= 8192, where MERGE_TOL
-    # is below one ulp), each a sample or weighted
+    # a law of 1 to 4 times one of the rule's STEPS atoms, so that every
+    # block length the rule gives is drawn, and one of 1 to 3 times that,
+    # Gaussian or lognormal (atoms up to |v| >= 8192, where MERGE_TOL is
+    # below one ulp), each a sample or weighted
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    m = int(draw(st.floats(1.2, 3.0)) * BLOCKED_FROM)
-    n = int(draw(st.floats(m / BLOCKED_FROM, 3.0)) * BLOCKED_FROM)
+    m = int(draw(st.floats(1.0, 3.99)) * draw(st.sampled_from(STEPS)))
+    n = int(draw(st.floats(1.0, 3.0)) * m)
     laws = []
     for size, shift in ((m, 0.0), (n, draw(st.sampled_from((0.0, 0.02, 0.2))))):
         if draw(st.booleans()):
@@ -712,12 +719,13 @@ def _planted(pair, where, weighted):
     cs, cl = (Projected1D(v, w).cum for v, w in zip((s, l), masses))
     below = np.searchsorted(l, s)
     sup = np.maximum(cs[1:] - cl[below], cl[below] - cs[:-1]).argmax()
+    block = projections._block_size(s.size)
     if where == "last":
         k = s.size - 1
-        assert sup == k and k % projections._BLOCK == 0
+        assert sup == k and k % block == 0
     else:
         k = np.abs(s + 2.5).argmin() if where == "pruned" else sup
-        k += k % projections._BLOCK == 0  # a block's first atom is always searched
+        k += k % block == 0  # a block's first atom is always searched
     if pair == "signed-zero":
         s, l = s - s[k], l - s[k]
         s[k] = -0.0
@@ -748,26 +756,87 @@ def test_blocked_search_with_a_planted_near_pair(pair, where, weighted):
 
 
 def test_blocked_search_bounds_a_block_by_the_next_blocks_first_atom():
-    # S on 0..4095 and L two atoms in each gap, moved so that F_S - F_L is
-    # 32/m just after S's atom 31, the last of the first block, with no atom
-    # of L below it, and 31.5/m just after atom 64, the first of the third
-    # block: the first block is searched only if its bound reads F_S at the
-    # next block's first atom, 32/m, not at its own last atom, 31/m
-    m = 4096
-    s = np.arange(m, dtype=float)
-    grid = np.concatenate([s + 1 / 3, s + 2 / 3])
-    l = np.concatenate([grid[(grid > 32) & ((grid < 33) | (grid > 64))], [33.5],
-                        31 + np.arange(1, 9) / 16, 32 + np.arange(1, 57) / 64,
-                        64 + np.arange(1, 62) / 64])
-    a, b = law(s), law(l)
-    below = np.searchsorted(b.values, a.values)
-    gaps = np.maximum(a.cum[1:] - b.cum[below], b.cum[below] - a.cum[:-1]) * m
-    assert b.values.size == 2 * m and gaps.argmax() == 31 and gaps.max() == 32.0
-    assert gaps[::projections._BLOCK].max() == 31.5
-    for x, y in ((a, b), (b, a)):
-        d, path, _ = ks_with_path(x, y)
-        assert path == ["_blocked"]
-        assert bits(d) == bits(ref_ks(x, y)) == bits(32.0 / m)
+    # S on 0..m-1, cut into blocks of B atoms (8, 16 and 32 at these sizes),
+    # and L two atoms in each gap, moved so that F_S - F_L is B/m just after
+    # S's atom B - 1, the last of the first block, with no atom of L below it,
+    # and (B - 0.5)/m just after atom 2B, the first of the third block: the
+    # first block is searched only if its bound reads F_S at the next block's
+    # first atom, B/m, not at its own last atom, (B - 1)/m
+    sizes = (2048, 8192, 32768)
+    assert [projections._block_size(m) for m in sizes] == [8, 16, 32]
+    for m in sizes:
+        block = projections._block_size(m)
+        s = np.arange(m, dtype=float)
+        grid = np.concatenate([s + 1 / 3, s + 2 / 3])
+        steps = np.arange(1, 2 * block) / (2 * block)
+        l = np.concatenate([grid[(grid > block) & ((grid < block + 1) | (grid > 2 * block))],
+                            [block + 1.5], block - 1 + np.arange(1, 9) / 16,
+                            block + steps[:2 * block - 8], 2 * block + steps[:2 * block - 3]])
+        a, b = law(s), law(l)
+        below = np.searchsorted(b.values, a.values)
+        gaps = np.maximum(a.cum[1:] - b.cum[below], b.cum[below] - a.cum[:-1]) * m
+        assert b.values.size == 2 * m and gaps.argmax() == block - 1 and gaps.max() == block
+        assert gaps[::block].max() == block - 0.5
+        for x, y in ((a, b), (b, a)):
+            d, path, _ = ks_with_path(x, y)
+            assert path == ["_blocked"]
+            assert bits(d) == bits(ref_ks(x, y)) == bits(block / m)
+
+
+def _gaussian_pair(m, n, weighted, seed, shift=0.1):
+    # Gaussian laws of m and of n atoms, the larger shifted by shift, each a
+    # sample or weighted
+    rng = np.random.default_rng(seed)
+    laws = []
+    for size, loc in ((m, 0.0), (n, shift)):
+        w = rng.uniform(0.05, 1.0, size) if weighted else None
+        values = loc + rng.standard_normal(size)
+        laws.append(Projected1D(values, None if w is None else w / w.sum()))
+    return laws
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("offset", [-1, 0])
+@pytest.mark.parametrize("step", STEPS)
+def test_ks_bit_equal_to_reference_at_each_step_of_the_rule(step, offset, weighted):
+    # S one atom below a step of the rule and at it, so that the two sizes
+    # take different block lengths (no blocks below the first step), against
+    # L of 3 times as many atoms: bit-equal to the pooled reference in both
+    # argument orders, and again with an atom of L moved onto S's atom at the
+    # sup, a pooled pair that the search must find
+    m = step + offset
+    s, l = _gaussian_pair(m, 3 * m, weighted, seed=m)
+    assert s.wide and l.wide
+    first = ["_blocked"] if m >= BLOCKED_FROM else []
+    below = np.searchsorted(l.values, s.values)
+    k = np.maximum(s.cum[1:] - l.cum[below], l.cum[below] - s.cum[:-1]).argmax()
+    tied = l.values.copy()
+    tied[np.abs(tied - s.values[k]).argmin()] = s.values[k]
+    tied = Projected1D(tied, l.weights)
+    assert ref_merged_cdfs(s, tied)[0].size == 4 * m - 1
+    for large, path_want in ((l, first or ["_full"]), (tied, [*first, "_full", "_grouped"])):
+        for x, y in ((s, large), (large, s)):
+            d, path, _ = ks_with_path(x, y)
+            assert path == path_want
+            assert bits(d) == bits(ref_ks(x, y))
+
+
+def test_rule_searches_fewer_atoms_than_blocks_of_32():
+    # unshifted Gaussian pairs of 10^4 atoms against 5 * 10^4, as h1's middle
+    # element against its reference: the rule's blocks of 16 leave fewer atoms of
+    # S to search, first atoms and the atoms of searched blocks together,
+    # than blocks of 32, for the same distance
+    assert projections._block_size(10_000) == 16
+    for seed in range(5):
+        s, l = _gaussian_pair(10_000, 50_000, False, seed, shift=0.0)
+        searched = []
+        for rule in (projections._block_size, lambda n: 32):
+            with mock.patch.object(projections, "_block_size", rule):
+                d, path, checked = ks_with_path(s, l)
+            assert path == ["_blocked"]
+            assert bits(d) == bits(ref_ks(s, l))
+            searched.append(np.unique(checked).size)
+        assert searched[0] < searched[1]
 
 
 @pytest.mark.parametrize("chained", ["small", "large"])
