@@ -1,10 +1,11 @@
 """Batch command-line interface.
 
 Every run resolves its options from, in increasing precedence: built-in
-defaults, a flat `key = value` config file (--config), the CWKIT_SEED
-environment variable (seed only), then command-line flags. The fully
-resolved options are echoed to OUT/config_echo.cfg; `cwkit run --config
-OUT/config_echo.cfg` reproduces the run byte for byte.
+defaults, the CWKIT_SEED environment variable (seed only), a flat
+`key = value` config file (--config), then command-line flags. The fully
+resolved options are echoed to OUT/config_echo.cfg, the seed included;
+as the file beats the environment, `cwkit run --config
+OUT/config_echo.cfg` reproduces the run byte for byte under any CWKIT_SEED.
 
 --region and --direction take the spec grammar of ``cwkit.directions``, so
 the region a verdict records (``provenance.config.region``) can be passed
@@ -312,7 +313,7 @@ def build_parser():
 
 
 def resolve(command, file_opts, flag_opts, out_flag):
-    """Merge defaults <- config file <- environment seed <- flags."""
+    """Merge defaults <- environment seed <- config file <- flags."""
     opts = dict(DEFAULTS[command])
     file_out = file_opts.pop("out", None)
     out = out_flag or file_out

@@ -319,8 +319,9 @@ def extract_frame(candidates, tau=DEFAULT_FRAME_TAU):
 
     Scans candidates in order and accepts one when the smallest singular
     value of the accepted rows remains >= tau. Raises InsufficientRank if
-    fewer than d are accepted, i.e. the candidates are numerically contained
-    near a proper subspace, and ValueError unless 0 < tau <= 1.
+    there are fewer than d candidates, or if fewer than d are accepted, that
+    is, the candidates lie numerically near a proper subspace; and
+    ValueError unless 0 < tau <= 1.
     """
     candidates = list(candidates)
     if not candidates:
@@ -329,6 +330,9 @@ def extract_frame(candidates, tau=DEFAULT_FRAME_TAU):
     if not (0.0 < tau <= 1.0):
         raise ValueError(f"tau must lie in (0, 1], got {tau!r}")
     d = candidates[0].dim
+    if len(candidates) < d:
+        raise InsufficientRank(f"{len(candidates)} candidate direction"
+                               f"{'s' * (len(candidates) != 1)} cannot make a frame in R^{d}")
     accepted = []
     for cand in candidates:
         trial = np.vstack([u.coords for u in accepted] + [cand.coords])

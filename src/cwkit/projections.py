@@ -21,11 +21,12 @@ projected column. ``_law`` sorts the values once: a sample's column (mass
 follow, every other column by an argsort that carries its masses, stable
 only when values merge.
 
-KS searches the atoms of the law S of fewer atoms in the other law, L, a large
-S only in the blocks of atoms that can hold the sup, blocks of about
-sqrt(n_S) / 6 atoms (``_block_size``), and reads each law's own cumulative
-mass there, with no pooled grid; a pooled pair within MERGE_TOL
-takes one grouped fallback on that grid. Every KS result is bit-identical to
+KS is one search of the law S of fewer atoms in the other law, L, on S cut
+into blocks of B >= 1 atoms (``_block_size``: 1 below 288 atoms, then about
+sqrt(n_S) / 6): each block's first atom, and with B > 1 every atom of the
+blocks that can hold the sup. It reads each law's own cumulative mass there,
+with no pooled grid; a pooled pair within MERGE_TOL at a searched atom takes
+one grouped fallback on that grid. Every KS result is bit-identical to
 pooling both laws and sorting them together (``ks_distance``).
 
 W1 is the quantile integral, the integral over t in [0, 1] of
@@ -281,9 +282,9 @@ def _law(column, weights, uniform):
 
 
 def _block_size(n):
-    """Atoms per block of KS's blocked search of a law S of n atoms: the power
-    of two nearest sqrt(n) / 6 on a log scale, at most 32, or 0 (no blocks)
-    below 288 atoms, where the rule gives fewer than 4.
+    """Atoms per block of KS's search of a law S of n atoms: the power of two
+    nearest sqrt(n) / 6 on a log scale, at most 32, or 1 (every atom its own
+    block) below 288 atoms, where the rule gives fewer than 4.
 
     The power of two nearest sqrt(n) / 6 is the largest B with 18 B^2 <= n,
     so the rule steps to 4, 8, 16 and 32 at 288, 1 152, 4 608 and 18 432
@@ -293,7 +294,7 @@ def _block_size(n):
     sqrt(n) / 6. Blocks of 64 won no clear case against 32 up to 10^5 atoms.
     """
     block = min(32, 1 << max(0, (n // 18).bit_length() - 1) // 2)
-    return block if block >= 4 else 0
+    return block if block >= 4 else 1
 
 
 def _near_across(small, large, below):
@@ -309,7 +310,7 @@ def _grouped(small, large, below):
     within MERGE_TOL grouped as within one law: the pooled reference itself.
 
     A group's masses are summed before the running sum, which can round
-    apart from the run ends the searches read, so a near pooled pair at a
+    apart from the run ends the search reads, so a near pooled pair at a
     searched atom comes here. An atom of S sits at its own rank plus
     ``below``, before an equal atom of L; L fills the free slots in order.
     """
@@ -328,46 +329,17 @@ def _grouped(small, large, below):
     return np.cumsum(ws) - np.cumsum(wl)
 
 
-def _full(small, large):
-    # F_S - F_L's extremes from a search of every atom of S (or the grouped grid)
-    below = np.searchsorted(large.values, small.values)
-    if _near_across(small.values, large.values, below):
-        gaps = _grouped(small, large, below)
-        return gaps.max(), gaps.min()
-    cum_large = large.cum[below]  # F_L just before each atom of S
-    top = (small.cum[1:] - cum_large).max()
-    return top, min((small.cum[:-1] - cum_large).min(), small.cum[-1] - large.cum[-1])
-
-
-def _blocked(small, large, block):
-    # the same from the blocks of ``block`` atoms that can hold the sup (see
-    # ks_distance), or None when an atom searched lies within MERGE_TOL of an
-    # atom of L
-    s, cs, cl = small.values, small.cum, large.cum
-    firsts, before, after = s[::block], cs[:-1:block], cs[1::block]
-    below = np.searchsorted(large.values, firsts)
-    if _near_across(firsts, large.values, below):
+def _search(small, large, atoms, top, bottom):
+    # F_S - F_L's run ends at the given atoms of S (a slice or an index array)
+    # folded into top and bottom, with F_L just before each atom; or None when
+    # one of them lies within MERGE_TOL of an atom of L
+    s = small.values[atoms]
+    below = np.searchsorted(large.values, s)
+    if _near_across(s, large.values, below):
         return None
-    cum_large = cl[below]
-    top = (after - cum_large).max()
-    bottom = min((before - cum_large).min(), cs[-1] - cl[-1])
-    # a block holds gaps up to F_S at the next block's first atom less F_L at
-    # its own first atom, and down to F_S before its first atom less F_L at
-    # the next block's; past the last block, F_S and F_L are all of S and L
-    bound = np.empty(firsts.size)
-    np.maximum(cs[block::block][:bound.size - 1] - cum_large[:-1],
-               cum_large[1:] - before[:-1], out=bound[:-1])
-    bound[-1] = max(cs[-1] - cum_large[-1], cl[-1] - before[-1])
-    # every atom of the blocks whose bound beats the best gap at the first
-    # atoms and the end; a short last block repeats its last atom, which
-    # moves no extreme
-    atoms = (np.flatnonzero(bound > max(top, -bottom))[:, None] * block + np.arange(block)).ravel()
-    atoms = np.minimum(atoms, s.size - 1)
-    below = np.searchsorted(large.values, s[atoms])
-    if _near_across(s[atoms], large.values, below):
-        return None
-    cum_large = cl[below]
-    return (cs[atoms + 1] - cum_large).max(initial=top), (cs[atoms] - cum_large).min(initial=bottom)
+    cum_large = large.cum[below]
+    return ((small.cum[1:][atoms] - cum_large).max(initial=top),
+            (small.cum[:-1][atoms] - cum_large).min(initial=bottom), cum_large)
 
 
 def ks_distance(a, b):
@@ -380,23 +352,43 @@ def ks_distance(a, b):
     in floating point too, and subtraction is monotone, so these run ends
     hold the exact extremes over the pooled grid.
 
-    With both laws ``wide`` and S of 288 atoms or more, S is cut into blocks
-    of ``_block_size`` atoms, 4 to 32 as S grows. Block [i0, i1) of S holds
-    gaps in [cs[i0] - cl[b1], cs[i1] - cl[b0]] only, b0 and b1 counting L's
-    atoms below atoms i0 and i1 (all of L past the end). Only blocks whose
-    bound beats the best |gap| at the blocks' first atoms and the end are
-    searched: the same floats, so the same maximum, at any block length. A near
-    pooled pair at a searched atom sends the pair to the full search and the
-    grouped grid. One elsewhere cannot move the result: a pooled group of
-    wide laws holds at most one atom of each, so grouped running sums equal
-    each law's own ``cum``, and stay within the block's bound.
+    One search reads them, on S cut into blocks of B atoms: B is
+    ``_block_size``, 1 to 32 as S grows, when both laws are ``wide``, and 1
+    otherwise. It searches each block's first atom, and with B > 1 every
+    atom of the blocks whose bound beats the best |gap| there and at the end.
+    Block [i0, i1) of S holds gaps in [cs[i0] - cl[b1], cs[i1] - cl[b0]]
+    only, b0 and b1 counting L's atoms below atoms i0 and i1 (all of L past
+    the end): the same floats, so the same maximum, at any block length. A
+    near pooled pair at a searched atom sends the pair to the grouped grid.
+    One elsewhere cannot move the result: a pooled group of wide laws holds
+    at most one atom of each, so grouped running sums equal each law's own
+    ``cum``, and stay within the block's bound.
     """
     small, large = (a, b) if a.values.size <= b.values.size else (b, a)
-    block = _block_size(small.values.size) if small.wide and large.wide else 0
-    top, bottom = (block and _blocked(small, large, block)) or _full(small, large)
+    cs, cl = small.cum, large.cum
+    block = _block_size(small.values.size) if small.wide and large.wide else 1
+    found = _search(small, large, slice(None, None, block), -np.inf, cs[-1] - cl[-1])
+    if found is not None and block > 1:  # at B = 1 every atom was searched
+        top, bottom, cum_large = found
+        # a block holds gaps up to F_S at the next block's first atom less F_L at
+        # its own first atom, and down to F_S before its first atom less F_L at
+        # the next block's; past the last block, F_S and F_L are all of S and L
+        before = cs[:-1:block]
+        bound = np.empty(before.size)
+        np.maximum(cs[block::block][:bound.size - 1] - cum_large[:-1],
+                   cum_large[1:] - before[:-1], out=bound[:-1])
+        bound[-1] = max(cs[-1] - cum_large[-1], cl[-1] - before[-1])
+        # every atom of the blocks whose bound beats the best gap at the first
+        # atoms and the end; a short last block repeats its last atom, which
+        # moves no extreme
+        atoms = (np.flatnonzero(bound > max(top, -bottom))[:, None] * block + np.arange(block)).ravel()
+        found = _search(small, large, np.minimum(atoms, small.values.size - 1), top, bottom)
+    if found is None:
+        gaps = _grouped(small, large, np.searchsorted(large.values, small.values))
+        found = gaps.max(), gaps.min()
     # max |gap| as max(max, -min), with no array of absolute values; cumulative
     # weights may end at 1 +- a few ulp, and the sup of a CDF gap cannot exceed 1
-    return float(min(1.0, max(top, -bottom)))
+    return float(min(1.0, max(found[0], -found[1])))
 
 
 def _quantile_plan(cum_a, cum_b):

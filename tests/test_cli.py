@@ -599,6 +599,27 @@ class TestVerdictCommand:
         echo = (out_env / "config_echo.cfg").read_text()
         assert "seed = 11" in echo
 
+    def test_config_file_beats_environment_seed(self, tmp_path, gaussian_files, monkeypatch):
+        # CWKIT_SEED supplies the seed only where the config file holds none,
+        # so the echo keeps the file's seed and replays byte for byte under a
+        # different CWKIT_SEED, which alone would draw other directions
+        cfgfile = tmp_path / "base.cfg"
+        cfgfile.write_text("seed = 4\n")
+        common = ["--inputs", ",".join(str(p) for p in gaussian_files),
+                  "--target", "gaussian", "--directions", "20"]
+        monkeypatch.setenv("CWKIT_SEED", "11")
+        out = tmp_path / "vcfg"
+        code = main(["verdict", "--config", str(cfgfile), *common, "--out", str(out)])
+        assert code in (0, 1)
+        assert "seed = 4" in (out / "config_echo.cfg").read_text().splitlines()
+        monkeypatch.setenv("CWKIT_SEED", "12")
+        replay, env_only = tmp_path / "vcfg_replay", tmp_path / "venv12"
+        assert main(["run", "--config", str(out / "config_echo.cfg"), "--out", str(replay)]) == code
+        for name in ("verdict.json", "traces.csv"):
+            assert (out / name).read_bytes() == (replay / name).read_bytes()
+        assert main(["verdict", *common, "--out", str(env_only)]) in (0, 1)
+        assert (env_only / "traces.csv").read_bytes() != (out / "traces.csv").read_bytes()
+
     def test_flags_beat_config_file(self, tmp_path, gaussian_files):
         cfgfile = tmp_path / "base.cfg"
         cfgfile.write_text("# base settings\ndirections = 20\nseed = 4\nmetric = w1\n")
@@ -759,6 +780,23 @@ class TestAtomicForms:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("command, options", [
+        ("tightness", ["--directions", "2"]),
+        ("verdict", ["--target", "gaussian", "--region", "finite:1,0,0;0,1,0"]),
+    ])
+    def test_too_few_directions_for_a_frame_exit_two(self, tmp_path, capsys, command, options):
+        # two directions cannot make a frame in R^3 however they lie: the
+        # error names the count, not a subspace the candidates are near
+        data = tmp_path / "d3.csv"
+        rows = np.random.default_rng(3).standard_normal((200, 3))
+        data.write_text("".join(",".join(repr(float(x)) for x in row) + "\n" for row in rows))
+        code = main([command, "--inputs", str(data), *options, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InsufficientRank"
+        assert "2 candidate directions cannot make a frame in R^3" in err["message"]
+        assert "subspace" not in err["message"]
+
     def test_missing_file_exit_two(self, tmp_path, capsys):
         code = main(["verdict", "--inputs", str(tmp_path / "nope.csv"),
                      "--target", "gaussian", "--out", str(tmp_path / "o")])

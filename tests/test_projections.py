@@ -570,24 +570,29 @@ def test_kernel_bit_equal_to_reference_without_ties(n_a, n_b, weighted):
 
 
 def ks_with_path(x, y):
-    # ks_distance(x, y), the kernel paths it called in order, and the atoms
-    # of S it checked for a near pair of L, all of them in one array
+    # ks_distance(x, y), the kernel paths it took in order, and the atoms of
+    # S it checked for a near pair of L, all of them in one array. The first
+    # search names the path by its step: "_blocked" by blocks of more than
+    # one atom, "_full" atom by atom; "_grouped" follows a near pair
     calls, checked = [], []
 
     def spy(name):
         fn = getattr(projections, name)
 
         def called(*args):
-            calls.append(name)
             if name == "_near_across":
                 checked.append(args[0])
+            elif name == "_grouped":
+                calls.append(name)
+            elif not calls:
+                calls.append("_full" if args[2].step == 1 else "_blocked")
             return fn(*args)
         return called
 
-    names = ("_blocked", "_full", "_grouped", "_near_across")
+    names = ("_search", "_grouped", "_near_across")
     with mock.patch.multiple(projections, **{name: spy(name) for name in names}):
         d = ks_distance(x, y)
-    return d, [c for c in calls if c != "_near_across"], np.concatenate([[], *checked])
+    return d, calls, np.concatenate([[], *checked])
 
 
 # the sizes of S at which the rule's block length steps, to 4, 8, 16 and 32
@@ -653,14 +658,14 @@ def _crossing_laws(m, n, weighted, seed, wide):
 def test_search_ranks_on_both_sides_of_the_crossover(m, n, weighted, wide):
     # the smaller law is searched block by block from BLOCKED_FROM atoms on,
     # when both laws are wide; there the exact ties are found among the
-    # searched atoms, and the pair goes to the full search. Either way, exact
+    # searched atoms, and the pair goes to the grouped grid. Either way, exact
     # ties, signed zeros and chains within MERGE_TOL included, the kernel
     # stays bit-equal to the pooled reference
     s, l = _crossing_laws(m, n, weighted, seed=m + n, wide=wide)
-    blocked = ["_blocked"] if wide and m >= BLOCKED_FROM else []
+    first = "_blocked" if wide and m >= BLOCKED_FROM else "_full"
     for x, y in ((s, l), (l, s)):
         d, path, _ = ks_with_path(x, y)
-        assert path == [*blocked, "_full", "_grouped"]
+        assert path == [first, "_grouped"]
         assert bits(d) == bits(ref_ks(x, y))
         assert bits(wasserstein1(x, y)) == bits(ref_qw1(x, y))
 
@@ -740,8 +745,8 @@ def _planted(pair, where, weighted):
 def test_blocked_search_with_a_planted_near_pair(pair, where, weighted):
     # a near pair in a block whose bound cannot beat the best gap stays
     # unsearched and leaves the blocked answer exact; one at a searched atom,
-    # a block's first atom included, sends the pair to the full search and
-    # the grouped grid
+    # a block's first atom included, sends the pair straight to the grouped
+    # grid, with no second near check over every atom of S
     s, l, planted = _planted(pair, where, weighted)
     assert s.wide and l.wide and s.values.size >= BLOCKED_FROM
     assert ref_merged_cdfs(s, l)[0].size == s.values.size + l.values.size - 1
@@ -752,7 +757,8 @@ def test_blocked_search_with_a_planted_near_pair(pair, where, weighted):
             assert path == ["_blocked"]
             assert planted not in checked
         else:
-            assert path == ["_blocked", "_full", "_grouped"]
+            assert path == ["_blocked", "_grouped"]
+            assert np.unique(checked).size < s.values.size
 
 
 def test_blocked_search_bounds_a_block_by_the_next_blocks_first_atom():
@@ -800,21 +806,21 @@ def _gaussian_pair(m, n, weighted, seed, shift=0.1):
 @pytest.mark.parametrize("step", STEPS)
 def test_ks_bit_equal_to_reference_at_each_step_of_the_rule(step, offset, weighted):
     # S one atom below a step of the rule and at it, so that the two sizes
-    # take different block lengths (no blocks below the first step), against
-    # L of 3 times as many atoms: bit-equal to the pooled reference in both
-    # argument orders, and again with an atom of L moved onto S's atom at the
-    # sup, a pooled pair that the search must find
+    # take different block lengths (one atom a block below the first step),
+    # against L of 3 times as many atoms: bit-equal to the pooled reference
+    # in both argument orders, and again with an atom of L moved onto S's atom
+    # at the sup, a pooled pair that the search must find
     m = step + offset
     s, l = _gaussian_pair(m, 3 * m, weighted, seed=m)
     assert s.wide and l.wide
-    first = ["_blocked"] if m >= BLOCKED_FROM else []
+    first = "_blocked" if m >= BLOCKED_FROM else "_full"
     below = np.searchsorted(l.values, s.values)
     k = np.maximum(s.cum[1:] - l.cum[below], l.cum[below] - s.cum[:-1]).argmax()
     tied = l.values.copy()
     tied[np.abs(tied - s.values[k]).argmin()] = s.values[k]
     tied = Projected1D(tied, l.weights)
     assert ref_merged_cdfs(s, tied)[0].size == 4 * m - 1
-    for large, path_want in ((l, first or ["_full"]), (tied, [*first, "_full", "_grouped"])):
+    for large, path_want in ((l, [first]), (tied, [first, "_grouped"])):
         for x, y in ((s, large), (large, s)):
             d, path, _ = ks_with_path(x, y)
             assert path == path_want
