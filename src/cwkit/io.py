@@ -4,7 +4,8 @@ Input files are UTF-8 and may open with a byte-order mark. The data lines
 of a CSV file are parsed in one ``np.loadtxt`` call; that result is taken
 only where it must equal the row loop's (``_read_rows``), which reads
 NDJSON, and reads any CSV the bulk parse did not take. The row loop is the
-only code that rejects a file, naming the bad row and column.
+only code that rejects a file, naming the bad row and column: it splits the
+text into lines once, and a non-finite cell is named from those lines.
 
 Floats are written with 17 significant digits (enough to round-trip
 float64). All writers go through an atomic write-temp-then-rename so a
@@ -65,12 +66,13 @@ def _data_lines(text, fmt):
     return lines
 
 
-def _read_rows(path, text, fmt):
-    """One list of floats per data line of the text of a CSV or NDJSON file.
+def _read_rows(path, text, fmt, weighted):
+    """The data lines of the text of a CSV or NDJSON file as one finite float
+    array, or the error that rejects the file.
 
-    Every row must have the width of the first. A cell may still be
-    infinite or NaN; ``_finite_array`` rejects those. ``path`` only names
-    the file in errors.
+    Every row must have the width of the first; with ``weighted`` that width
+    is at least two, checked before any cell must be finite. ``path`` only
+    names the file in errors.
     """
     lines = _data_lines(text, fmt)
     rows = []
@@ -101,19 +103,13 @@ def _read_rows(path, text, fmt):
                              column=col) from None
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    return rows
-
-
-def _finite_array(path, text, fmt, rows):
-    """The rows as one float array; an infinite or NaN cell is a ParseError.
-
-    One vectorised check on the array; the text is split into lines again
-    for the bad cell's line number only when it fails.
-    """
+    if weighted and len(rows[0]) < 2:
+        raise ParseError(f"{path}: need at least one coordinate column plus a weight column")
+    # one vectorised check; the bad cell's line number comes from lines
     arr = np.array(rows)
     if not np.isfinite(arr).all():
         r, c = np.argwhere(~np.isfinite(arr))[0]
-        lineno = _data_lines(text, fmt)[r][0]
+        lineno = lines[r][0]
         raise ParseError(f"{path}:{lineno}: column {c + 1}: not finite: "
                          f"{float(arr[r, c])}", row=lineno, column=int(c) + 1)
     return arr
@@ -178,10 +174,7 @@ def read_array(path, weighted=False):
     text = _read_text(path)
     arr = _bulk_csv(text) if fmt == "csv" else None
     if arr is None or (weighted and arr.shape[1] < 2):
-        rows = _read_rows(path, text, fmt)
-        if weighted and len(rows[0]) < 2:
-            raise ParseError(f"{path}: need at least one coordinate column plus a weight column")
-        arr = _finite_array(path, text, fmt, rows)
+        arr = _read_rows(path, text, fmt, weighted)
     return arr
 
 

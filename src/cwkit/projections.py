@@ -13,13 +13,15 @@ at any offset, and distances are computed exactly on that grid, unbinned.
 
 <u, x> is computed in one place, ``_projection``, for every stage, and a
 1-D law is one record, ``Projected1D``: the kernel reads it, and one
-builder, ``_law``, fills it for the h1 pass and the constructor alike. The
-constructor builds from copies of its inputs; the h1 pass hands ``_law`` the
-fresh projected column itself. ``project`` is the constructor on a
-projected column. ``_law`` sorts the values once: a sample's column (mass
-1/n per value, ``weights=None``) in place, as no permutation needs to
-follow, every other column by an argsort that carries its masses, stable
-only when values merge.
+builder, ``_law``, fills it for the h1 pass, ``project`` and the constructor
+alike. Masses from outside are checked once, where they enter and in the
+caller's order: by ``Empirical`` and by the constructor (``_unit_masses``).
+``_law`` checks none, since a permuted sum rounds apart and could refuse
+masses that passed. The constructor builds from a copy of its values;
+``project`` and the h1 pass hand ``_law`` the fresh projected column itself.
+``_law`` sorts the values once: a sample's column (mass 1/n per value,
+``weights=None``) in place, as no permutation needs to follow, every other
+column by an argsort that carries its masses, stable only when values merge.
 
 KS is one search of the law S of fewer atoms in the other law, L, on S cut
 into blocks of B >= 1 atoms (``_block_size``: 1 below 288 atoms, then about
@@ -95,7 +97,7 @@ class Empirical:
             w = np.asarray(self.weights, dtype=np.float64)
             if w.shape != (p.shape[0],):
                 raise ValueError("need one weight per atom")
-            if not (np.all(np.isfinite(p)) and np.all(np.isfinite(w))):
+            if not np.all(np.isfinite(p)):
                 raise ValueError("atoms must be finite")
             _unit_masses(w)
             if np.unique(p, axis=0).shape[0] != p.shape[0]:
@@ -162,12 +164,14 @@ def _merge_sorted(values, weights):
 
 
 def _unit_masses(w):
-    # strictly positive masses summing to 1 within MASS_TOL; returns w
+    # the one check of masses from outside, in the caller's order: finite,
+    # strictly positive, summing to 1 within MASS_TOL
+    if not np.all(np.isfinite(w)):
+        raise ValueError("atoms must be finite")
     if np.any(w <= 0.0):
         raise ValueError("weights must be strictly positive")
     if abs(w.sum() - 1.0) > MASS_TOL:
-        raise ValueError(f"weights sum to {w.sum()!r}, not 1 within {MASS_TOL}")
-    return w
+        raise ValueError(f"weights sum to {float(w.sum())!r}, not 1 within {MASS_TOL}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,10 +182,12 @@ class Projected1D:
     ``weights=None`` means mass 1/n on each of n values, as for a sample;
     ``masses()`` reads either form.
 
-    The constructor takes values in any order with their masses, checks
-    them and builds the law from copies through ``_law``, the h1 pass's sort
+    The constructor takes values in any order with their masses and builds
+    the law from a copy of the values through ``_law``, the h1 pass's sort
     and merge: values at most MERGE_TOL apart become one atom at the
-    smallest of them, carrying their summed mass. Every array is read-only.
+    smallest of them, carrying their summed mass. Then ``_unit_masses``
+    checks the masses in the caller's order, so a non-finite value is
+    reported first. Every array is read-only.
     """
 
     values: np.ndarray
@@ -194,9 +200,9 @@ class Projected1D:
         w = None if self.weights is None else np.asarray(self.weights, dtype=np.float64)
         if v.ndim != 1 or v.size < 1 or (w is not None and v.shape != w.shape):
             raise ValueError("values and weights must be matching 1-D arrays")
-        if w is not None and not np.all(np.isfinite(w)):
-            raise ValueError("atoms must be finite")
         law = _law(v, w, {})  # w needs no copy: _law's argsort makes new arrays
+        if w is not None:
+            _unit_masses(w)  # after _law, which reports a non-finite value first
         for name in ("values", "weights", "cum", "wide"):
             object.__setattr__(self, name, getattr(law, name))
 
@@ -215,7 +221,7 @@ def _projection(source, u):
 
 def project(source, u):
     """Push an Empirical forward under x -> <u, x>."""
-    return Projected1D(_projection(source, u), source.weights)
+    return _law(_projection(source, u), source.weights, {})
 
 
 def _cum0(weights):
@@ -250,8 +256,9 @@ def _law(column, weights, uniform):
     argsort, because the order among ties decides a merged atom's summed
     mass; spaced values are distinct, so any sort gives the same permutation.
     The least step also shows whether the law is ``wide``. The sorted ends
-    show whether the law is finite (NaN sorts last), then the weights pass
-    the mass check. Values that merge become ``_merge_sorted``'s atoms.
+    show whether the law is finite (NaN sorts last): a projection of finite
+    points can overflow. The masses are not checked: their owner checked
+    them in its own order. Values that merge become ``_merge_sorted``'s atoms.
     Otherwise no merge means strictly increasing values: weighted values keep
     their sorted weights, and a sample's cumulative masses depend on n alone,
     so they are taken from ``uniform`` (n -> masses), filled on first use.
@@ -267,8 +274,6 @@ def _law(column, weights, uniform):
         column, weights = column[order], weights[order]
     if not (np.isfinite(column[0]) and np.isfinite(column[-1])):
         raise ValueError("atoms must be finite")
-    if weights is not None:
-        _unit_masses(weights)
     if not gap > MERGE_TOL:
         masses = np.full(column.size, 1.0 / column.size) if weights is None else weights
         values, masses = _merge_sorted(column, masses)
@@ -277,7 +282,7 @@ def _law(column, weights, uniform):
         return _filled(column, weights, _cum0(weights), gap)
     n = column.size
     if n not in uniform:
-        uniform[n] = _cum0(_unit_masses(np.full(n, 1.0 / n)))
+        uniform[n] = _cum0(np.full(n, 1.0 / n))
     return _filled(column, None, uniform[n], gap)
 
 

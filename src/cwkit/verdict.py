@@ -382,8 +382,6 @@ def run_verdict(sequence, target, config):
     flags = []
     if isinstance(config.region, FiniteSet):
         flags.append("zero_measure_region")
-    elif config.n_directions < d:
-        raise ValueError(f"n_directions must be >= dimension {d}")
     try:
         directions = region_directions(config.region, config.n_directions,
                                        config.seed, config.max_draw_budget)

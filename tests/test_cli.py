@@ -203,18 +203,11 @@ class TestIngest:
             return arr.shape, arr.tobytes()
 
         def row_loop_samples(path):
-            text = io._read_text(path)
-            return Empirical(points=io._finite_array(path, text, "csv",
-                                                     io._read_rows(path, text, "csv")),
-                             label=path.stem)
+            arr = io._read_rows(path, io._read_text(path), "csv", weighted=False)
+            return Empirical(points=arr, label=path.stem)
 
         def row_loop_atomic(path):
-            text = io._read_text(path)
-            rows = io._read_rows(path, text, "csv")
-            if len(rows[0]) < 2:
-                raise ParseError(f"{path}: need at least one coordinate column plus a "
-                                 "weight column")
-            arr = io._finite_array(path, text, "csv", rows)
+            arr = io._read_rows(path, io._read_text(path), "csv", weighted=True)
             return Empirical(points=arr[:, :-1], weights=arr[:, -1])
 
         # warnings are errors here, not through a pytest mark: a mark also covers
@@ -249,6 +242,30 @@ class TestIngest:
                 with pytest.raises(ParseError):
                     load(f)
             assert reads == [f]
+
+    @pytest.mark.parametrize("name, text, row, column", [
+        ("nan.csv", "x,y\n1,2\n3,nan\n", 3, 2),
+        ("nan.ndjson", "[1, 2]\n[NaN, 2]\n", 2, 1),
+    ])
+    def test_nonfinite_cell_splits_the_text_once(self, tmp_path, monkeypatch, name, text,
+                                                 row, column):
+        # the row loop names a non-finite cell's line from its own split of the text
+        splits = []
+        data_lines = io._data_lines
+
+        def counted(text, fmt):
+            splits.append(fmt)
+            return data_lines(text, fmt)
+
+        monkeypatch.setattr(io, "_data_lines", counted)
+        f = tmp_path / name
+        f.write_text(text)
+        for load in (ingest_samples, load_atomic_csv):
+            splits.clear()
+            with pytest.raises(ParseError) as err:
+                load(f)
+            assert (err.value.row, err.value.column) == (row, column)
+            assert len(splits) == 1
 
     def test_csv_first_row_typo_raises(self, tmp_path, capsys):
         # one numeric cell makes the first row data, so its typo is an error,
@@ -782,6 +799,7 @@ class TestAtomicForms:
 class TestErrorPaths:
     @pytest.mark.parametrize("command, options", [
         ("tightness", ["--directions", "2"]),
+        ("verdict", ["--target", "gaussian", "--directions", "2"]),
         ("verdict", ["--target", "gaussian", "--region", "finite:1,0,0;0,1,0"]),
     ])
     def test_too_few_directions_for_a_frame_exit_two(self, tmp_path, capsys, command, options):

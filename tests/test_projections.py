@@ -33,6 +33,12 @@ def law(values, weights=None):
     return Projected1D(values, np.asarray(weights, dtype=float))
 
 
+# an exact measure whose weights sum to 1 + 9.999e-13 in this order and to
+# 1.000000000001 in some others, as sorting by a projection orders them
+EDGE_ATOMS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+EDGE_WEIGHTS = np.array([0.28115260955452237, 0.6034640114175353, 0.11538337902894234])
+
+
 class TestEmpirical:
     PTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
 
@@ -56,6 +62,21 @@ class TestEmpirical:
         pts[1, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             Empirical(pts, np.full(3, 1.0 / 3.0))
+
+    def test_masses_checked_once_in_the_callers_order(self):
+        # a permuted sum rounds past MASS_TOL, so a projection checks no masses again
+        assert abs(EDGE_WEIGHTS.sum() - 1.0) <= MASS_TOL
+        assert abs(EDGE_WEIGHTS[[0, 2, 1]].sum() - 1.0) > MASS_TOL
+        m = Empirical(EDGE_ATOMS, EDGE_WEIGHTS)
+        for u in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 1.0], [1.0, -2.0]):
+            p = project(m, Direction(np.array(u) / np.linalg.norm(u)))
+            assert p.weights.sum() == pytest.approx(1.0, abs=2 * MASS_TOL)
+        p = Projected1D([0.0, 1.0, 0.5], EDGE_WEIGHTS)
+        assert p.values.tolist() == [0.0, 0.5, 1.0]
+        assert p.weights.tolist() == EDGE_WEIGHTS[[0, 2, 1]].tolist()
+        # the same law given in its sorted order is refused: that order's sum misses 1
+        with pytest.raises(ValueError, match=r"^weights sum to 1\.000000000001, not 1 within"):
+            Projected1D([0.0, 0.5, 1.0], EDGE_WEIGHTS[[0, 2, 1]])
 
     def test_weighted_rejects_duplicate_atoms(self):
         pts = np.array([[0.0, 1.0], [2.0, 3.0], [0.0, 1.0]])

@@ -18,7 +18,7 @@ from cwkit.projections import DistanceTrace, Empirical, ks_distance, project
 from cwkit.verdict import (VerdictConfig, aggregate_overall, h1_check, h2_check, moment_match,
                            run_verdict, tightness_box)
 
-from test_projections import ref_ks
+from test_projections import EDGE_ATOMS, EDGE_WEIGHTS, ref_ks
 
 
 def ident_frame(d):
@@ -522,6 +522,14 @@ class TestRunVerdict:
         seq = [sample(target, n, seed=10 * seed + i) for i, n in enumerate((10**3, 10**4))]
         report = run_verdict(seq, target, VerdictConfig(region=FullSphere(2), n_directions=20,
                                                         seed=seed))
+        assert report.overall == "consistent_with_convergence"
+
+    def test_measure_checked_once_runs(self):
+        # weights whose sum in some projected orders misses 1 by more than MASS_TOL
+        m = Empirical(EDGE_ATOMS, EDGE_WEIGHTS)
+        seq = [sample(m, 300, seed=1), sample(m, 3000, seed=2)]
+        report = run_verdict(seq, m, VerdictConfig(region=FullSphere(2), n_directions=20,
+                                                   seed=0))
         assert report.overall == "consistent_with_convergence"
 
     def test_carleman_order_moves_no_verdict_byte(self):
